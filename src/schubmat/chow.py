@@ -13,7 +13,6 @@ from functools import lru_cache
 from .errors import AmbientMismatch, DoesNotFit
 from .partitions import (
     Partition,
-    complement_in_rectangle,
     contains,
     fits,
     normalize,
@@ -243,7 +242,3 @@ def box_shift(c: ChowClass, target: Ambient, shift: int) -> ChowClass:
         terms[shifted] = terms.get(shifted, 0) + coeff
     return ChowClass(target, terms)
 
-
-def degree_complement(c: ChowClass, lam) -> Partition:
-    """The complement of lam in c's ambient rectangle (convenience)."""
-    return complement_in_rectangle(normalize(lam), c.ambient.rect)

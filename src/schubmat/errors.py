@@ -33,6 +33,13 @@ class ElementOutOfRange(SchubmatError):
     """A basis element lies outside the ground set [n]."""
 
 
+class NotAnInteger(SchubmatError):
+    """A ground-set size, rank or basis element is not an int.
+
+    Bools, floats and numeric strings are rejected, never coerced.
+    """
+
+
 class ExchangeAxiomViolated(SchubmatError):
     """The basis-exchange axiom fails; carries a witness pair."""
 
@@ -83,6 +90,50 @@ class UnsupportedMatroid(SchubmatError):
     def __init__(self, component, message="no formula for this connected component"):
         self.component = component
         super().__init__(message)
+
+
+# invariant checks: raised rather than asserted, so they survive python -O
+
+class NegativeCoefficient(SchubmatError):
+    """A Schubert coefficient that must be non-negative came out negative."""
+
+    def __init__(self, partition, value):
+        self.partition, self.value = partition, value
+        super().__init__(f"negative coefficient {value} at {partition}")
+
+
+class BetaMismatch(SchubmatError):
+    """The subdivision count binom(n-2, r-1) - k disagrees with beta(M)."""
+
+    def __init__(self, subdivision_count, beta_value):
+        self.subdivision_count, self.beta_value = subdivision_count, beta_value
+        super().__init__(
+            f"subdivision count {subdivision_count} != beta {beta_value}"
+        )
+
+
+class InhomogeneousClass(SchubmatError):
+    """An orbit class has a term outside the expected degree."""
+
+    def __init__(self, partition, expected_size):
+        self.partition, self.expected_size = partition, expected_size
+        super().__init__(f"term {partition} does not have size {expected_size}")
+
+
+class WrongAffineDimension(SchubmatError):
+    """A base polytope's affine dimension is not n - kappa."""
+
+    def __init__(self, dim, expected):
+        self.dim, self.expected = dim, expected
+        super().__init__(f"affine dimension {dim} != n - kappa = {expected}")
+
+
+class NonIntegralCount(SchubmatError):
+    """A tableau count computed by a product formula is not an integer."""
+
+    def __init__(self, shape, value):
+        self.shape, self.value = shape, value
+        super().__init__(f"count {value} for shape {shape} is not an integer")
 
 
 # polytope errors

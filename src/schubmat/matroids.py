@@ -4,15 +4,21 @@ Constructors (uniform, minimal, Schubert, lattice-path, panhandle, rational
 matrix realization), structural queries (dual, minors, circuits, rank,
 connectivity), the beta invariant, paving classification, and direct sums.
 
-Everything is desk-scale brute force over bases and subsets; n stays small
-for every result we care about, and auditability wins over asymptotics.
+Bases are stored as int bitmasks, element e being bit e - 1.  One exchange
+table per matroid answers both exchange-axiom validation and connectivity:
+for each basis B and x in B it holds the y outside B for which B - x + y is
+a basis, and x shares a circuit with exactly those y.  Paving is read off
+set sizes: the distinct B - x against binom(n, r-1), and for the dual the
+distinct B + y against binom(n, r+1).  Derived facts (the exchange table,
+the classification, beta) are computed once and cached on the instance.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_, or_
 
 from .errors import (
     BadStepString,
@@ -20,6 +26,8 @@ from .errors import (
     ElementOutOfRange,
     EmptyBases,
     ExchangeAxiomViolated,
+    InvalidDimensions,
+    NotAnInteger,
     OverlappingSets,
     PathsCross,
     RankDeficient,
@@ -29,46 +37,91 @@ from .errors import (
 Basis = tuple[int, ...]
 
 
-class Matroid:
-    """Immutable matroid with ground set [n], rank r, and an explicit basis set."""
+def _mask(elements) -> int:
+    mask = 0
+    for e in elements:
+        mask |= 1 << (e - 1)
+    return mask
 
-    __slots__ = ("n", "r", "bases", "_basis_sets", "_hash")
+
+def _elements(mask: int) -> Basis:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _bits(mask: int) -> list[int]:
+    """The single-bit masks of `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+class Matroid:
+    """Immutable matroid with ground set [n], rank r, and an explicit basis set.
+
+    `bases` is a read-only view (a frozenset of sorted element tuples) of the
+    bitmasks the library works on.  `_cache` holds what is derived from them
+    once per instance: the exchange table, the classification, beta, and the
+    base polytope's binding flats.
+    """
+
+    __slots__ = ("n", "r", "_masks", "_hash", "_bases", "_cache")
 
     def __init__(self, n: int, r: int, bases):
+        self._init(n, r, frozenset(_mask(b) for b in bases))
+
+    @classmethod
+    def _from_masks(cls, n: int, r: int, masks) -> "Matroid":
+        m = cls.__new__(cls)
+        m._init(n, r, frozenset(masks))
+        return m
+
+    def _init(self, n: int, r: int, masks: frozenset) -> None:
         self.n = n
         self.r = r
-        self.bases = frozenset(tuple(sorted(b)) for b in bases)
-        self._basis_sets = [frozenset(b) for b in sorted(self.bases)]
-        self._hash = hash((n, r, self.bases))
+        self._masks = masks
+        self._hash = hash((n, r, masks))
+        self._bases = None
+        self._cache = {}
+
+    @property
+    def bases(self) -> frozenset:
+        if self._bases is None:
+            self._bases = frozenset(map(_elements, self._masks))
+        return self._bases
 
     def __eq__(self, other):
         return (
             isinstance(other, Matroid)
             and self.n == other.n
             and self.r == other.r
-            and self.bases == other.bases
+            and self._masks == other._masks
         )
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"Matroid(n={self.n}, r={self.r}, |bases|={len(self.bases)})"
+        return f"Matroid(n={self.n}, r={self.r}, |bases|={len(self._masks)})"
+
+    def _ground(self) -> int:
+        return (1 << self.n) - 1
 
     def is_independent(self, subset) -> bool:
-        s = frozenset(subset)
-        return any(s <= b for b in self._basis_sets)
+        s = _mask(subset)
+        return any(s & b == s for b in self._masks)
 
     def rank_of(self, subset) -> int:
-        s = frozenset(subset)
-        return max(len(s & b) for b in self._basis_sets)
+        s = _mask(subset)
+        return max((s & b).bit_count() for b in self._masks)
 
     def loops(self) -> frozenset:
-        in_some = frozenset().union(*self._basis_sets)
-        return frozenset(range(1, self.n + 1)) - in_some
+        return frozenset(_elements(self._ground() & ~reduce(or_, self._masks)))
 
     def coloops(self) -> frozenset:
-        return frozenset.intersection(*self._basis_sets)
+        return frozenset(_elements(reduce(and_, self._masks)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -79,42 +132,73 @@ class Matroid:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Matroid":
-        return from_bases(
-            int(data["n"]),
-            int(data["r"]),
-            [tuple(int(e) for e in b) for b in data["bases"]],
-        )
+        return from_bases(data["n"], data["r"], data["bases"])
+
+
+def _exchange_table(m: Matroid) -> dict[int, tuple[int, int]]:
+    """{x} | Y(B, x) for every basis B and x in B, mapped to the first such (B, x).
+
+    Y(B, x) is the mask of the y outside B for which B - x + y is a basis.
+    """
+    table = m._cache.get("exchange")
+    if table is None:
+        bases = m._masks
+        ground = m._ground()
+        table = {}
+        for b in sorted(bases):
+            outside = _bits(ground & ~b)
+            for x in _bits(b):
+                rest = b ^ x
+                forbidden = x
+                for y in outside:
+                    if rest | y in bases:
+                        forbidden |= y
+                table.setdefault(forbidden, (b, x))
+        m._cache["exchange"] = table
+    return table
 
 
 def validate_exchange(m: Matroid) -> None:
-    """Exhaustively check the basis-exchange axiom; raise with a witness on failure."""
-    sets = m._basis_sets
-    lookup = set(sets)
-    for b1 in sets:
-        for b2 in sets:
-            for x in b1 - b2:
-                if not any(b1 - {x} | {y} in lookup for y in b2 - b1):
-                    raise ExchangeAxiomViolated(b1, b2, x)
+    """Exhaustively check the basis-exchange axiom; raise with a witness on failure.
+
+    Exchange fails for (B, x) against some B2 exactly when B2 avoids
+    {x} | Y(B, x), so one scan of the bases per distinct such mask decides
+    every pair of bases at once.
+    """
+    for forbidden, (b1, x) in _exchange_table(m).items():
+        b2 = next((b for b in m._masks if not b & forbidden), None)
+        if b2 is not None:
+            raise ExchangeAxiomViolated(
+                frozenset(_elements(b1)), frozenset(_elements(b2)), x.bit_length()
+            )
+
+
+def _require_int(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise NotAnInteger(f"{what} {value!r} is not an int")
 
 
 def from_bases(n: int, r: int, bases) -> Matroid:
     """Build a validated matroid from an explicit basis list."""
-    bases = [tuple(sorted(set(b))) for b in bases]
-    if not bases:
-        raise EmptyBases("a matroid needs at least one basis")
+    _require_int(n, "ground-set size")
+    _require_int(r, "rank")
+    if not 0 <= r <= n:
+        raise InvalidDimensions(f"need 0 <= r <= n, got r={r}, n={n}")
+    masks = set()
     for b in bases:
-        if len(b) != r:
-            raise WrongBasisSize(f"basis {b} does not have {r} elements")
-        if b and (b[0] < 1 or b[-1] > n):
-            raise ElementOutOfRange(f"basis {b} not inside [{n}]")
-    m = Matroid(n, r, bases)
+        b = tuple(b)
+        for e in b:
+            _require_int(e, "basis element")
+        if len(set(b)) != r:
+            raise WrongBasisSize(f"basis {tuple(sorted(set(b)))} does not have {r} elements")
+        if b and (min(b) < 1 or max(b) > n):
+            raise ElementOutOfRange(f"basis {tuple(sorted(b))} not inside [{n}]")
+        masks.add(_mask(b))
+    if not masks:
+        raise EmptyBases("a matroid needs at least one basis")
+    m = Matroid._from_masks(n, r, masks)
     validate_exchange(m)
     return m
-
-
-def _make(n: int, r: int, bases) -> Matroid:
-    # internal constructor for operations whose output is a matroid by theory
-    return Matroid(n, r, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +327,8 @@ def from_rational_matrix(entries, r: int) -> Matroid:
 
 
 def dual(m: Matroid) -> Matroid:
-    ground = frozenset(range(1, m.n + 1))
-    return _make(m.n, m.n - m.r, [tuple(sorted(ground - set(b))) for b in m.bases])
+    ground = m._ground()
+    return Matroid._from_masks(m.n, m.n - m.r, (ground ^ b for b in m._masks))
 
 
 def minor(m: Matroid, delete=(), contract=()) -> Matroid:
@@ -257,22 +341,19 @@ def minor(m: Matroid, delete=(), contract=()) -> Matroid:
         raise OverlappingSets(f"{sorted(delete & contract)} in both sets")
     if not m.is_independent(contract):
         raise DependentContraction(f"{sorted(contract)} is dependent")
-    remaining = [e for e in range(1, m.n + 1) if e not in delete | contract]
-    relabel = {e: i + 1 for i, e in enumerate(remaining)}
-    # contract first: bases containing the contract set, minus it
-    contracted = [set(b) - contract for b in m._basis_sets if contract <= set(b)]
-    # then delete: independent subsets of the remaining ground set of maximal size
-    keep = set(remaining)
-    new_rank = max(len(b & keep) for b in contracted)
+    c = _mask(contract)
+    keep = m._ground() & ~_mask(delete) & ~c
+    # contract: bases containing the contract set, minus it; then delete: the
+    # largest traces on the kept elements are the bases of the minor
+    traces = [b & keep for b in m._masks if b & c == c]
+    new_rank = max(t.bit_count() for t in traces)
+    positions = _bits(keep)
     new_bases = {
-        tuple(sorted(relabel[e] for e in i_set))
-        for b in contracted
-        for i_set in combinations(sorted(b & keep), new_rank)
+        sum(1 << i for i, p in enumerate(positions) if t & p)
+        for t in traces
+        if t.bit_count() == new_rank
     }
-    # i_set above ranges over subsets of a contracted basis restricted to the
-    # kept elements; only maximal ones are independent sets of full size
-    new_bases = {b for b in new_bases if len(b) == new_rank}
-    return _make(len(remaining), new_rank, new_bases)
+    return Matroid._from_masks(len(positions), new_rank, new_bases)
 
 
 def restriction(m: Matroid, subset) -> Matroid:
@@ -282,49 +363,33 @@ def restriction(m: Matroid, subset) -> Matroid:
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
-    bases = [
-        b1 + tuple(e + m1.n for e in b2) for b1 in m1.bases for b2 in m2.bases
-    ]
-    return _make(m1.n + m2.n, m1.r + m2.r, bases)
+    return Matroid._from_masks(
+        m1.n + m2.n,
+        m1.r + m2.r,
+        (b1 | b2 << m1.n for b1 in m1._masks for b2 in m2._masks),
+    )
 
 
 def circuits(m: Matroid) -> frozenset:
-    """All minimal dependent sets (each has at most r+1 elements)."""
+    """All minimal dependent sets (each has at most r+1 elements).
+
+    A k-set is a circuit exactly when it is dependent and all its
+    (k-1)-subsets are independent; the independent k-sets are the k-subsets
+    of bases.
+    """
+    elements = _bits(m._ground())
     found = []
+    smaller = {0}
     for k in range(1, m.r + 2):
-        for subset in combinations(range(1, m.n + 1), k):
-            s = frozenset(subset)
-            if m.is_independent(s):
-                continue
-            if any(c <= s for c in found):
-                continue
-            # minimality: every proper subset obtained by dropping one element
-            if all(m.is_independent(s - {e}) for e in s):
-                found.append(s)
+        independent = {
+            sum(sub) for b in m._masks for sub in combinations(_bits(b), k)
+        }
+        for subset in combinations(elements, k):
+            s = sum(subset)
+            if s not in independent and all(s ^ e in smaller for e in subset):
+                found.append(frozenset(_elements(s)))
+        smaller = independent
     return frozenset(found)
-
-
-def connected_components(m: Matroid) -> tuple[tuple[int, ...], ...]:
-    """Partition of [n]: i ~ j iff some circuit of M or M* contains both."""
-    parent = list(range(m.n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for c in circuits(m) | circuits(dual(m)):
-        elems = sorted(c)
-        for e in elems[1:]:
-            union(elems[0], e)
-    groups: dict[int, list[int]] = {}
-    for e in range(1, m.n + 1):
-        groups.setdefault(find(e), []).append(e)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
 @dataclass(frozen=True)
@@ -342,49 +407,81 @@ class Classification:
     is_uniform: bool
 
 
-def _is_paving(m: Matroid) -> bool:
-    return all(len(c) >= m.r for c in circuits(m))
+def _components(m: Matroid) -> tuple[tuple[int, ...], ...]:
+    """Partition of [n]: x ~ y iff y is in Y(B, x) for some basis B.
+
+    Loops and coloops appear in no Y(B, x) and stay singletons.
+    """
+    parts: list[int] = []
+    for forbidden in _exchange_table(m):
+        merged = forbidden
+        rest = []
+        for part in parts:
+            if part & forbidden:
+                merged |= part
+            else:
+                rest.append(part)
+        rest.append(merged)
+        parts = rest
+    covered = reduce(or_, parts, 0)
+    parts.extend(_bits(m._ground() & ~covered))
+    return tuple(sorted(_elements(part) for part in parts))
 
 
 def classify(m: Matroid) -> Classification:
-    components = connected_components(m)
-    nonbasis_count = comb(m.n, m.r) - len(m.bases)
+    """Components, paving and family flags; computed once per matroid instance."""
+    summary = m._cache.get("classify")
+    if summary is not None:
+        return summary
+    n, r, bases = m.n, m.r, m._masks
+    ground = m._ground()
+    components = _components(m)
     kappa = len(components)
-    return Classification(
+    # paving: every (r-1)-set is independent, i.e. is some B - x;
+    # dual paving: every (r+1)-set is spanning, i.e. is some B + y
+    is_paving = r == 0 or len({b ^ x for b in bases for x in _bits(b)}) == comb(n, r - 1)
+    dual_paving = len({b | y for b in bases for y in _bits(ground & ~b)}) == comb(n, r + 1)
+    nonbasis_count = comb(n, r) - len(bases)
+    summary = Classification(
         components=components,
         kappa=kappa,
         loops=m.loops(),
         coloops=m.coloops(),
-        is_paving=_is_paving(m),
-        is_sparse_paving=_is_paving(m) and _is_paving(dual(m)),
+        is_paving=is_paving,
+        is_sparse_paving=is_paving and dual_paving,
         nonbasis_count=nonbasis_count,
-        is_minimal=(kappa == 1 and len(m.bases) == m.r * (m.n - m.r) + 1),
+        is_minimal=(kappa == 1 and len(bases) == r * (n - r) + 1),
         is_uniform=(nonbasis_count == 0),
     )
+    m._cache["classify"] = summary
+    return summary
 
 
 def beta(m: Matroid) -> int:
-    """Crapo's beta invariant by deletion-contraction on the smallest eligible element."""
-    memo: dict[Matroid, int] = {}
+    """Crapo's beta invariant by deletion-contraction on the smallest element.
 
-    def go(mat: Matroid) -> int:
-        if mat.n == 1:
-            return 1 if mat.r == 1 else 0
-        cached = memo.get(mat)
-        if cached is not None:
-            return cached
-        loops, coloops = mat.loops(), mat.coloops()
-        if loops or coloops:
-            value = 0
-        else:
-            i = 1  # smallest index is always eligible here
-            value = go(minor(mat, contract=[i])) + go(minor(mat, delete=[i]))
-        memo[mat] = value
-        return value
-
-    return go(m)
+    Computed once per matroid instance.
+    """
+    value = m._cache.get("beta")
+    if value is None:
+        value = m._cache["beta"] = _beta(m._ground(), m._masks, {})
+    return value
 
 
-@lru_cache(maxsize=None)
-def _named(kind: str, *args) -> Matroid:
-    return {"uniform": uniform, "minimal": minimal, "panhandle": panhandle}[kind](*args)
+def _beta(ground: int, bases: frozenset, memo: dict) -> int:
+    if ground & (ground - 1) == 0:  # at most one element
+        return 1 if ground and bases == {ground} else 0
+    key = (ground, bases)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if ground & ~reduce(or_, bases) or reduce(and_, bases):
+        value = 0  # a loop or a coloop
+    else:
+        e = ground & -ground
+        rest = ground ^ e
+        value = _beta(rest, frozenset(b ^ e for b in bases if b & e), memo) + _beta(
+            rest, frozenset(b for b in bases if not b & e), memo
+        )
+    memo[key] = value
+    return value

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .chow import Ambient, ChowClass, box_shift, product, sigma, sigma1_power_degree
-from .errors import InvalidDimensions, NotConnected, NotSparsePaving, UnsupportedMatroid
+from .errors import (
+    BetaMismatch,
+    InhomogeneousClass,
+    InvalidDimensions,
+    NegativeCoefficient,
+    NotConnected,
+    NotSparsePaving,
+    UnsupportedMatroid,
+)
 from .matroids import Classification, Matroid, beta, classify, restriction
 from .partitions import (
     binomial,
@@ -63,7 +71,8 @@ def sc_uniform(r: int, n: int) -> ChowClass:
             (-1) ** i * binomial(n, i) * schur_at_ones(comp, r - i)
             for i in range(r + 1)
         )
-        assert d >= 0, f"negative Klyachko coefficient d_{lam}(U_{r},{n}) = {d}"
+        if d < 0:
+            raise NegativeCoefficient(lam, d)
         if d:
             terms[lam] = d
     return ChowClass(ambient, terms)
@@ -76,9 +85,9 @@ def sc_minimal(r: int, n: int) -> ChowClass:
     return sigma(Ambient(r, n), hook_complement(r, n))
 
 
-def sc_sparse_paving(m: Matroid, summary: Classification | None = None) -> ChowClass:
+def sc_sparse_paving(m: Matroid) -> ChowClass:
     """Uniform coefficients with the hook-complement one replaced by beta(M)."""
-    summary = summary or classify(m)
+    summary = classify(m)
     if summary.kappa != 1:
         raise NotConnected(f"kappa = {summary.kappa}")
     if not summary.is_sparse_paving:
@@ -88,10 +97,10 @@ def sc_sparse_paving(m: Matroid, summary: Classification | None = None) -> ChowC
     hc = hook_complement(r, n)
     coeff = binomial(n - 2, r - 1) - k
     independent_beta = beta(m)
-    assert coeff == independent_beta, (
-        f"subdivision count disagrees with beta: {coeff} != {independent_beta}"
-    )
-    assert coeff >= 0
+    if coeff != independent_beta:
+        raise BetaMismatch(coeff, independent_beta)
+    if coeff < 0:
+        raise NegativeCoefficient(hc, coeff)
     terms = dict(sc_uniform(r, n).terms)
     terms[hc] = coeff
     return ChowClass(Ambient(r, n), terms)
@@ -116,7 +125,7 @@ def _component_class(comp: Matroid) -> tuple[ChowClass, str, int | None]:
         return sigma(Ambient(comp.r, 1), ()), METHOD_POINT, None
     summary = classify(comp)
     if summary.is_sparse_paving and summary.kappa == 1:
-        return sc_sparse_paving(comp, summary), METHOD_SPARSE_PAVING, summary.nonbasis_count
+        return sc_sparse_paving(comp), METHOD_SPARSE_PAVING, summary.nonbasis_count
     if summary.is_minimal:
         return sc_minimal(comp.r, comp.n), METHOD_MINIMAL, None
     raise UnsupportedMatroid(
@@ -141,13 +150,16 @@ def sc(m: Matroid) -> ScResult:
     combined = sc_direct_sum(parts)
     # homogeneity: every term has size r(n-r) - (n - kappa)
     expected = m.r * (m.n - m.r) - (m.n - summary.kappa)
-    assert all(sum(lam) == expected for lam in combined.terms), "inhomogeneous class"
+    for lam in combined.terms:
+        if sum(lam) != expected:
+            raise InhomogeneousClass(lam, expected)
     return ScResult(
         matroid_summary=summary,
         chow_class=combined,
         methods=tuple(methods),
         k_used=k_used,
-        beta_value=beta(m),
+        # Crapo's beta vanishes on disconnected matroids
+        beta_value=beta(m) if summary.kappa == 1 else 0,
     )
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import DoesNotFit, InvalidDimensions
+from .errors import DoesNotFit, InvalidDimensions, NonIntegralCount
 
 Partition = tuple[int, ...]
 Rectangle = tuple[int, int]
@@ -100,7 +100,8 @@ def syt_count(lam: Partition) -> int:
     count = Fraction(factorial(size(lam)))
     for hl in hook_lengths(lam):
         count /= hl
-    assert count.denominator == 1
+    if count.denominator != 1:
+        raise NonIntegralCount(lam, count)
     return count.numerator
 
 
@@ -120,7 +121,8 @@ def schur_at_ones(lam: Partition, k: int) -> int:
             content = (j + 1) - (i + 1)
             hl = lam[i] - (j + 1) + conj[j] - i
             value *= Fraction(k + content, hl)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise NonIntegralCount(lam, value)
     return value.numerator
 
 

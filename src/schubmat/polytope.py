@@ -3,8 +3,8 @@
 The base polytope is the convex hull of the basis indicator vectors; a point
 y of the t-th dilate is an integer vector with sum(y) = t*r and
 sum(y[A]) <= t*rank(A) for every subset A.  Only flat constraints with
-rank < |A| can bind, so the enumerator checks those; a brute-force
-all-subsets membership test is kept alongside for auditing.
+rank < |A| can bind, so the enumerator checks those (computed once per
+matroid and shared by every dilate).
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .errors import DeskScaleExceeded, NonIntegralVolume
+from .errors import DeskScaleExceeded, NonIntegralVolume, WrongAffineDimension
 from .matroids import Matroid, classify, matrix_rank
 
 DESK_SCALE_LIMIT = 8
@@ -29,7 +29,7 @@ class VolumeReport:
 
 
 def polytope_vertices(m: Matroid) -> frozenset:
-    """Indicator vectors of the bases; affine dimension is asserted to be n - kappa."""
+    """Indicator vectors of the bases; affine dimension is checked to be n - kappa."""
     vertices = frozenset(
         tuple(1 if i in set(b) else 0 for i in range(1, m.n + 1)) for b in m.bases
     )
@@ -37,7 +37,8 @@ def polytope_vertices(m: Matroid) -> frozenset:
     diffs = [[Fraction(v[i] - first[i]) for i in range(m.n)] for v in vertices if v != first]
     dim = matrix_rank(diffs) if diffs else 0
     expected = m.n - classify(m).kappa
-    assert dim == expected, f"affine dimension {dim} != n - kappa = {expected}"
+    if dim != expected:
+        raise WrongAffineDimension(dim, expected)
     return vertices
 
 
@@ -47,7 +48,13 @@ def _check_scale(m: Matroid, limit: int) -> None:
 
 
 def _binding_constraints(m: Matroid):
-    """Flats A with rank(A) < min(|A|, r); all other rank constraints are implied."""
+    """Flats A with rank(A) < min(|A|, r); all other rank constraints are implied.
+
+    Computed once per matroid instance: every dilate shares them.
+    """
+    out = m._cache.get("binding_flats")
+    if out is not None:
+        return out
     ground = list(range(1, m.n + 1))
     out = []
     for k in range(2, m.n):
@@ -59,19 +66,8 @@ def _binding_constraints(m: Matroid):
             if any(m.rank_of(s | {e}) == rk for e in ground if e not in s):
                 continue  # not closed; its closure gives a tighter constraint
             out.append((s, rk))
+    m._cache["binding_flats"] = out
     return out
-
-
-def in_dilate(m: Matroid, y, t: int) -> bool:
-    """Brute-force membership of y in t*P(M): every one of the 2^n rank constraints."""
-    if sum(y) != t * m.r or any(v < 0 for v in y):
-        return False
-    ground = list(range(1, m.n + 1))
-    for k in range(1, m.n + 1):
-        for subset in combinations(ground, k):
-            if sum(y[e - 1] for e in subset) > t * m.rank_of(subset):
-                return False
-    return True
 
 
 def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:

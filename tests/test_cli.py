@@ -117,6 +117,23 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
     assert code == 2 and "usage error" in err
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"n": 3, "r": 1, "bases": [[2.7]]}', "NotAnInteger"),
+        ('{"n": 3, "r": 1, "bases": [[true]]}', "NotAnInteger"),
+        ('{"n": -1, "r": 0, "bases": [[]]}', "InvalidDimensions"),
+        ('{"n": 2, "r": 3, "bases": [[1, 2, 3]]}', "InvalidDimensions"),
+    ],
+    ids=["float-element", "true-element", "n<0", "r>n"],
+)
+def test_malformed_matroid_values_exit_1(capsys, tmp_path, text, error):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "info", "--matroid", str(path))
+    assert code == 1 and err.splitlines()[0] == error
+
+
 def test_unknown_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,5 +1,6 @@
 """Matroid construction, structure queries, beta invariant, classification."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -24,10 +25,13 @@ from schubmat import (
     schubert_matroid,
     uniform,
 )
+from schubmat import matroids, orbit, sc, verify_volume_relation
 from schubmat.errors import (
     DependentContraction,
     EmptyBases,
     ExchangeAxiomViolated,
+    InvalidDimensions,
+    NotAnInteger,
     OverlappingSets,
     PathsCross,
     RankDeficient,
@@ -35,6 +39,7 @@ from schubmat.errors import (
 )
 from schubmat.matroids import Matroid, validate_exchange
 from conftest import beta_via_tutte, family_corpus, matroid_from_nonbases
+import frozenset_oracle as oracle
 
 
 def relabel(m: Matroid, perm: dict) -> Matroid:
@@ -325,3 +330,125 @@ def test_derived_matroids_pass_exchange_validation(fano, vamos, non_pappus):
 
 def test_json_round_trip(fano):
     assert Matroid.from_json_dict(fano.to_json_dict()) == fano
+
+
+# ---------------------------------------------------------------------------
+# the bitmask core against the frozenset oracle
+
+
+def assert_matches_oracle(n, r, bases):
+    """from_bases verdict, classify, circuits and beta agree with tests/frozenset_oracle.py."""
+    bases = [tuple(b) for b in bases]
+    if oracle.exchange_witness(bases) is not None:
+        with pytest.raises(ExchangeAxiomViolated) as err:
+            from_bases(n, r, bases)
+        b1, b2, x = err.value.b1, err.value.b2, err.value.x
+        sets = {frozenset(b) for b in bases}
+        assert b1 in sets and b2 in sets and x in b1 - b2
+        assert not any(b1 - {x} | {y} in sets for y in b2 - b1)
+        return
+    m = from_bases(n, r, bases)
+    c = classify(m)
+    assert c.components == oracle.connected_components(n, r, bases)
+    assert c.kappa == len(c.components)
+    assert c.is_paving == oracle.is_paving(n, r, bases)
+    assert c.is_sparse_paving == oracle.is_sparse_paving(n, r, bases)
+    assert circuits(m) == oracle.circuits(n, r, bases)
+    assert beta(m) == oracle.beta(n, r, bases)
+
+
+def test_matroid_layer_matches_oracle_on_corpus(fano, non_pappus, vamos):
+    rng = random.Random(41)
+    corpus = [m for _, _, _, m in family_corpus(7)] + [fano, non_pappus, vamos]
+    corpus.append(direct_sum(uniform(2, 4), minimal(2, 4)))
+    for m in corpus:
+        perm = list(range(1, m.n + 1))
+        rng.shuffle(perm)
+        relabelled = [tuple(sorted(perm[e - 1] for e in b)) for b in m.bases]
+        for bases in (sorted(m.bases), relabelled):
+            assert_matches_oracle(m.n, m.r, bases)
+
+
+@st.composite
+def r_subset_families(draw):
+    """A few r-subsets of [n], n <= 7, or all r-subsets but a few: valid and invalid."""
+    n = draw(st.integers(0, 7))
+    r = draw(st.integers(0, n))
+    all_sets = list(combinations(range(1, n + 1), r))
+    picked = draw(st.lists(st.sampled_from(all_sets), min_size=1, max_size=6, unique=True))
+    if len(picked) < len(all_sets) and draw(st.booleans()):
+        picked = [s for s in all_sets if s not in picked]
+    return n, r, picked
+
+
+@settings(max_examples=300, deadline=None)
+@given(r_subset_families())
+def test_matroid_layer_matches_oracle_on_random_families(family):
+    assert_matches_oracle(*family)
+
+
+def test_classification_and_beta_computed_once_per_instance(monkeypatch):
+    m = uniform(2, 5)
+    assert classify(m) is classify(m)
+    components, full_beta = [], []
+    real_components, real_beta = matroids._components, matroids._beta
+
+    def spy_components(mat):
+        components.append(mat)
+        return real_components(mat)
+
+    def spy_beta(ground, bases, memo):
+        if ground == (1 << 5) - 1:
+            full_beta.append(ground)
+        return real_beta(ground, bases, memo)
+
+    monkeypatch.setattr(matroids, "_components", spy_components)
+    monkeypatch.setattr(matroids, "_beta", spy_beta)
+    m = uniform(2, 5)
+    verify_volume_relation(m)
+    assert components == [m] and len(full_beta) == 1
+
+
+def test_sc_skips_beta_on_disconnected_matroids(monkeypatch):
+    seen = []
+    real_beta = orbit.beta
+
+    def spy(mat):
+        seen.append(mat)
+        return real_beta(mat)
+
+    monkeypatch.setattr(orbit, "beta", spy)
+    m = direct_sum(uniform(2, 4), uniform(2, 5))
+    assert sc(m).beta_value == 0
+    assert seen == [uniform(2, 4), uniform(2, 5)]
+
+
+@pytest.mark.parametrize(
+    "n, r, bases, error",
+    [
+        (-1, 0, [()], InvalidDimensions),
+        (3, -1, [()], InvalidDimensions),
+        (2, 3, [(1, 2, 3)], InvalidDimensions),
+        (3, 1, [(True,)], NotAnInteger),
+        (3, 1, [(1.0,)], NotAnInteger),
+        (3, 1, [("1",)], NotAnInteger),
+        (3.0, 1, [(1,)], NotAnInteger),
+        (3, True, [(1,)], NotAnInteger),
+    ],
+    ids=["n<0", "r<0", "r>n", "bool-element", "float-element", "str-element",
+         "float-n", "bool-r"],
+)
+def test_from_bases_rejects_malformed_input(n, r, bases, error):
+    with pytest.raises(error):
+        from_bases(n, r, bases)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": 3, "r": 1, "bases": [[2.7]]}', '{"n": 3, "r": 1, "bases": [[true]]}',
+     '{"n": 3.0, "r": 1, "bases": [[1]]}', '{"n": 3, "r": "1", "bases": [[1]]}'],
+    ids=["float-element", "true-element", "float-n", "string-r"],
+)
+def test_json_input_is_not_coerced(text):
+    with pytest.raises(NotAnInteger):
+        Matroid.from_json_dict(json.loads(text))

@@ -11,6 +11,7 @@ from schubmat import (
     beta,
     classify,
     direct_sum,
+    dual,
     from_bases,
     minimal,
     panhandle,
@@ -24,7 +25,7 @@ from schubmat import (
 )
 from schubmat.errors import InvalidDimensions, NotConnected, NotSparsePaving, UnsupportedMatroid
 from schubmat.orbit import METHOD_MINIMAL, METHOD_POINT, METHOD_SPARSE_PAVING
-from schubmat.partitions import hook_complement
+from schubmat.partitions import conjugate, hook_complement
 from conftest import family_corpus, matroid_from_nonbases
 
 
@@ -199,3 +200,20 @@ def test_verify_volume_relation_corpus_small():
             assert verify_volume_relation(m).ok
         except UnsupportedMatroid:
             continue
+
+
+def test_duality_conjugates_coefficients(fano, vamos):
+    # d_lambda(M) = d_lambda'(M*): G(r,n) and G(n-r,n) swap the rectangle's sides
+    cases = [
+        uniform(2, 5), uniform(3, 7), uniform(1, 4),
+        minimal(2, 5), minimal(3, 7), minimal(2, 6),
+        fano, vamos, matroid_from_nonbases(6, 3, [{1, 2, 3}, {4, 5, 6}]),
+        panhandle(2, 3, 5),
+        direct_sum(uniform(2, 4), uniform(2, 5)),
+        direct_sum(minimal(2, 5), uniform(1, 3)),
+        direct_sum(fano, uniform(1, 2)),
+    ]
+    for m in cases:
+        primal, codual = sc(m).chow_class, sc(dual(m)).chow_class
+        assert codual.ambient == Ambient(m.n - m.r, m.n)
+        assert codual.terms == {conjugate(lam): c for lam, c in primal.terms.items()}, m

@@ -1,6 +1,6 @@
 """Volume oracle tests: vertices, lattice point counts, Ehrhart interpolation."""
 
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import comb
 
 import pytest
@@ -16,8 +16,19 @@ from schubmat import (
     uniform,
 )
 from schubmat.errors import DeskScaleExceeded
-from schubmat.polytope import in_dilate
 from conftest import family_corpus, matroid_from_nonbases
+
+
+def in_dilate(m, y, t: int) -> bool:
+    """Brute-force membership of y in t*P(M): every one of the 2^n rank constraints."""
+    if sum(y) != t * m.r or any(v < 0 for v in y):
+        return False
+    ground = list(range(1, m.n + 1))
+    for k in range(1, m.n + 1):
+        for subset in combinations(ground, k):
+            if sum(y[e - 1] for e in subset) > t * m.rank_of(subset):
+                return False
+    return True
 
 
 def brute_lattice_points(m, t):
