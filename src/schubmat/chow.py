@@ -1,24 +1,39 @@
 """The Chow ring of the Grassmannian G(r,n) as a free abelian group on
 Schubert cycles, with Pieri products, Littlewood-Richardson products,
-the degree pairing, and the box-shift embedding used for direct sums.
+the degree pairing, sigma_1-power degrees, and the box-shift embedding
+used for direct sums.
 
 A ChowClass is a finite integer combination of Schubert cycles sigma_lam,
 with every lam inside the r x (n-r) rectangle.  Cycles that would leave
 the rectangle are truncated away (the quotient-ring convention).
+
+Products are computed per pair of cycles (mu, nu): the LR tableaux of
+content nu on mu are generated directly, one horizontal strip per label
+under the lattice-word condition, so only the non-zero coefficients
+c^lam_{mu,nu} are ever built, and shapes that would leave the rectangle
+are pruned during the search.  Each pair's terms are cached for the life
+of the process (one lru_cache, keyed by (mu, nu, rectangle));
+lr_coefficient reads a single coefficient out of that cache.
+
+The degree of c * sigma_1^s needs no products: sigma_lam * sigma_1^s
+meets the point class once for each standard filling of the rectangle
+minus lam, which the hook-length formula counts on the complement of lam.
 """
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import AmbientMismatch, DoesNotFit
+from .errors import AmbientMismatch, DoesNotFit, require_int
 from .partitions import (
     Partition,
+    complement_in_rectangle,
     contains,
     fits,
     normalize,
     padded,
-    partitions_in_rectangle,
     size,
+    syt_count,
 )
 
 
@@ -30,6 +45,8 @@ class Ambient:
     n: int
 
     def __post_init__(self):
+        require_int(self.r, "rank")
+        require_int(self.n, "ground-set size")
         if not 0 <= self.r <= self.n:
             raise AmbientMismatch(f"need 0 <= r <= n, got r={self.r}, n={self.n}")
 
@@ -42,8 +59,9 @@ class Ambient:
 class ChowClass:
     """Integer combination of Schubert cycles in a fixed ambient.
 
-    terms maps partitions to non-zero integer coefficients; the zero class
-    has an empty term map.
+    terms maps partitions to non-zero int coefficients; the zero class
+    has an empty term map.  A coefficient that is not an int (a bool is
+    not one) raises NotAnInteger.
     """
 
     ambient: Ambient
@@ -55,6 +73,7 @@ class ChowClass:
             lam = normalize(lam)
             if not fits(lam, self.ambient.rect):
                 raise DoesNotFit(f"{lam} does not fit in G({self.ambient.r},{self.ambient.n})")
+            require_int(c, "coefficient")
             if c != 0:
                 clean[lam] = c
         object.__setattr__(self, "terms", clean)
@@ -88,11 +107,19 @@ class ChowClass:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ChowClass":
-        ambient = Ambient(int(data["r"]), int(data["n"]))
+        """Inverse of to_json_dict.  Nothing is coerced: r, n and the parts must
+        be ints, and a coefficient an int or a decimal-integer string."""
+        ambient = Ambient(data["r"], data["n"])
         terms = {}
         for item in data["terms"]:
-            lam = normalize(int(p) for p in item["partition"])
-            terms[lam] = terms.get(lam, 0) + int(item["coeff"])
+            for p in item["partition"]:
+                require_int(p, "partition part")
+            lam = normalize(item["partition"])
+            coeff = item["coeff"]
+            if isinstance(coeff, str) and re.fullmatch(r"-?[0-9]+", coeff):
+                coeff = int(coeff)
+            require_int(coeff, "coefficient")
+            terms[lam] = terms.get(lam, 0) + coeff
         return ChowClass(ambient, terms)
 
     def text(self) -> str:
@@ -143,49 +170,68 @@ def pieri(c: ChowClass, b: int) -> ChowClass:
 
 
 @lru_cache(maxsize=None)
-def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
-    """The Littlewood-Richardson coefficient c^lam_{mu,nu}.
+def _lr_terms(
+    mu: Partition, nu: Partition, rect: tuple[int, int]
+) -> tuple[tuple[Partition, int], ...]:
+    """The pairs (lam, c^lam_{mu,nu}) with c > 0 and lam inside rect.
 
-    Counts semistandard skew tableaux of shape lam/mu and content nu whose
-    reverse reading word (rows top to bottom, each row right to left) is a
-    lattice word.
+    Grows mu by the content nu, one horizontal strip per label, keeping the
+    reverse reading word (rows top to bottom, each row right to left) a
+    lattice word; each completed filling is one LR tableau of shape lam/mu.
+    Shapes that leave rect are never built.  The result is shared by every
+    caller, so it is an immutable tuple.
     """
+    if (size(nu), nu) > (size(mu), mu):
+        mu, nu = nu, mu  # c^lam_{mu,nu} = c^lam_{nu,mu}: place the smaller as content
+    if not fits(mu, rect):
+        return ()
+    rows, cols = rect
+    shape = list(padded(mu, rows))
+    # placed[i][j]: cells labelled i in row j; label 0 is a placeholder with none
+    placed = [[0] * rows for _ in range(len(nu) + 1)]
+    terms: dict[Partition, int] = {}
+
+    def fill(i, j, left, prev_old, cum, cum_prev):
+        """Place the `left` remaining cells labelled i in rows j, j+1, ...
+
+        prev_old is row j-1's length before label i was added (cols for
+        j = 0); cum counts the cells labelled i in rows < j, cum_prev those
+        labelled i-1 in rows < j.
+        """
+        if left == 0:
+            if i == len(nu):
+                lam = tuple(p for p in shape if p)
+                terms[lam] = terms.get(lam, 0) + 1
+            else:
+                # label 1 has no lattice bound: give it one no count can reach
+                fill(i + 1, 0, nu[i], cols, 0, 0 if i else size(nu))
+            return
+        if j == rows:
+            return
+        old = shape[j]
+        # horizontal strip: at most up to row j-1's old length; lattice: the
+        # i's in rows <= j may not outnumber the (i-1)'s in rows < j
+        hi = min(prev_old - old, left, cum_prev - cum)
+        next_prev = cum_prev + placed[i - 1][j]
+        for add in range(hi, -1, -1):
+            shape[j] = old + add
+            placed[i][j] = add
+            fill(i, j + 1, left - add, old, cum + add, next_prev)
+        shape[j] = old
+        placed[i][j] = 0
+
+    fill(0, 0, 0, cols, 0, 0)
+    return tuple(terms.items())
+
+
+def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
+    """The Littlewood-Richardson coefficient c^lam_{mu,nu}, read off the
+    terms of (mu, nu) in lam's bounding rectangle."""
     mu, nu, lam = normalize(mu), normalize(nu), normalize(lam)
     if size(mu) + size(nu) != size(lam) or not contains(lam, mu):
         return 0
-    if not nu:
-        return 1
-    rows = len(lam)
-    mu_full = padded(mu, rows)
-    # cells in reverse reading order
-    cells = [(i, j) for i in range(rows) for j in range(lam[i] - 1, mu_full[i] - 1, -1)]
-    k = len(nu)
-    counts = [0] * (k + 1)  # counts[v] = multiplicity of v placed so far
-    entry = {}
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        lo, hi = 1, k
-        if j + 1 < lam[i] and (i, j + 1) in entry:  # right neighbour, row weak
-            hi = min(hi, entry[(i, j + 1)])
-        if i > 0 and j >= mu_full[i - 1]:  # cell above, column strict
-            lo = max(lo, entry[(i - 1, j)] + 1)
-        total = 0
-        for v in range(lo, hi + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue  # lattice condition
-            counts[v] += 1
-            entry[(i, j)] = v
-            total += place(idx + 1)
-            del entry[(i, j)]
-            counts[v] -= 1
-        return total
-
-    return place(0)
+    rect = (len(lam), lam[0] if lam else 0)
+    return dict(_lr_terms(mu, nu, rect)).get(lam, 0)
 
 
 def product(a: ChowClass, b: ChowClass) -> ChowClass:
@@ -196,13 +242,8 @@ def product(a: ChowClass, b: ChowClass) -> ChowClass:
     terms: dict[Partition, int] = {}
     for mu, ca in a.terms.items():
         for nu, cb in b.terms.items():
-            weight = size(mu) + size(nu)
-            if weight > rect[0] * rect[1]:
-                continue
-            for lam in partitions_in_rectangle(rect, weight):
-                c = lr_coefficient(mu, nu, lam)
-                if c:
-                    terms[lam] = terms.get(lam, 0) + ca * cb * c
+            for lam, c in _lr_terms(mu, nu, rect):
+                terms[lam] = terms.get(lam, 0) + ca * cb * c
     return ChowClass(a.ambient, terms)
 
 
@@ -215,12 +256,18 @@ def degree_pairing(c: ChowClass, lam) -> int:
 
 
 def sigma1_power_degree(c: ChowClass, s: int) -> int:
-    """deg(c * sigma_(1)^s): iterate Pieri s times, read off the full rectangle."""
-    rows, cols = c.ambient.rect
-    for _ in range(s):
-        c = pieri(c, 1)
-    full = normalize((cols,) * rows)
-    return c.coefficient(full)
+    """deg(c * sigma_(1)^s).
+
+    sigma_lam * sigma_(1)^s has degree the number of standard fillings of
+    the rectangle minus lam, which are counted by the hook-length formula on
+    its complement; only terms with |lam| + s = r(n-r) reach the rectangle.
+    """
+    rect = c.ambient.rect
+    return sum(
+        coeff * syt_count(complement_in_rectangle(lam, rect))
+        for lam, coeff in c.terms.items()
+        if size(lam) + s == rect[0] * rect[1]
+    )
 
 
 def box_shift(c: ChowClass, target: Ambient, shift: int) -> ChowClass:

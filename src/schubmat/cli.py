@@ -46,7 +46,7 @@ def _load_sources(args) -> list[Matroid]:
     for path in args.matrix or []:
         with open(path) as f:
             data = json.load(f)
-        sources.append(matroids.from_rational_matrix(data["entries"], int(data["rows"])))
+        sources.append(matroids.from_rational_matrix(data["entries"], data["rows"]))
     return sources
 
 

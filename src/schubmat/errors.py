@@ -34,10 +34,21 @@ class ElementOutOfRange(SchubmatError):
 
 
 class NotAnInteger(SchubmatError):
-    """A ground-set size, rank or basis element is not an int.
+    """A ground-set size, rank, basis element, partition part or Chow-class
+    coefficient is not an int.
 
     Bools, floats and numeric strings are rejected, never coerced.
     """
+
+
+def require_int(value, what: str) -> None:
+    """Raise NotAnInteger unless value is an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise NotAnInteger(f"{what} {value!r} is not an int")
+
+
+class MalformedBasis(SchubmatError):
+    """The basis list, or one basis in it, is not a collection of elements."""
 
 
 class ExchangeAxiomViolated(SchubmatError):
@@ -71,6 +82,11 @@ class DependentContraction(SchubmatError):
 
 
 # orbit-class errors
+
+class EmptyMatroid(SchubmatError):
+    """The matroid on the empty ground set has no connected component, so no
+    orbit class is defined for it; the same holds for a direct sum of no parts."""
+
 
 class NotSparsePaving(SchubmatError):
     """Input matroid is not sparse paving."""

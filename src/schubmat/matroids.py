@@ -27,11 +27,12 @@ from .errors import (
     EmptyBases,
     ExchangeAxiomViolated,
     InvalidDimensions,
-    NotAnInteger,
+    MalformedBasis,
     OverlappingSets,
     PathsCross,
     RankDeficient,
     WrongBasisSize,
+    require_int,
 )
 
 Basis = tuple[int, ...]
@@ -173,22 +174,20 @@ def validate_exchange(m: Matroid) -> None:
             )
 
 
-def _require_int(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise NotAnInteger(f"{what} {value!r} is not an int")
-
-
 def from_bases(n: int, r: int, bases) -> Matroid:
     """Build a validated matroid from an explicit basis list."""
-    _require_int(n, "ground-set size")
-    _require_int(r, "rank")
+    require_int(n, "ground-set size")
+    require_int(r, "rank")
     if not 0 <= r <= n:
         raise InvalidDimensions(f"need 0 <= r <= n, got r={r}, n={n}")
+    try:
+        bases = [tuple(b) for b in bases]
+    except TypeError as exc:
+        raise MalformedBasis(f"bases must be collections of elements: {exc}") from None
     masks = set()
     for b in bases:
-        b = tuple(b)
         for e in b:
-            _require_int(e, "basis element")
+            require_int(e, "basis element")
         if len(set(b)) != r:
             raise WrongBasisSize(f"basis {tuple(sorted(set(b)))} does not have {r} elements")
         if b and (min(b) < 1 or max(b) > n):
@@ -308,6 +307,7 @@ def from_rational_matrix(entries, r: int) -> Matroid:
 
     Bases are the column subsets with non-zero r x r minor.
     """
+    require_int(r, "row count")
     rows = [[Fraction(e) for e in row] for row in entries]
     if len(rows) != r:
         raise RankDeficient(f"matrix has {len(rows)} rows, expected r={r}")

@@ -13,6 +13,7 @@ from functools import lru_cache
 from .chow import Ambient, ChowClass, box_shift, product, sigma, sigma1_power_degree
 from .errors import (
     BetaMismatch,
+    EmptyMatroid,
     InhomogeneousClass,
     InvalidDimensions,
     NegativeCoefficient,
@@ -109,7 +110,7 @@ def sc_sparse_paving(m: Matroid) -> ChowClass:
 def sc_direct_sum(parts: list[ChowClass]) -> ChowClass:
     """Fold classes of direct summands into the joint ambient and multiply."""
     if not parts:
-        raise ValueError("need at least one part")
+        raise EmptyMatroid("a direct sum needs at least one part")
     acc = parts[0]
     for nxt in parts[1:]:
         a1, a2 = acc.ambient, nxt.ambient
@@ -137,6 +138,8 @@ def _component_class(comp: Matroid) -> tuple[ChowClass, str, int | None]:
 
 def sc(m: Matroid) -> ScResult:
     """Orbit class of an arbitrary supported matroid, by connected components."""
+    if m.n == 0:
+        raise EmptyMatroid("the empty matroid has no connected component")
     summary = classify(m)
     parts, methods = [], []
     k_used = None

@@ -7,7 +7,7 @@ A rectangle is the pair ``(rows, cols)``.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import DoesNotFit, InvalidDimensions, NonIntegralCount
 
@@ -97,12 +97,11 @@ def syt_count(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
     if not lam:
         return 1
-    count = Fraction(factorial(size(lam)))
-    for hl in hook_lengths(lam):
-        count /= hl
-    if count.denominator != 1:
-        raise NonIntegralCount(lam, count)
-    return count.numerator
+    hooks = prod(hook_lengths(lam))
+    count, rest = divmod(factorial(size(lam)), hooks)
+    if rest:
+        raise NonIntegralCount(lam, Fraction(factorial(size(lam)), hooks))
+    return count
 
 
 def schur_at_ones(lam: Partition, k: int) -> int:

@@ -4,6 +4,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubmat import (
     Ambient,
@@ -13,17 +14,22 @@ from schubmat import (
     lr_coefficient,
     pieri,
     product,
+    sc_direct_sum,
+    sc_minimal,
+    sc_uniform,
     sigma,
     sigma1_power_degree,
     syt_count,
 )
-from schubmat.errors import AmbientMismatch, DoesNotFit
+from schubmat.errors import AmbientMismatch, DoesNotFit, NotAnInteger
 from schubmat.partitions import (
     complement_in_rectangle,
+    contains,
     normalize,
     partitions_in_rectangle,
     size,
 )
+import lr_oracle
 
 
 def jacobi_trudi_lr(mu, nu, lam):
@@ -102,6 +108,57 @@ def test_lr_against_jacobi_trudi():
     ]
     for mu, nu, lam in cases:
         assert lr_coefficient(mu, nu, lam) == jacobi_trudi_lr(mu, nu, lam), (mu, nu, lam)
+
+
+def test_lr_against_jacobi_trudi_random_sample():
+    rng = random.Random(11)
+    nonzero = 0
+    for _ in range(60):
+        mu = rng.choice(partitions_in_rectangle((3, 4), rng.randint(0, 5)))
+        nu = rng.choice(partitions_in_rectangle((3, 3), rng.randint(1, 4)))
+        rows = len(mu) + len(nu)
+        candidates = [lam for lam in partitions_in_rectangle((rows, size(mu) + size(nu)),
+                                                             size(mu) + size(nu))
+                      if contains(lam, mu) and contains(lam, nu)]
+        lam = rng.choice(candidates)
+        value = lr_coefficient(mu, nu, lam)
+        assert value == jacobi_trudi_lr(mu, nu, lam), (mu, nu, lam)
+        nonzero += value > 0
+    assert nonzero >= 30
+
+
+def test_product_matches_oracle_on_every_pair_in_small_rectangles():
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            ambient = Ambient(rows, rows + cols)
+            shapes = partitions_in_rectangle(ambient.rect)
+            for mu in shapes:
+                for nu in shapes:
+                    expected = lr_oracle.product_terms({mu: 1}, {nu: 1}, rows, cols)
+                    got = product(sigma(ambient, mu), sigma(ambient, nu)).terms
+                    assert got == expected, (rows, cols, mu, nu)
+
+
+@st.composite
+def class_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    r = draw(st.integers(min_value=0, max_value=n))
+    ambient = Ambient(r, n)
+    shapes = st.sampled_from(partitions_in_rectangle(ambient.rect))
+    coeffs = st.integers(min_value=-5, max_value=5)
+
+    def one_class():
+        return ChowClass(ambient, draw(st.dictionaries(shapes, coeffs, max_size=3)))
+
+    return one_class(), one_class()
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_pairs())
+def test_product_matches_oracle_on_random_classes(pair):
+    a, b = pair
+    rows, cols = a.ambient.rect
+    assert product(a, b).terms == lr_oracle.product_terms(a.terms, b.terms, rows, cols)
 
 
 def test_product_golden_example_g49():
@@ -183,6 +240,33 @@ def test_sigma1_power_degree_examples():
     assert sigma1_power_degree(sigma(g37, (3, 3)), 6) == 10
 
 
+def sigma1_power_degree_by_pieri(c: ChowClass, s: int) -> int:
+    """The former definition: multiply by sigma_(1) s times, read off the rectangle."""
+    rows, cols = c.ambient.rect
+    for _ in range(s):
+        c = pieri(c, 1)
+    return c.coefficient((cols,) * rows)
+
+
+def test_sigma1_power_degree_matches_iterated_pieri():
+    for ambient in (Ambient(3, 7), Ambient(4, 8)):
+        rows, cols = ambient.rect
+        for lam in partitions_in_rectangle(ambient.rect):
+            cls = sigma(ambient, lam, 3)
+            for s in range(max(0, rows * cols - size(lam) - 1), rows * cols - size(lam) + 2):
+                assert sigma1_power_degree(cls, s) == sigma1_power_degree_by_pieri(cls, s)
+    folds = [
+        [sc_uniform(2, 4), sc_uniform(2, 5)],
+        [sc_uniform(2, 5), sc_minimal(2, 4), sc_uniform(1, 3)],
+        [sc_minimal(3, 6), sc_uniform(2, 5) + sc_minimal(2, 5).scaled(-2)],
+    ]
+    for parts in folds:
+        cls = sc_direct_sum(parts)
+        rows, cols = cls.ambient.rect
+        degree = rows * cols - size(next(iter(cls.terms)))
+        assert sigma1_power_degree(cls, degree) == sigma1_power_degree_by_pieri(cls, degree) > 0
+
+
 def test_box_shift_golden_example():
     g49 = Ambient(4, 9)
     shifted = box_shift(sigma(G24, (1,), 2), g49, 3)
@@ -210,6 +294,37 @@ def test_chow_class_json_round_trip():
     data = cls.to_json_dict()
     assert ChowClass.from_json_dict(data) == cls
     assert data["terms"] == sorted(data["terms"], key=lambda t: t["partition"])
+
+
+@pytest.mark.parametrize("coeff", [True, 2.5, "3"], ids=["bool", "float", "str"])
+def test_chow_class_rejects_non_int_coefficient(coeff):
+    with pytest.raises(NotAnInteger):
+        ChowClass(G24, {(1,): coeff})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"r": 2, "n": 4.9, "terms": []},
+        {"r": True, "n": 4, "terms": []},
+        {"r": 2, "n": 4, "terms": [{"partition": [1.5], "coeff": "1"}]},
+        {"r": 2, "n": 4, "terms": [{"partition": [1], "coeff": 2.7}]},
+        {"r": 2, "n": 4, "terms": [{"partition": [1], "coeff": True}]},
+        {"r": 2, "n": 4, "terms": [{"partition": [1], "coeff": "2.7"}]},
+        {"r": 2, "n": 4, "terms": [{"partition": [1], "coeff": " 2"}]},
+    ],
+    ids=["float-n", "bool-r", "float-part", "float-coeff", "bool-coeff", "float-string-coeff",
+         "padded-string-coeff"],
+)
+def test_chow_class_json_is_not_coerced(data):
+    with pytest.raises(NotAnInteger):
+        ChowClass.from_json_dict(data)
+
+
+def test_chow_class_json_accepts_int_and_decimal_string_coefficients():
+    data = {"r": 2, "n": 4, "terms": [{"partition": [1], "coeff": "-12"},
+                                      {"partition": [2], "coeff": 5}]}
+    assert ChowClass.from_json_dict(data).terms == {(1,): -12, (2,): 5}
 
 
 def test_text_format():

@@ -124,14 +124,49 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
         ('{"n": 3, "r": 1, "bases": [[true]]}', "NotAnInteger"),
         ('{"n": -1, "r": 0, "bases": [[]]}', "InvalidDimensions"),
         ('{"n": 2, "r": 3, "bases": [[1, 2, 3]]}', "InvalidDimensions"),
+        ('{"n": 3, "r": 1, "bases": [5]}', "MalformedBasis"),
+        ('{"n": 3, "r": 1, "bases": 5}', "MalformedBasis"),
     ],
-    ids=["float-element", "true-element", "n<0", "r>n"],
+    ids=["float-element", "true-element", "n<0", "r>n", "number-basis", "number-basis-list"],
 )
 def test_malformed_matroid_values_exit_1(capsys, tmp_path, text, error):
     path = tmp_path / "m.json"
     path.write_text(text)
     code, _, err = run(capsys, "info", "--matroid", str(path))
     assert code == 1 and err.splitlines()[0] == error
+
+
+def test_empty_matroid_exit_1(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "r": 0, "bases": [[]]}')
+    code, _, err = run(capsys, "class", "--matroid", str(path))
+    assert code == 1 and err.splitlines()[0] == "EmptyMatroid"
+
+
+def test_matrix_rows_must_be_int(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 2.7, "entries": [[1, 0, 1], [0, 1, 1]]}')
+    code, _, err = run(capsys, "class", "--matrix", str(path))
+    assert code == 1 and err.splitlines()[0] == "NotAnInteger"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"r": 2, "n": 4.9, "terms": [{"partition": [1], "coeff": "1"}]}',
+        '{"r": 2, "n": 4, "terms": [{"partition": [1.5], "coeff": "1"}]}',
+        '{"r": 2, "n": 4, "terms": [{"partition": [1], "coeff": 2.7}]}',
+        '{"r": 2, "n": 4, "terms": [{"partition": [1], "coeff": true}]}',
+    ],
+    ids=["float-n", "float-part", "float-coeff", "true-coeff"],
+)
+def test_product_of_non_int_class_exit_1(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    unit = tmp_path / "unit.json"
+    unit.write_text('{"r": 2, "n": 4, "terms": [{"partition": [], "coeff": "1"}]}')
+    code, _, err = run(capsys, "product", str(bad), str(unit))
+    assert code == 1 and err.splitlines()[0] == "NotAnInteger"
 
 
 def test_unknown_verb_exits_2(capsys):

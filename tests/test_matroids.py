@@ -31,6 +31,7 @@ from schubmat.errors import (
     EmptyBases,
     ExchangeAxiomViolated,
     InvalidDimensions,
+    MalformedBasis,
     NotAnInteger,
     OverlappingSets,
     PathsCross,
@@ -434,9 +435,11 @@ def test_sc_skips_beta_on_disconnected_matroids(monkeypatch):
         (3, 1, [("1",)], NotAnInteger),
         (3.0, 1, [(1,)], NotAnInteger),
         (3, True, [(1,)], NotAnInteger),
+        (3, 1, [5], MalformedBasis),
+        (3, 1, 5, MalformedBasis),
     ],
     ids=["n<0", "r<0", "r>n", "bool-element", "float-element", "str-element",
-         "float-n", "bool-r"],
+         "float-n", "bool-r", "number-basis", "number-basis-list"],
 )
 def test_from_bases_rejects_malformed_input(n, r, bases, error):
     with pytest.raises(error):

@@ -23,7 +23,13 @@ from schubmat import (
     uniform,
     verify_volume_relation,
 )
-from schubmat.errors import InvalidDimensions, NotConnected, NotSparsePaving, UnsupportedMatroid
+from schubmat.errors import (
+    EmptyMatroid,
+    InvalidDimensions,
+    NotConnected,
+    NotSparsePaving,
+    UnsupportedMatroid,
+)
 from schubmat.orbit import METHOD_MINIMAL, METHOD_POINT, METHOD_SPARSE_PAVING
 from schubmat.partitions import conjugate, hook_complement
 from conftest import family_corpus, matroid_from_nonbases
@@ -139,6 +145,13 @@ def test_dispatcher_degenerate_points():
     # the loop widens the rectangle: 2 sigma_(1) box-shifts to 2 sigma_(2,1)
     assert result.chow_class.ambient == Ambient(2, 5)
     assert result.chow_class.terms == {(2, 1): 2}
+
+
+def test_empty_matroid_is_a_domain_error():
+    with pytest.raises(EmptyMatroid):
+        sc(from_bases(0, 0, [()]))
+    with pytest.raises(EmptyMatroid):
+        sc_direct_sum([])
 
 
 def test_dispatcher_mixed_components():
