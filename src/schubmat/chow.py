@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import AmbientMismatch, DoesNotFit, require_int
+from .errors import AmbientMismatch, DoesNotFit, require_int, require_type
 from .partitions import (
     Partition,
     complement_in_rectangle,
@@ -107,14 +107,20 @@ class ChowClass:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ChowClass":
-        """Inverse of to_json_dict.  Nothing is coerced: r, n and the parts must
-        be ints, and a coefficient an int or a decimal-integer string."""
+        """Inverse of to_json_dict.  Nothing is coerced: the document is an
+        object, terms and partitions are lists, r, n and the parts are ints,
+        and a coefficient is an int or a decimal-integer string."""
+        require_type(data, dict, "a Chow class")
         ambient = Ambient(data["r"], data["n"])
+        require_type(data["terms"], list, "terms")
         terms = {}
         for item in data["terms"]:
-            for p in item["partition"]:
+            require_type(item, dict, "a term")
+            parts = item["partition"]
+            require_type(parts, list, "partition")
+            for p in parts:
                 require_int(p, "partition part")
-            lam = normalize(item["partition"])
+            lam = normalize(parts)
             coeff = item["coeff"]
             if isinstance(coeff, str) and re.fullmatch(r"-?[0-9]+", coeff):
                 coeff = int(coeff)

@@ -47,6 +47,18 @@ def require_int(value, what: str) -> None:
         raise NotAnInteger(f"{what} {value!r} is not an int")
 
 
+class WrongShape(SchubmatError):
+    """An input has the wrong JSON type or shape: not an object or list where
+    one belongs, a matrix with no rows, ragged rows or the wrong cols, or a
+    matrix entry that is neither an int nor a "p/q" string."""
+
+
+def require_type(value, kind: type, what: str) -> None:
+    """Raise WrongShape unless value is a `kind` (dict or list)."""
+    if not isinstance(value, kind):
+        raise WrongShape(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+
+
 class MalformedBasis(SchubmatError):
     """The basis list, or one basis in it, is not a collection of elements."""
 

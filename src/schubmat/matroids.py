@@ -9,10 +9,13 @@ table per matroid answers both exchange-axiom validation and connectivity:
 for each basis B and x in B it holds the y outside B for which B - x + y is
 a basis, and x shares a circuit with exactly those y.  Paving is read off
 set sizes: the distinct B - x against binom(n, r-1), and for the dual the
-distinct B + y against binom(n, r+1).  Derived facts (the exchange table,
-the classification, beta) are computed once and cached on the instance.
+distinct B + y against binom(n, r+1).  Circuits are the fundamental
+circuits of the bases, so no subset of the ground set is enumerated.
+Derived facts (the exchange table, the classification, beta) are computed
+once and cached on the instance.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -32,10 +35,10 @@ from .errors import (
     PathsCross,
     RankDeficient,
     WrongBasisSize,
+    WrongShape,
     require_int,
+    require_type,
 )
-
-Basis = tuple[int, ...]
 
 
 def _mask(elements) -> int:
@@ -45,7 +48,7 @@ def _mask(elements) -> int:
     return mask
 
 
-def _elements(mask: int) -> Basis:
+def _elements(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
@@ -65,7 +68,7 @@ class Matroid:
     `bases` is a read-only view (a frozenset of sorted element tuples) of the
     bitmasks the library works on.  `_cache` holds what is derived from them
     once per instance: the exchange table, the classification, beta, and the
-    base polytope's binding flats.
+    base polytope's rank table and binding flats.
     """
 
     __slots__ = ("n", "r", "_masks", "_hash", "_bases", "_cache")
@@ -133,6 +136,7 @@ class Matroid:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Matroid":
+        require_type(data, dict, "a matroid")
         return from_bases(data["n"], data["r"], data["bases"])
 
 
@@ -259,66 +263,60 @@ def panhandle(r: int, s: int, n: int) -> Matroid:
     return schubert_matroid(n, list(range(s - r + 2, s + 1)) + [n])
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    rows = [row[:] for row in rows]
-    k = len(rows)
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((i for i in range(col, k) if rows[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for i in range(col + 1, k):
-            factor = rows[i][col] * inv
-            for j in range(col, k):
-                rows[i][j] -= factor * rows[col][j]
-    return det
-
-
 def matrix_rank(entries: list[list[Fraction]]) -> int:
-    """Exact row rank over the rationals."""
+    """Exact row rank over the rationals, by Gaussian elimination."""
     rows = [list(map(Fraction, row)) for row in entries]
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
+            if rows[i][col]:
                 factor = rows[i][col] / rows[rank][col]
-                for j in range(col, ncols):
-                    rows[i][j] -= factor * rows[rank][j]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
-        col += 1
     return rank
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def _matrix_entry(e) -> Fraction:
+    """An int, a Fraction or a "p/q" string; a float or a bool is rejected."""
+    if isinstance(e, str) and _RATIONAL.fullmatch(e) or (
+        isinstance(e, (int, Fraction)) and not isinstance(e, bool)
+    ):
+        return Fraction(e)
+    raise WrongShape(f'matrix entry {e!r} is neither an int nor a "p/q" string')
 
 
 def from_rational_matrix(entries, r: int) -> Matroid:
     """Matroid of the column vectors of an exact rational r x n matrix.
 
-    Bases are the column subsets with non-zero r x r minor.
+    entries is a non-empty list of equally long row lists.  Bases are the
+    column subsets with non-zero r x r minor.
     """
     require_int(r, "row count")
-    rows = [[Fraction(e) for e in row] for row in entries]
+    require_type(entries, list, "matrix entries")
+    for row in entries:
+        require_type(row, list, "a matrix row")
+    rows = [[_matrix_entry(e) for e in row] for row in entries]
+    if not rows:
+        raise WrongShape("a matrix needs at least one row")
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise WrongShape(f"matrix rows have lengths {[len(row) for row in rows]}")
     if len(rows) != r:
         raise RankDeficient(f"matrix has {len(rows)} rows, expected r={r}")
-    n = len(rows[0])
     if matrix_rank(rows) < r:
         raise RankDeficient("matrix rank is smaller than r")
-    bases = []
-    for cols in combinations(range(n), r):
-        minor = [[rows[i][j] for j in cols] for i in range(r)]
-        if _det(minor) != 0:
-            bases.append(tuple(c + 1 for c in cols))
+    bases = [
+        tuple(c + 1 for c in cols)
+        for cols in combinations(range(n), r)
+        if matrix_rank([[row[j] for j in cols] for row in rows]) == r
+    ]
     return from_bases(n, r, bases)
 
 
@@ -358,8 +356,7 @@ def minor(m: Matroid, delete=(), contract=()) -> Matroid:
 
 def restriction(m: Matroid, subset) -> Matroid:
     """M restricted to subset (delete everything else)."""
-    ground = frozenset(range(1, m.n + 1))
-    return minor(m, delete=ground - frozenset(subset))
+    return minor(m, delete=set(range(1, m.n + 1)) - set(subset))
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
@@ -371,25 +368,20 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
 
 
 def circuits(m: Matroid) -> frozenset:
-    """All minimal dependent sets (each has at most r+1 elements).
+    """All minimal dependent sets, as the fundamental circuits of the bases.
 
-    A k-set is a circuit exactly when it is dependent and all its
-    (k-1)-subsets are independent; the independent k-sets are the k-subsets
-    of bases.
+    For a basis B and y outside it, the one circuit inside B + y is y with
+    the x in B for which B - x + y is a basis.  Every circuit C arises so:
+    extend C - y to a basis, which then avoids y.
     """
-    elements = _bits(m._ground())
-    found = []
-    smaller = {0}
-    for k in range(1, m.r + 2):
-        independent = {
-            sum(sub) for b in m._masks for sub in combinations(_bits(b), k)
-        }
-        for subset in combinations(elements, k):
-            s = sum(subset)
-            if s not in independent and all(s ^ e in smaller for e in subset):
-                found.append(frozenset(_elements(s)))
-        smaller = independent
-    return frozenset(found)
+    bases = m._masks
+    ground = m._ground()
+    found = set()
+    for b in bases:
+        inside = _bits(b)
+        for y in _bits(ground & ~b):
+            found.add(reduce(or_, (x for x in inside if (b ^ x) | y in bases), y))
+    return frozenset(frozenset(_elements(c)) for c in found)
 
 
 @dataclass(frozen=True)

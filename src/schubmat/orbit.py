@@ -26,16 +26,13 @@ from .partitions import (
     binomial,
     complement_in_rectangle,
     hook_complement,
-    normalize,
     partitions_in_rectangle,
     schur_at_ones,
 )
 from .polytope import DESK_SCALE_LIMIT, VolumeReport, ehrhart_report
 
-METHOD_UNIFORM = "Uniform-Klyachko"
 METHOD_MINIMAL = "Minimal-Lemma"
 METHOD_SPARSE_PAVING = "SparsePaving-Theorem1"
-METHOD_DIRECT_SUM = "DirectSum-Theorem4.1"
 METHOD_POINT = "Degenerate-Point"
 
 
@@ -81,9 +78,8 @@ def sc_uniform(r: int, n: int) -> ChowClass:
 
 def sc_minimal(r: int, n: int) -> ChowClass:
     """The minimal matroid T_{r,n} contributes the single cycle at the hook complement."""
-    if r < 1 or r >= n:
-        raise InvalidDimensions(f"need 1 <= r <= n-1, got r={r}, n={n}")
-    return sigma(Ambient(r, n), hook_complement(r, n))
+    hc = hook_complement(r, n)  # InvalidDimensions unless 1 <= r <= n-1
+    return sigma(Ambient(r, n), hc)
 
 
 def sc_sparse_paving(m: Matroid) -> ChowClass:
@@ -141,16 +137,9 @@ def sc(m: Matroid) -> ScResult:
     if m.n == 0:
         raise EmptyMatroid("the empty matroid has no connected component")
     summary = classify(m)
-    parts, methods = [], []
-    k_used = None
-    for component in summary.components:
-        comp = restriction(m, component) if summary.kappa > 1 else m
-        cls, method, k = _component_class(comp)
-        parts.append(cls)
-        methods.append(method)
-        if summary.kappa == 1:
-            k_used = k
-    combined = sc_direct_sum(parts)
+    comps = [restriction(m, c) for c in summary.components] if summary.kappa > 1 else [m]
+    parts, methods, ks = zip(*map(_component_class, comps))
+    combined = sc_direct_sum(list(parts))
     # homogeneity: every term has size r(n-r) - (n - kappa)
     expected = m.r * (m.n - m.r) - (m.n - summary.kappa)
     for lam in combined.terms:
@@ -159,8 +148,8 @@ def sc(m: Matroid) -> ScResult:
     return ScResult(
         matroid_summary=summary,
         chow_class=combined,
-        methods=tuple(methods),
-        k_used=k_used,
+        methods=methods,
+        k_used=ks[0] if summary.kappa == 1 else None,
         # Crapo's beta vanishes on disconnected matroids
         beta_value=beta(m) if summary.kappa == 1 else 0,
     )
@@ -168,32 +157,34 @@ def sc(m: Matroid) -> ScResult:
 
 @dataclass(frozen=True)
 class VolumeVerdict:
-    """Result of checking deg(Sc(M) * sigma_1^s) against the polytope volume."""
+    """The checks of `schubmat verify` on one computed class.
+
+    checks holds (name, lhs, rhs, passed) for degree=volume, deg(Sc(M) *
+    sigma_1^s) against the polytope volume, and for d_hc=beta, the
+    hook-complement coefficient against beta(M).  A disconnected class sits
+    in another degree, where both sides of d_hc=beta are 0.
+    """
 
     sc_result: ScResult
     volume_report: VolumeReport
     degree: int
     volume: int
+    checks: tuple[tuple[str, int, int, bool], ...]
 
     @property
     def ok(self) -> bool:
+        """The degree=volume check."""
         return self.degree == self.volume
 
 
 def verify_volume_relation(m: Matroid, limit: int = DESK_SCALE_LIMIT) -> VolumeVerdict:
-    """Check the degree-volume identity with s = n - kappa, both sides exact."""
+    """Both checks on the class of m, with s = n - kappa; both sides exact."""
     result = sc(m)
-    s = m.n - result.matroid_summary.kappa
-    degree = sigma1_power_degree(result.chow_class, s)
+    degree = sigma1_power_degree(result.chow_class, m.n - result.matroid_summary.kappa)
     report = ehrhart_report(m, limit)
-    return VolumeVerdict(
-        sc_result=result, volume_report=report, degree=degree,
-        volume=report.normalized_volume,
-    )
-
-
-def hook_complement_coefficient(result: ScResult, n: int, r: int) -> int:
-    """Coefficient of sigma_{h^c}; zero when the class sits in a different degree."""
-    if r < 1 or r >= n:
-        return 0
-    return result.chow_class.coefficient(normalize(hook_complement(r, n)))
+    volume = report.normalized_volume
+    hc = result.chow_class.coefficient(hook_complement(m.r, m.n)) if 0 < m.r < m.n else 0
+    return VolumeVerdict(result, report, degree, volume, checks=(
+        ("degree=volume", degree, volume, degree == volume),
+        ("d_hc=beta", hc, result.beta_value, hc == result.beta_value),
+    ))

@@ -93,55 +93,51 @@ def hook_lengths(lam: Partition) -> list[int]:
     ]
 
 
+def _over_hooks(lam: Partition, numerator: int) -> int:
+    """numerator / prod(hook lengths of lam), which must be an integer."""
+    hooks = prod(hook_lengths(lam))
+    value, rest = divmod(numerator, hooks)
+    if rest:
+        raise NonIntegralCount(lam, Fraction(numerator, hooks))
+    return value
+
+
 def syt_count(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
-    if not lam:
-        return 1
-    hooks = prod(hook_lengths(lam))
-    count, rest = divmod(factorial(size(lam)), hooks)
-    if rest:
-        raise NonIntegralCount(lam, Fraction(factorial(size(lam)), hooks))
-    return count
+    return _over_hooks(lam, factorial(size(lam)))
 
 
 def schur_at_ones(lam: Partition, k: int) -> int:
     """Principal specialization s_lam(1^k): semistandard tableaux with entries <= k.
 
-    Hook-content product; exact, returns 0 when lam has more than k rows.
+    Hook-content product, prod (k + j - i) / prod hooks over the boxes
+    (i, j); exact, returns 0 when lam has more than k rows.
     """
-    if not lam:
-        return 1
-    if len(lam) > k:
+    if lam and len(lam) > k:
         return 0
-    conj = conjugate(lam)
-    value = Fraction(1)
-    for i in range(len(lam)):
-        for j in range(lam[i]):
-            content = (j + 1) - (i + 1)
-            hl = lam[i] - (j + 1) + conj[j] - i
-            value *= Fraction(k + content, hl)
-    if value.denominator != 1:
-        raise NonIntegralCount(lam, value)
-    return value.numerator
+    return _over_hooks(lam, prod(k + j - i for i, part in enumerate(lam) for j in range(part)))
 
 
 @lru_cache(maxsize=None)
 def partitions_in_rectangle(rect: Rectangle, weight: int | None = None) -> tuple[Partition, ...]:
-    """All partitions fitting in rect, optionally restricted to |lam| = weight."""
+    """All partitions fitting in rect, or only those with |lam| = weight.
+
+    A given weight is generated directly: a branch stops as soon as the
+    boxes left cannot fit in the rows left.
+    """
     rows, cols = rect
+    exact = weight is not None
 
     def gen(rows_left, max_part, budget):
-        yield ()
-        if rows_left == 0 or budget == 0:
+        if budget == 0 or not exact:
+            yield ()
+        if rows_left == 0 or exact and budget > rows_left * max_part:
             return
         for first in range(1, min(max_part, budget) + 1):
             for rest in gen(rows_left - 1, first, budget - first):
                 yield (first,) + rest
 
-    budget = rows * cols if weight is None else weight
-    out = [lam for lam in gen(rows, cols, budget)
-           if weight is None or sum(lam) == weight]
-    return tuple(out)
+    return tuple(gen(rows, cols, weight if exact else rows * cols))
 
 
 def binomial(n: int, k: int) -> int:

@@ -3,17 +3,22 @@
 The base polytope is the convex hull of the basis indicator vectors; a point
 y of the t-th dilate is an integer vector with sum(y) = t*r and
 sum(y[A]) <= t*rank(A) for every subset A.  Only flat constraints with
-rank < |A| can bind, so the enumerator checks those (computed once per
-matroid and shared by every dilate).
+rank < |A| can bind, so the enumerator checks those.
+
+Subsets are bitmasks, as in the matroid core.  One table, built after the
+desk-scale check because it has 2^n entries, holds the rank of every
+subset; the flats, the loops and the enumerator's rank bounds read it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial
+from functools import reduce
+from itertools import accumulate
+from math import factorial
+from operator import or_
 
 from .errors import DeskScaleExceeded, NonIntegralVolume, WrongAffineDimension
-from .matroids import Matroid, classify, matrix_rank
+from .matroids import Matroid, _bits, classify, matrix_rank
 
 DESK_SCALE_LIMIT = 8
 
@@ -30,11 +35,9 @@ class VolumeReport:
 
 def polytope_vertices(m: Matroid) -> frozenset:
     """Indicator vectors of the bases; affine dimension is checked to be n - kappa."""
-    vertices = frozenset(
-        tuple(1 if i in set(b) else 0 for i in range(1, m.n + 1)) for b in m.bases
-    )
+    vertices = frozenset(tuple(b >> i & 1 for i in range(m.n)) for b in m._masks)
     first = next(iter(vertices))
-    diffs = [[Fraction(v[i] - first[i]) for i in range(m.n)] for v in vertices if v != first]
+    diffs = [[a - b for a, b in zip(v, first)] for v in vertices if v != first]
     dim = matrix_rank(diffs) if diffs else 0
     expected = m.n - classify(m).kappa
     if dim != expected:
@@ -47,26 +50,47 @@ def _check_scale(m: Matroid, limit: int) -> None:
         raise DeskScaleExceeded(f"n={m.n} exceeds the desk-scale limit {limit}")
 
 
-def _binding_constraints(m: Matroid):
-    """Flats A with rank(A) < min(|A|, r); all other rank constraints are implied.
+def _rank_table(m: Matroid) -> list[int]:
+    """rank(S) for every subset S of [n], indexed by its mask.
+
+    Going down from the bases, the subsets of independent sets are
+    independent (rank = size); going up, a dependent set has the largest
+    rank among its subsets one element smaller.  Computed once per instance.
+    """
+    table = m._cache.get("rank_table")
+    if table is None:
+        table = [0] * (1 << m.n)
+        for b in m._masks:
+            table[b] = m.r
+        for s in range(len(table) - 1, 0, -1):
+            if table[s] == s.bit_count():
+                for e in _bits(s):
+                    table[s ^ e] = table[s] - 1
+        for s in range(1, len(table)):
+            if table[s] != s.bit_count():
+                table[s] = max(table[s ^ e] for e in _bits(s))
+        m._cache["rank_table"] = table
+    return table
+
+
+def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
+    """Flats A (as masks) with 2 <= |A| < n and rank(A) < min(|A|, r); all
+    other rank constraints are implied, and loops are capped at 0 instead.
 
     Computed once per matroid instance: every dilate shares them.
     """
     out = m._cache.get("binding_flats")
-    if out is not None:
-        return out
-    ground = list(range(1, m.n + 1))
-    out = []
-    for k in range(2, m.n):
-        for subset in combinations(ground, k):
-            s = frozenset(subset)
-            rk = m.rank_of(s)
-            if rk >= min(k, m.r):
-                continue
-            if any(m.rank_of(s | {e}) == rk for e in ground if e not in s):
-                continue  # not closed; its closure gives a tighter constraint
-            out.append((s, rk))
-    m._cache["binding_flats"] = out
+    if out is None:
+        rank = _rank_table(m)
+        ground = m._ground()
+        bits = _bits(ground)
+        # a set is not closed when some e outside it keeps the rank; its
+        # closure then gives a tighter constraint
+        out = m._cache["binding_flats"] = [
+            (s, rank[s]) for s in range(1, ground)
+            if 2 <= s.bit_count() and rank[s] < min(s.bit_count(), m.r)
+            and all(rank[s | e] > rank[s] for e in bits if not s & e)
+        ]
     return out
 
 
@@ -75,23 +99,26 @@ def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
     _check_scale(m, limit)
     if t == 0:
         return 1
-    loops = m.loops()
+    rank = _rank_table(m)
     target = t * m.r
     constraints = _binding_constraints(m)
-    # put constrained coordinates first so the tail can be memoized
-    constrained = sorted({e for s, _ in constraints for e in s})
-    order = constrained + [e for e in range(1, m.n + 1) if e not in constrained]
+    # put constrained coordinates first so the tail can be memoized;
+    # coordinates are single-bit masks, in ascending element order
+    ground = m._ground()
+    constrained = reduce(or_, (s for s, _ in constraints), 0)
+    order = _bits(constrained) + _bits(ground & ~constrained)
     pos = {e: i for i, e in enumerate(order)}
-    caps = [0 if e in loops else t for e in order]
+    caps = [t if rank[e] else 0 for e in order]  # a loop has rank 0
     # per constraint: positions involved and its last position in the order
     by_last: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for s, rk in constraints:
-        positions = tuple(sorted(pos[e] for e in s))
+        positions = tuple(sorted(pos[e] for e in _bits(s)))
         by_last.setdefault(positions[-1], []).append((positions, t * rk))
     n = m.n
     # prefix/suffix rank bounds in this coordinate order
-    pref = [t * m.rank_of(order[:i]) if i else 0 for i in range(n + 1)]
-    suf = [t * m.rank_of(order[i:]) if i < n else 0 for i in range(n + 1)]
+    prefixes = list(accumulate(order, or_, initial=0))
+    pref = [t * rank[p] for p in prefixes]
+    suf = [t * rank[ground ^ p] for p in prefixes]
     free_from = (max(by_last) + 1) if by_last else 0
     y = [0] * n
     memo: dict[tuple[int, int], int] = {}
@@ -121,25 +148,21 @@ def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
     return count_from(0, 0)
 
 
-def _interpolate(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
-    """Exact Lagrange interpolation; returns coefficients in ascending degree."""
-    d = len(points) - 1
-    coeffs = [Fraction(0)] * (d + 1)
-    for xi, yi in points:
-        # basis polynomial prod_{xj != xi} (x - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] -= c * xj
-                nxt[k + 1] += c
-            basis = nxt
-        for k, c in enumerate(basis):
-            coeffs[k] += yi * c / denom
+def _interpolate(counts: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """Coefficients, in ascending degree, of the polynomial through (t, counts[t]).
+
+    Newton's form at t = 0, 1, ..., d, expanded by Horner's rule: p = a_d,
+    then p = p * (t - k) + a_k for k = d-1, ..., 0, where a_k is the k-th
+    forward difference of the counts at 0 over k!.
+    """
+    diffs, row = [], list(counts)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    coeffs = []
+    for k in reversed(range(len(diffs))):
+        coeffs = [s - k * c for s, c in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += Fraction(diffs[k], factorial(k))
     return tuple(coeffs)
 
 
@@ -151,7 +174,7 @@ def ehrhart_report(m: Matroid, limit: int = DESK_SCALE_LIMIT) -> VolumeReport:
     _check_scale(m, limit)
     dim = m.n - classify(m).kappa
     counts = tuple(lattice_points(m, t, limit) for t in range(dim + 1))
-    coeffs = _interpolate(list(enumerate(counts)))
+    coeffs = _interpolate(counts)
     check_t = dim + 1
     predicted = sum(c * check_t**k for k, c in enumerate(coeffs))
     actual = lattice_points(m, check_t, limit)

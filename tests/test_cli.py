@@ -173,3 +173,65 @@ def test_unknown_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "verb, text",
+    [
+        ("class", "[5]"),
+        ("product", '"x"'),
+        ("product", '{"r": 2, "n": 4, "terms": 5}'),
+        ("product", '{"r": 2, "n": 4, "terms": [5]}'),
+        ("product", '{"r": 2, "n": 4, "terms": [{"partition": 5, "coeff": "1"}]}'),
+        ("product", '{"r": 2, "n": 4, "terms": [{"partition": {}, "coeff": "1"}]}'),
+        ("matrix", "[[1, 0], [0, 1]]"),
+        ("matrix", '{"rows": 2, "entries": 5}'),
+        ("matrix", '{"rows": 2, "entries": [5, [0, 1]]}'),
+        ("matrix", '{"rows": 0, "entries": []}'),
+        ("matrix", '{"rows": 2, "entries": [[1, 0, 1], [0, 1]]}'),
+        ("matrix", '{"rows": 2, "cols": 4, "entries": [[1, 0, 1], [0, 1, 1]]}'),
+        ("matrix", '{"rows": 2, "entries": [[1, 0, 1.5], [0, 1, 1]]}'),
+        ("matrix", '{"rows": 2, "entries": [[1, 0, true], [0, 1, 1]]}'),
+        ("matrix", '{"rows": 2, "entries": [[1, 0, "1.5"], [0, 1, 1]]}'),
+        ("matrix", '{"rows": 2, "entries": [[1, 0, "1/0"], [0, 1, 1]]}'),
+    ],
+    ids=[
+        "matroid-not-object", "class-not-object", "terms-number", "term-number",
+        "partition-number", "partition-object", "matrix-not-object", "entries-number",
+        "row-number", "no-rows", "ragged-rows", "cols-disagree", "float-entry",
+        "bool-entry", "decimal-string-entry", "zero-denominator",
+    ],
+)
+def test_wrong_json_shape_exit_1(capsys, tmp_path, verb, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    unit = tmp_path / "unit.json"
+    unit.write_text('{"r": 2, "n": 4, "terms": [{"partition": [], "coeff": "1"}]}')
+    argv = {
+        "class": ["class", "--matroid", str(bad)],
+        "product": ["product", str(bad), str(unit)],
+        "matrix": ["class", "--matrix", str(bad)],
+    }[verb]
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.splitlines()[0] == "WrongShape"
+
+
+def test_verify_json_rows(capsys):
+    code, out, _ = run(capsys, "verify", "--minimal", "3,7", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "d_hc=beta": {"lhs": "1", "pass": True, "rhs": "1"},
+        "degree=volume": {"lhs": "10", "pass": True, "rhs": "10"},
+    }
+    code, out, _ = run(capsys, "verify", "--uniform", "1,2", "--uniform", "1,2")
+    assert code == 0
+    assert out.splitlines() == [
+        "degree=volume  PASS  lhs=2 rhs=2",
+        "d_hc=beta      PASS  lhs=0 rhs=0",
+    ]
+
+
+@pytest.mark.parametrize("spec", ["2", "2,x", "1,2,3"])
+def test_malformed_flag_value_is_usage_error(capsys, spec):
+    code, _, err = run(capsys, "class", "--uniform", spec)
+    assert code == 2 and err.startswith("usage error")

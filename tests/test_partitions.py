@@ -81,6 +81,17 @@ def test_complement_involution_exhaustive():
             assert sum(lam) + sum(comp) == rows * cols
 
 
+def test_partitions_of_a_weight_are_the_filtered_list():
+    for rows, cols in iproduct(range(6), range(6)):
+        rect = (rows, cols)
+        every = partitions_in_rectangle(rect)
+        assert len(every) == len(set(every))
+        for weight in range(-1, rows * cols + 2):
+            assert partitions_in_rectangle(rect, weight) == tuple(
+                lam for lam in every if sum(lam) == weight
+            ), (rect, weight)
+
+
 def test_hook_examples():
     assert hook(3, 7) == (4, 1, 1)
     assert hook(1, 2) == (1,)

@@ -16,6 +16,7 @@ from schubmat import (
     uniform,
 )
 from schubmat.errors import DeskScaleExceeded
+from schubmat.polytope import _rank_table
 from conftest import family_corpus, matroid_from_nonbases
 
 
@@ -52,14 +53,39 @@ def test_lattice_point_examples():
     assert lattice_points(uniform(2, 4), 2) == 19
 
 
+def relabel(m, image):
+    """The copy of m with element e renamed image[e - 1]."""
+    return from_bases(m.n, m.r, [[image[e - 1] for e in b] for b in m.bases])
+
+
 def test_lattice_points_against_brute_force():
     t24 = from_bases(4, 2, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    # element 2 is a loop, element 3 a coloop: both sit inside the ground set
+    with_loop = from_bases(5, 2, [(1, 3), (1, 4), (1, 5), (3, 4), (3, 5), (4, 5)])
+    with_coloop = from_bases(5, 3, [(1, 2, 3), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 3, 5),
+                                    (3, 4, 5)])
     small = [uniform(2, 4), uniform(1, 3), t24, minimal(2, 5), minimal(3, 6),
              direct_sum(uniform(1, 2), uniform(1, 3)),
-             matroid_from_nonbases(6, 3, [{1, 2, 3}, {4, 5, 6}])]
+             matroid_from_nonbases(6, 3, [{1, 2, 3}, {4, 5, 6}]),
+             with_loop, with_coloop,
+             relabel(minimal(2, 5), [3, 5, 1, 4, 2]),
+             relabel(minimal(3, 6), [6, 2, 4, 1, 5, 3])]
+    assert with_loop.loops() == {2} and with_coloop.coloops() == {3}
     for m in small:
         for t in range(4):
             assert lattice_points(m, t) == brute_lattice_points(m, t), (m, t)
+
+
+def test_rank_table_matches_rank_of(fano):
+    with_loop = direct_sum(uniform(2, 4), from_bases(1, 0, [()]))
+    cases = [m for *_, m in family_corpus(6)] + [fano, with_loop, uniform(0, 3), uniform(3, 3)]
+    for m in cases:
+        table = _rank_table(m)
+        assert len(table) == 2**m.n
+        for k in range(m.n + 1):
+            for subset in combinations(range(1, m.n + 1), k):
+                mask = sum(1 << (e - 1) for e in subset)
+                assert table[mask] == m.rank_of(subset), (m, subset)
 
 
 def test_volume_examples():
@@ -126,3 +152,14 @@ def test_desk_scale_limit():
         lattice_points(uniform(3, 9), 1)
     # the limit is configurable
     assert lattice_points(uniform(1, 9), 1, limit=9) == 9
+
+
+def test_no_rank_table_past_the_desk_scale():
+    m = uniform(3, 9)
+    with pytest.raises(DeskScaleExceeded):
+        lattice_points(m, 1)
+    with pytest.raises(DeskScaleExceeded):
+        ehrhart_report(m)
+    assert "rank_table" not in m._cache
+    lattice_points(m, 1, limit=9)
+    assert len(m._cache["rank_table"]) == 2**9
