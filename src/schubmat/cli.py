@@ -25,6 +25,27 @@ def _parse_ints(text: str, count: int, flag: str) -> list[int]:
     return [int(p) for p in parts]
 
 
+def _read(path: str, build):
+    """build(document) for the JSON document in a file; a missing key is a
+    usage error that names the key and the file."""
+    with open(path) as f:
+        data = json.load(f)
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc} in {path}") from None
+
+
+def _matrix_matroid(data) -> Matroid:
+    require_type(data, dict, "a matrix file")
+    m = matroids.from_rational_matrix(data["entries"], data["rows"])
+    if "cols" in data:
+        require_int(data["cols"], "column count")
+        if data["cols"] != m.n:
+            raise WrongShape(f"cols is {data['cols']} but the rows have {m.n} entries")
+    return m
+
+
 def _load_sources(args) -> list[Matroid]:
     sources: list[Matroid] = []
     for flag, build, count in (
@@ -37,19 +58,8 @@ def _load_sources(args) -> list[Matroid]:
     for spec in args.schubert or []:
         head, _, tail = spec.partition(":")
         sources.append(matroids.schubert_matroid(int(head), [int(i) for i in tail.split(",")]))
-    for path in args.matroid or []:
-        with open(path) as f:
-            sources.append(Matroid.from_json_dict(json.load(f)))
-    for path in args.matrix or []:
-        with open(path) as f:
-            data = json.load(f)
-        require_type(data, dict, "a matrix file")
-        m = matroids.from_rational_matrix(data["entries"], data["rows"])
-        if "cols" in data:
-            require_int(data["cols"], "column count")
-            if data["cols"] != m.n:
-                raise WrongShape(f"cols is {data['cols']} but the rows have {m.n} entries")
-        sources.append(m)
+    sources += [_read(path, Matroid.from_json_dict) for path in args.matroid or []]
+    sources += [_read(path, _matrix_matroid) for path in args.matrix or []]
     return sources
 
 
@@ -139,11 +149,7 @@ def _run_verify(args, m: Matroid):
 
 
 def _run_product(args):
-    with open(args.lhs) as f:
-        a = ChowClass.from_json_dict(json.load(f))
-    with open(args.rhs) as f:
-        b = ChowClass.from_json_dict(json.load(f))
-    c = product(a, b)
+    c = product(_read(args.lhs, ChowClass.from_json_dict), _read(args.rhs, ChowClass.from_json_dict))
     _emit(args, c.to_json_dict(), c.text())
 
 
@@ -169,7 +175,7 @@ def main(argv=None) -> int:
         print(type(exc).__name__, file=sys.stderr)
         print(str(exc), file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     return 0

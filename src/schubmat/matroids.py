@@ -68,7 +68,7 @@ class Matroid:
     `bases` is a read-only view (a frozenset of sorted element tuples) of the
     bitmasks the library works on.  `_cache` holds what is derived from them
     once per instance: the exchange table, the classification, beta, and the
-    base polytope's rank table and binding flats.
+    base polytope's rank table, binding flats and coordinate order.
     """
 
     __slots__ = ("n", "r", "_masks", "_hash", "_bases", "_cache")

@@ -162,7 +162,9 @@ class VolumeVerdict:
     checks holds (name, lhs, rhs, passed) for degree=volume, deg(Sc(M) *
     sigma_1^s) against the polytope volume, and for d_hc=beta, the
     hook-complement coefficient against beta(M).  A disconnected class sits
-    in another degree, where both sides of d_hc=beta are 0.
+    in another degree, where both sides of d_hc=beta are 0.  G(r,n) with
+    r = 0 or r = n is a point and has no hook complement, so that row is
+    left out there.
     """
 
     sc_result: ScResult
@@ -183,8 +185,8 @@ def verify_volume_relation(m: Matroid, limit: int = DESK_SCALE_LIMIT) -> VolumeV
     degree = sigma1_power_degree(result.chow_class, m.n - result.matroid_summary.kappa)
     report = ehrhart_report(m, limit)
     volume = report.normalized_volume
-    hc = result.chow_class.coefficient(hook_complement(m.r, m.n)) if 0 < m.r < m.n else 0
-    return VolumeVerdict(result, report, degree, volume, checks=(
-        ("degree=volume", degree, volume, degree == volume),
-        ("d_hc=beta", hc, result.beta_value, hc == result.beta_value),
-    ))
+    checks = [("degree=volume", degree, volume, degree == volume)]
+    if 0 < m.r < m.n:
+        hc = result.chow_class.coefficient(hook_complement(m.r, m.n))
+        checks.append(("d_hc=beta", hc, result.beta_value, hc == result.beta_value))
+    return VolumeVerdict(result, report, degree, volume, checks=tuple(checks))

@@ -3,22 +3,34 @@
 The base polytope is the convex hull of the basis indicator vectors; a point
 y of the t-th dilate is an integer vector with sum(y) = t*r and
 sum(y[A]) <= t*rank(A) for every subset A.  Only flat constraints with
-rank < |A| can bind, so the enumerator checks those.
+rank < |A| can bind, and a flat meeting several connected components adds
+nothing to those of its parts, so the counter checks the flats inside one
+component (read from the shared `classify` result) and caps each coordinate
+at t*rank(e).
 
 Subsets are bitmasks, as in the matroid core.  One table, built after the
 desk-scale check because it has 2^n entries, holds the rank of every
-subset; the flats, the loops and the enumerator's rank bounds read it.
+subset; the flats, the loops and the counter's rank bounds read it.
+
+The counter fixes coordinates one at a time in an order read from the
+structure, not the labels: component by component, and inside one, the
+coordinates in more binding flats first (the label breaks ties).  It is
+memoized on the frontier: the position, the running total, and one partial
+sum per distinct prefix of the flats that are open there (with coordinates
+on both sides).  A sum too low for any of its flats to reach its bound is
+raised to a common floor.  A direct sum so costs about as much as its
+components, and relabelling the ground set no longer changes the time by
+orders of magnitude.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 from math import factorial
 from operator import or_
 
 from .errors import DeskScaleExceeded, NonIntegralVolume, WrongAffineDimension
-from .matroids import Matroid, _bits, classify, matrix_rank
+from .matroids import Matroid, _bits, _mask, classify, matrix_rank
 
 DESK_SCALE_LIMIT = 8
 
@@ -74,24 +86,49 @@ def _rank_table(m: Matroid) -> list[int]:
 
 
 def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
-    """Flats A (as masks) with 2 <= |A| < n and rank(A) < min(|A|, r); all
-    other rank constraints are implied, and loops are capped at 0 instead.
+    """Flats A (as masks) of one connected component C, closed in C, with
+    2 <= |A| and rank(A) < min(|A|, r).
 
+    These are all the constraints the counter needs.  A flat meeting several
+    components is the union of its parts A & C (and the loops), and its rank
+    is the sum of theirs; each part's constraint is kept here, is a cap
+    y_e <= t*rank(e), is implied by the caps (rank(A & C) = |A & C|), or,
+    when rank(A & C) = r, follows from sum(y) = t*r.
     Computed once per matroid instance: every dilate shares them.
     """
     out = m._cache.get("binding_flats")
     if out is None:
         rank = _rank_table(m)
-        ground = m._ground()
-        bits = _bits(ground)
-        # a set is not closed when some e outside it keeps the rank; its
-        # closure then gives a tighter constraint
-        out = m._cache["binding_flats"] = [
-            (s, rank[s]) for s in range(1, ground)
-            if 2 <= s.bit_count() and rank[s] < min(s.bit_count(), m.r)
-            and all(rank[s | e] > rank[s] for e in bits if not s & e)
-        ]
+        out = m._cache["binding_flats"] = []
+        for part in classify(m).components:
+            comp = _mask(part)
+            bits = _bits(comp)
+            s = comp
+            while s:  # every non-empty subset of the component, as a submask
+                # a set is not closed in C when some e of C outside it keeps
+                # the rank; its closure then gives a tighter constraint
+                if (2 <= s.bit_count() and rank[s] < min(s.bit_count(), m.r)
+                        and all(rank[s | e] > rank[s] for e in bits if not s & e)):
+                    out.append((s, rank[s]))
+                s = (s - 1) & comp
     return out
+
+
+def _coordinate_order(m: Matroid) -> list[int]:
+    """Coordinates (single-bit masks), component by component; inside one,
+    those in more binding flats come first and the label breaks ties.
+
+    Computed once per matroid instance, like the flats.
+    """
+    order = m._cache.get("coordinate_order")
+    if order is None:
+        flats = _binding_constraints(m)
+        order = m._cache["coordinate_order"] = [
+            e
+            for part in classify(m).components
+            for e in sorted(_bits(_mask(part)), key=lambda e: -sum(1 for s, _ in flats if s & e))
+        ]
+    return order
 
 
 def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
@@ -102,50 +139,72 @@ def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
     rank = _rank_table(m)
     target = t * m.r
     constraints = _binding_constraints(m)
-    # put constrained coordinates first so the tail can be memoized;
-    # coordinates are single-bit masks, in ascending element order
-    ground = m._ground()
-    constrained = reduce(or_, (s for s, _ in constraints), 0)
-    order = _bits(constrained) + _bits(ground & ~constrained)
-    pos = {e: i for i, e in enumerate(order)}
-    caps = [t if rank[e] else 0 for e in order]  # a loop has rank 0
-    # per constraint: positions involved and its last position in the order
-    by_last: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for s, rk in constraints:
-        positions = tuple(sorted(pos[e] for e in _bits(s)))
-        by_last.setdefault(positions[-1], []).append((positions, t * rk))
+    order = _coordinate_order(m)
     n = m.n
+    caps = [t if rank[e] else 0 for e in order]  # a loop has rank 0
     # prefix/suffix rank bounds in this coordinate order
+    ground = m._ground()
     prefixes = list(accumulate(order, or_, initial=0))
     pref = [t * rank[p] for p in prefixes]
     suf = [t * rank[ground ^ p] for p in prefixes]
-    free_from = (max(by_last) + 1) if by_last else 0
-    y = [0] * n
-    memo: dict[tuple[int, int], int] = {}
+    # flats as masks of positions in the order; a flat is open at i when it
+    # has positions before i and at or after i
+    pos = {e: i for i, e in enumerate(order)}
+    flats = [(sum(1 << pos[e] for e in _bits(s)), t * rk) for s, rk in constraints]
+    below = [(1 << i) - 1 for i in range(n + 1)]
+    # the state at i carries one partial sum per distinct prefix (positions
+    # before i) of the open flats.  A sum so low that no flat with this
+    # prefix can reach its bound, even with its later coordinates at their
+    # caps, counts the same as any other such sum, so it is raised to the
+    # highest of them, the prefix's floor, and those states share a key
+    floors: list[dict[int, int]] = []
+    for i in range(n + 1):
+        at: dict[int, int] = {}
+        for f, bound in flats:
+            prefix = f & below[i]
+            if prefix and f >> i:
+                floor = bound - sum(caps[j] for j in range(i, n) if f >> j & 1)
+                at[prefix] = min(at.get(prefix, floor), floor)
+        floors.append(at)
+    index = [{prefix: k for k, prefix in enumerate(at)} for at in floors]
+    # moving past i, each prefix open at i + 1 extends one open at i (index
+    # -1 reads the 0 appended to the sums: a flat that starts at i) and adds
+    # y[i] when it holds i
+    steps = [
+        [(index[i].get(prefix & below[i], -1), prefix >> i & 1, floor)
+         for prefix, floor in floors[i + 1].items()]
+        for i in range(n)
+    ]
+    # a flat holding i, with positions before it, bounds y[i] by its bound
+    # less its partial sum; at the flat's last position this is its check
+    bounds = [
+        [(index[i][f & below[i]], bound) for f, bound in flats if f >> i & 1 and f & below[i]]
+        for i in range(n)
+    ]
+    memo: dict[tuple[int, int, tuple[int, ...]], int] = {}
 
-    def count_from(i: int, total: int) -> int:
+    def count_from(i: int, total: int, sums: tuple[int, ...]) -> int:
         if i == n:
             return 1 if total == target else 0
-        if i >= free_from:
-            key = (i, total)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
+        key = (i, total, sums)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
         lo = max(0, target - total - suf[i + 1])
         hi = min(caps[i], pref[i + 1] - total, target - total)
-        for positions, bound in by_last.get(i, ()):
-            fixed = sum(y[p] for p in positions[:-1])
-            hi = min(hi, bound - fixed)
+        for k, bound in bounds[i]:
+            hi = min(hi, bound - sums[k])
+        carried = sums + (0,)
+        step = steps[i]
         result = 0
         for v in range(lo, hi + 1):
-            y[i] = v
-            result += count_from(i + 1, total + v)
-        y[i] = 0
-        if i >= free_from:
-            memo[(i, total)] = result
+            result += count_from(
+                i + 1, total + v, tuple(max(carried[k] + v * held, floor) for k, held, floor in step)
+            )
+        memo[key] = result
         return result
 
-    return count_from(0, 0)
+    return count_from(0, 0, ())
 
 
 def _interpolate(counts: tuple[int, ...]) -> tuple[Fraction, ...]:

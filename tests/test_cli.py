@@ -231,6 +231,44 @@ def test_verify_json_rows(capsys):
     ]
 
 
+@pytest.mark.parametrize("spec", ["1,1", "0,1"], ids=["coloop", "loop"])
+def test_verify_without_hook_complement(capsys, spec):
+    # G(1,1) and G(0,1) are points: no hook complement to compare with beta
+    code, out, _ = run(capsys, "verify", "--uniform", spec)
+    assert code == 0
+    assert out.splitlines() == ["degree=volume  PASS  lhs=1 rhs=1"]
+    code, out, _ = run(capsys, "verify", "--uniform", spec, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"degree=volume": {"lhs": "1", "pass": True, "rhs": "1"}}
+
+
+@pytest.mark.parametrize(
+    "flag, text, key",
+    [
+        ("--matroid", '{"r": 1, "bases": [[1]]}', "n"),
+        ("--matroid", '{"n": 1, "r": 1}', "bases"),
+        ("--matrix", '{"entries": [[1, 0]]}', "rows"),
+        ("--matrix", '{"rows": 1}', "entries"),
+        ("product", '{"r": 1, "terms": []}', "n"),
+        ("product", '{"r": 1, "n": 2, "terms": [{"coeff": "1"}]}', "partition"),
+    ],
+    ids=["matroid-n", "matroid-bases", "matrix-rows", "matrix-entries", "class-n",
+         "class-partition"],
+)
+def test_missing_key_names_the_key_and_the_file(capsys, tmp_path, flag, text, key):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    if flag == "product":
+        unit = tmp_path / "unit.json"
+        unit.write_text('{"r": 1, "n": 2, "terms": [{"partition": [], "coeff": "1"}]}')
+        argv = ["product", str(unit), str(path)]
+    else:
+        argv = ["class", flag, str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.strip() == f"usage error: missing key '{key}' in {path}"
+
+
 @pytest.mark.parametrize("spec", ["2", "2,x", "1,2,3"])
 def test_malformed_flag_value_is_usage_error(capsys, spec):
     code, _, err = run(capsys, "class", "--uniform", spec)

@@ -1,9 +1,11 @@
 """Volume oracle tests: vertices, lattice point counts, Ehrhart interpolation."""
 
+from functools import reduce
 from itertools import combinations, product as iproduct
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubmat import (
     direct_sum,
@@ -12,12 +14,18 @@ from schubmat import (
     lattice_points,
     minimal,
     normalized_volume,
+    panhandle,
     polytope_vertices,
     uniform,
 )
 from schubmat.errors import DeskScaleExceeded
-from schubmat.polytope import _rank_table
-from conftest import family_corpus, matroid_from_nonbases
+from schubmat.matroids import classify
+from schubmat.polytope import _binding_constraints, _rank_table
+from conftest import FANO_LINES, VAMOS_CIRCUIT_HYPERPLANES, family_corpus, matroid_from_nonbases
+import lattice_oracle
+
+LOOP = from_bases(1, 0, [()])
+COLOOP = from_bases(1, 1, [(1,)])
 
 
 def in_dilate(m, y, t: int) -> bool:
@@ -69,7 +77,13 @@ def test_lattice_points_against_brute_force():
              matroid_from_nonbases(6, 3, [{1, 2, 3}, {4, 5, 6}]),
              with_loop, with_coloop,
              relabel(minimal(2, 5), [3, 5, 1, 4, 2]),
-             relabel(minimal(3, 6), [6, 2, 4, 1, 5, 3])]
+             relabel(minimal(3, 6), [6, 2, 4, 1, 5, 3]),
+             # shuffled sums: the components interleave in the labels
+             relabel(direct_sum(uniform(1, 3), uniform(1, 2)), [2, 5, 1, 4, 3]),
+             relabel(direct_sum(minimal(2, 4), uniform(1, 2)), [6, 1, 4, 2, 5, 3]),
+             relabel(reduce(direct_sum, [uniform(1, 2), uniform(1, 2), uniform(1, 2)]),
+                     [4, 1, 6, 3, 5, 2]),
+             relabel(reduce(direct_sum, [uniform(1, 3), LOOP, COLOOP]), [3, 5, 1, 2, 4])]
     assert with_loop.loops() == {2} and with_coloop.coloops() == {3}
     for m in small:
         for t in range(4):
@@ -163,3 +177,61 @@ def test_no_rank_table_past_the_desk_scale():
     assert "rank_table" not in m._cache
     lattice_points(m, 1, limit=9)
     assert len(m._cache["rank_table"]) == 2**9
+
+
+def sums_corpus():
+    """Direct sums of 2 and 3 components, with and without a loop or a coloop."""
+    return [
+        direct_sum(uniform(2, 4), uniform(1, 3)),
+        direct_sum(uniform(2, 5), uniform(1, 3)),
+        direct_sum(minimal(2, 5), uniform(1, 2)),
+        direct_sum(uniform(2, 4), uniform(2, 4)),
+        reduce(direct_sum, [uniform(1, 2), uniform(1, 3), uniform(2, 3)]),
+        reduce(direct_sum, [uniform(1, 2), minimal(2, 4), uniform(1, 2)]),
+        direct_sum(uniform(2, 4), LOOP),
+        reduce(direct_sum, [minimal(2, 5), COLOOP, LOOP]),
+        reduce(direct_sum, [COLOOP, uniform(2, 4), LOOP, uniform(1, 2)]),
+    ]
+
+
+def test_counter_matches_oracle_on_corpus():
+    """The frontier counter against the earlier DFS counter, canonical labels."""
+    for name, r, n, m in family_corpus(7):
+        dim = m.n - classify(m).kappa
+        for t in range(dim + 2):
+            assert lattice_points(m, t) == lattice_oracle.lattice_points(m, t), (name, r, n, t)
+
+
+def test_binding_constraints_lie_in_one_component(fano):
+    for m in sums_corpus() + [fano, minimal(3, 6), panhandle(3, 4, 7)]:
+        components = [sum(1 << (e - 1) for e in part) for part in classify(m).components]
+        for s, _ in _binding_constraints(m):
+            assert any(s & ~c == 0 for c in components), (m, s)
+
+
+RELABEL_CORPUS = (
+    [m for *_, m in family_corpus(8)]
+    + [matroid_from_nonbases(7, 3, FANO_LINES), matroid_from_nonbases(8, 4, VAMOS_CIRCUIT_HYPERPLANES)]
+    + sums_corpus()
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ehrhart_report_is_invariant_under_relabelling(data):
+    m = data.draw(st.sampled_from(RELABEL_CORPUS))
+    image = data.draw(st.permutations(range(1, m.n + 1)))
+    assert ehrhart_report(relabel(m, image)) == ehrhart_report(m)
+
+
+def test_relabelled_inputs_that_used_to_be_slow():
+    # orders in which the earlier counter took tens of seconds
+    for image in ([4, 7, 2, 6, 8, 1, 5, 3], [6, 4, 5, 2, 3, 7, 8, 1]):
+        report = ehrhart_report(relabel(minimal(4, 8), image))
+        assert report == ehrhart_report(minimal(4, 8))
+        assert report.normalized_volume == comb(6, 3)
+    pair = direct_sum(uniform(2, 4), uniform(2, 4))
+    report = ehrhart_report(relabel(pair, [1, 6, 8, 3, 2, 7, 5, 4]))
+    assert report == ehrhart_report(pair)
+    # a product of two 3-dimensional hypersimplices of volume 4
+    assert report.normalized_volume == comb(6, 3) * 4 * 4
