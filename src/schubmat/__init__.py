@@ -10,7 +10,6 @@ from .chow import (
     Ambient,
     ChowClass,
     box_shift,
-    degree_pairing,
     lr_coefficient,
     pieri,
     product,
@@ -48,7 +47,6 @@ from .partitions import (
     complement_in_rectangle,
     hook,
     hook_complement,
-    jumping_sequence,
     schur_at_ones,
     syt_count,
 )

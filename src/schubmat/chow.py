@@ -1,7 +1,6 @@
 """The Chow ring of the Grassmannian G(r,n) as a free abelian group on
 Schubert cycles, with Pieri products, Littlewood-Richardson products,
-the degree pairing, sigma_1-power degrees, and the box-shift embedding
-used for direct sums.
+sigma_1-power degrees, and the box-shift embedding used for direct sums.
 
 A ChowClass is a finite integer combination of Schubert cycles sigma_lam,
 with every lam inside the r x (n-r) rectangle.  Cycles that would leave
@@ -251,14 +250,6 @@ def product(a: ChowClass, b: ChowClass) -> ChowClass:
             for lam, c in _lr_terms(mu, nu, rect):
                 terms[lam] = terms.get(lam, 0) + ca * cb * c
     return ChowClass(a.ambient, terms)
-
-
-def degree_pairing(c: ChowClass, lam) -> int:
-    """deg(c * sigma_{lam^c}); by complementary dimension this is the coefficient of sigma_lam."""
-    lam = normalize(lam)
-    if not fits(lam, c.ambient.rect):
-        raise DoesNotFit(f"{lam} does not fit in G({c.ambient.r},{c.ambient.n})")
-    return c.coefficient(lam)
 
 
 def sigma1_power_degree(c: ChowClass, s: int) -> int:

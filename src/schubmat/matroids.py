@@ -5,14 +5,18 @@ matrix realization), structural queries (dual, minors, circuits, rank,
 connectivity), the beta invariant, paving classification, and direct sums.
 
 Bases are stored as int bitmasks, element e being bit e - 1.  One exchange
-table per matroid answers both exchange-axiom validation and connectivity:
-for each basis B and x in B it holds the y outside B for which B - x + y is
-a basis, and x shares a circuit with exactly those y.  Paving is read off
-set sizes: the distinct B - x against binom(n, r-1), and for the dual the
-distinct B + y against binom(n, r+1).  Circuits are the fundamental
-circuits of the bases, so no subset of the ground set is enumerated.
-Derived facts (the exchange table, the classification, beta) are computed
-once and cached on the instance.
+table per matroid, built in one pass of |B| * r updates, maps each (r-1)-set
+S = B - x to F(S) = {e : S + e is a basis}, the complement of the
+hyperplane cl(S).  Every consumer reads it:
+- validation: B1 = S + x has no exchange into B2 exactly when B2 lies in
+  cl(S), and only a hyperplane of more than r elements can hold a basis;
+- connectivity: the elements of one F(S) share circuits;
+- paving: every (r-1)-set is a key; dual paving: every hyperplane has at
+  most r elements, so every cocircuit at least n - r.
+Circuits are the fundamental circuits of the bases, so no subset of the
+ground set is enumerated.  Derived facts (the exchange table, the
+classification, beta, the rank of every subset) are computed once and
+cached on the instance.
 """
 
 import re
@@ -67,8 +71,8 @@ class Matroid:
 
     `bases` is a read-only view (a frozenset of sorted element tuples) of the
     bitmasks the library works on.  `_cache` holds what is derived from them
-    once per instance: the exchange table, the classification, beta, and the
-    base polytope's rank table, binding flats and coordinate order.
+    once per instance: the exchange table, the classification, beta, the
+    rank table, and the base polytope's binding flats and coordinate order.
     """
 
     __slots__ = ("n", "r", "_masks", "_hash", "_bases", "_cache")
@@ -140,25 +144,22 @@ class Matroid:
         return from_bases(data["n"], data["r"], data["bases"])
 
 
-def _exchange_table(m: Matroid) -> dict[int, tuple[int, int]]:
-    """{x} | Y(B, x) for every basis B and x in B, mapped to the first such (B, x).
+def _exchange_table(m: Matroid) -> dict[int, int]:
+    """F(S) = {e : S + e is a basis} for every (r-1)-set S = B - x.
 
-    Y(B, x) is the mask of the y outside B for which B - x + y is a basis.
+    One pass of |B| * r updates.  S is independent, F(S) holds the x of
+    every basis S + x, and its complement is the hyperplane cl(S).
     """
     table = m._cache.get("exchange")
     if table is None:
-        bases = m._masks
-        ground = m._ground()
         table = {}
-        for b in sorted(bases):
-            outside = _bits(ground & ~b)
-            for x in _bits(b):
-                rest = b ^ x
-                forbidden = x
-                for y in outside:
-                    if rest | y in bases:
-                        forbidden |= y
-                table.setdefault(forbidden, (b, x))
+        get = table.get
+        for b in m._masks:
+            rest = b
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                table[b ^ x] = get(b ^ x, 0) | x
         m._cache["exchange"] = table
     return table
 
@@ -166,15 +167,23 @@ def _exchange_table(m: Matroid) -> dict[int, tuple[int, int]]:
 def validate_exchange(m: Matroid) -> None:
     """Exhaustively check the basis-exchange axiom; raise with a witness on failure.
 
-    Exchange fails for (B, x) against some B2 exactly when B2 avoids
-    {x} | Y(B, x), so one scan of the bases per distinct such mask decides
-    every pair of bases at once.
+    B1 = S + x exchanges against B2 exactly when some y of B2 makes S + y a
+    basis, so it fails exactly when B2 lies inside cl(S) = E - F(S).  A
+    hyperplane of at most r elements holds no basis: cl(S) = S + z has z
+    outside F(S).  Only each larger hyperplane needs one scan of the bases.
     """
-    for forbidden, (b1, x) in _exchange_table(m).items():
-        b2 = next((b for b in m._masks if not b & forbidden), None)
+    r, bases = m.r, m._masks
+    ground = m._ground()
+    scanned = set()
+    for s, fs in _exchange_table(m).items():
+        if (ground ^ fs).bit_count() <= r or fs in scanned:
+            continue
+        scanned.add(fs)
+        b2 = next((b for b in bases if not b & fs), None)
         if b2 is not None:
+            x = fs & -fs
             raise ExchangeAxiomViolated(
-                frozenset(_elements(b1)), frozenset(_elements(b2)), x.bit_length()
+                frozenset(_elements(s | x)), frozenset(_elements(b2)), x.bit_length()
             )
 
 
@@ -191,7 +200,8 @@ def from_bases(n: int, r: int, bases) -> Matroid:
     masks = set()
     for b in bases:
         for e in b:
-            require_int(e, "basis element")
+            if type(e) is not int:  # a bool, a float, a str or an int subclass
+                require_int(e, "basis element")
         if len(set(b)) != r:
             raise WrongBasisSize(f"basis {tuple(sorted(set(b)))} does not have {r} elements")
         if b and (min(b) < 1 or max(b) > n):
@@ -342,8 +352,8 @@ def minor(m: Matroid, delete=(), contract=()) -> Matroid:
     c = _mask(contract)
     keep = m._ground() & ~_mask(delete) & ~c
     # contract: bases containing the contract set, minus it; then delete: the
-    # largest traces on the kept elements are the bases of the minor
-    traces = [b & keep for b in m._masks if b & c == c]
+    # largest distinct traces on the kept elements are the bases of the minor
+    traces = {b & keep for b in m._masks if b & c == c}
     new_rank = max(t.bit_count() for t in traces)
     positions = _bits(keep)
     new_bases = {
@@ -400,16 +410,18 @@ class Classification:
 
 
 def _components(m: Matroid) -> tuple[tuple[int, ...], ...]:
-    """Partition of [n]: x ~ y iff y is in Y(B, x) for some basis B.
+    """Partition of [n]: x ~ y iff x and y lie in one F(S).
 
-    Loops and coloops appear in no Y(B, x) and stay singletons.
+    When S + x and S + y are both bases, the circuit inside S + x + y holds
+    x and y.  Loops lie in no F(S) and coloops only in singleton ones, so
+    both stay singletons.
     """
     parts: list[int] = []
-    for forbidden in _exchange_table(m):
-        merged = forbidden
+    for fs in set(_exchange_table(m).values()):
+        merged = fs
         rest = []
         for part in parts:
-            if part & forbidden:
+            if part & fs:
                 merged |= part
             else:
                 rest.append(part)
@@ -421,18 +433,21 @@ def _components(m: Matroid) -> tuple[tuple[int, ...], ...]:
 
 
 def classify(m: Matroid) -> Classification:
-    """Components, paving and family flags; computed once per matroid instance."""
+    """Components, paving and family flags; computed once per matroid instance.
+
+    All of it is read off the exchange table.  Paving: every (r-1)-set is
+    independent, that is, a key of the table.  Dual paving: every hyperplane
+    E - F(S) has at most r elements, so every cocircuit at least n - r.
+    """
     summary = m._cache.get("classify")
     if summary is not None:
         return summary
     n, r, bases = m.n, m.r, m._masks
-    ground = m._ground()
+    table = _exchange_table(m)
     components = _components(m)
     kappa = len(components)
-    # paving: every (r-1)-set is independent, i.e. is some B - x;
-    # dual paving: every (r+1)-set is spanning, i.e. is some B + y
-    is_paving = r == 0 or len({b ^ x for b in bases for x in _bits(b)}) == comb(n, r - 1)
-    dual_paving = len({b | y for b in bases for y in _bits(ground & ~b)}) == comb(n, r + 1)
+    is_paving = r == 0 or len(table) == comb(n, r - 1)
+    dual_paving = all(fs.bit_count() >= n - r for fs in table.values())
     nonbasis_count = comb(n, r) - len(bases)
     summary = Classification(
         components=components,
@@ -447,6 +462,30 @@ def classify(m: Matroid) -> Classification:
     )
     m._cache["classify"] = summary
     return summary
+
+
+def rank_table(m: Matroid) -> list[int]:
+    """rank(S) for every subset S of [n], indexed by its mask.
+
+    Going down from the bases, the subsets of independent sets are
+    independent (rank = size); going up, a dependent set has the largest
+    rank among its subsets one element smaller.  It has 2^n entries, so a
+    caller bounds n first.  Computed once per instance.
+    """
+    table = m._cache.get("rank_table")
+    if table is None:
+        table = [0] * (1 << m.n)
+        for b in m._masks:
+            table[b] = m.r
+        for s in range(len(table) - 1, 0, -1):
+            if table[s] == s.bit_count():
+                for e in _bits(s):
+                    table[s ^ e] = table[s] - 1
+        for s in range(1, len(table)):
+            if table[s] != s.bit_count():
+                table[s] = max(table[s ^ e] for e in _bits(s))
+        m._cache["rank_table"] = table
+    return table
 
 
 def beta(m: Matroid) -> int:

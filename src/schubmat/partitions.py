@@ -1,4 +1,4 @@
-"""Partitions in a rectangle: complements, hooks, jumping sequences, counts.
+"""Partitions in a rectangle: complements, hooks, counts.
 
 Partitions are plain tuples of positive integers in weakly decreasing order,
 with no trailing zeros (normal form).  The empty partition is ``()``.
@@ -72,15 +72,6 @@ def hook(r: int, n: int) -> Partition:
 def hook_complement(r: int, n: int) -> Partition:
     """Complement of the hook in the r x (n-r) rectangle: an (r-1) x (n-r-1) rectangle."""
     return complement_in_rectangle(hook(r, n), (r, n - r))
-
-
-def jumping_sequence(lam: Partition, rect: Rectangle) -> tuple[int, ...]:
-    """The strictly increasing sequence j_i = (n-r) + i - lam_i, values in [1, n]."""
-    rows, cols = rect
-    if not fits(lam, rect):
-        raise DoesNotFit(f"{lam} does not fit in {rows}x{cols}")
-    full = padded(lam, rows)
-    return tuple(cols + i + 1 - full[i] for i in range(rows))
 
 
 def hook_lengths(lam: Partition) -> list[int]:

@@ -8,9 +8,10 @@ nothing to those of its parts, so the counter checks the flats inside one
 component (read from the shared `classify` result) and caps each coordinate
 at t*rank(e).
 
-Subsets are bitmasks, as in the matroid core.  One table, built after the
-desk-scale check because it has 2^n entries, holds the rank of every
-subset; the flats, the loops and the counter's rank bounds read it.
+Subsets are bitmasks, as in the matroid core.  The core's `rank_table`
+holds the rank of every subset; it has 2^n entries, so it is read only
+after the desk-scale check.  The flats, the loops and the counter's rank
+bounds read it.
 
 The counter fixes coordinates one at a time in an order read from the
 structure, not the labels: component by component, and inside one, the
@@ -30,7 +31,7 @@ from math import factorial
 from operator import or_
 
 from .errors import DeskScaleExceeded, NonIntegralVolume, WrongAffineDimension
-from .matroids import Matroid, _bits, _mask, classify, matrix_rank
+from .matroids import Matroid, _bits, _mask, classify, matrix_rank, rank_table
 
 DESK_SCALE_LIMIT = 8
 
@@ -62,29 +63,6 @@ def _check_scale(m: Matroid, limit: int) -> None:
         raise DeskScaleExceeded(f"n={m.n} exceeds the desk-scale limit {limit}")
 
 
-def _rank_table(m: Matroid) -> list[int]:
-    """rank(S) for every subset S of [n], indexed by its mask.
-
-    Going down from the bases, the subsets of independent sets are
-    independent (rank = size); going up, a dependent set has the largest
-    rank among its subsets one element smaller.  Computed once per instance.
-    """
-    table = m._cache.get("rank_table")
-    if table is None:
-        table = [0] * (1 << m.n)
-        for b in m._masks:
-            table[b] = m.r
-        for s in range(len(table) - 1, 0, -1):
-            if table[s] == s.bit_count():
-                for e in _bits(s):
-                    table[s ^ e] = table[s] - 1
-        for s in range(1, len(table)):
-            if table[s] != s.bit_count():
-                table[s] = max(table[s ^ e] for e in _bits(s))
-        m._cache["rank_table"] = table
-    return table
-
-
 def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
     """Flats A (as masks) of one connected component C, closed in C, with
     2 <= |A| and rank(A) < min(|A|, r).
@@ -98,7 +76,7 @@ def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
     """
     out = m._cache.get("binding_flats")
     if out is None:
-        rank = _rank_table(m)
+        rank = rank_table(m)
         out = m._cache["binding_flats"] = []
         for part in classify(m).components:
             comp = _mask(part)
@@ -136,7 +114,7 @@ def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
     _check_scale(m, limit)
     if t == 0:
         return 1
-    rank = _rank_table(m)
+    rank = rank_table(m)
     target = t * m.r
     constraints = _binding_constraints(m)
     order = _coordinate_order(m)

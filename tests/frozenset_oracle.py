@@ -1,10 +1,11 @@
 """Frozenset reference implementations of the matroid layer's checks.
 
 The library stores bases as bitmasks and reads exchange validity,
-components and paving off one exchange table.  These are the direct
+components and paving off one table of hyperplanes.  These are the direct
 definitions that the table replaced: all pairs of bases for the exchange
 axiom, components from the circuits of M and M*, paving from circuit sizes,
-and beta from Crapo's subset sum.  They take (n, r, bases) with bases as
+and beta from Crapo's subset sum; `hyperplanes` builds the table's
+contents from its definition.  They take (n, r, bases) with bases as
 element tuples and use nothing from schubmat.
 """
 
@@ -25,6 +26,16 @@ def exchange_witness(bases):
                 if not any(b1 - {x} | {y} in lookup for y in b2 - b1):
                     return b1, b2, x
     return None
+
+
+def hyperplanes(n, r, bases):
+    """{S: E - F(S)} for every (r-1)-set S inside a member, F(S) = {e : S + e is a member}."""
+    sets = _sets(bases)
+    ground = frozenset(range(1, n + 1))
+    out = {}
+    for s in {b - {x} for b in sets for x in b}:
+        out[s] = ground - {e for e in ground - s if s | {e} in sets}
+    return out
 
 
 def rank(bases, subset) -> int:

@@ -10,7 +10,6 @@ from schubmat import (
     Ambient,
     ChowClass,
     box_shift,
-    degree_pairing,
     lr_coefficient,
     pieri,
     product,
@@ -30,6 +29,7 @@ from schubmat.partitions import (
     size,
 )
 import lr_oracle
+from schubert_helpers import degree_pairing
 
 
 def jacobi_trudi_lr(mu, nu, lam):

@@ -47,9 +47,14 @@ def relabel(m: Matroid, perm: dict) -> Matroid:
     return from_bases(m.n, m.r, [tuple(sorted(perm[e] for e in b)) for b in m.bases])
 
 
+class Label(int):
+    """An int subclass, accepted as a ground-set element like a plain int."""
+
+
 def test_from_bases_examples():
     u24 = from_bases(4, 2, combinations(range(1, 5), 2))
     assert len(u24.bases) == 6
+    assert from_bases(4, 2, [(Label(1), 2), *combinations(range(1, 5), 2)]) == u24
     t24 = from_bases(4, 2, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
     assert len(t24.bases) == 5
     with pytest.raises(ExchangeAxiomViolated):
@@ -358,6 +363,14 @@ def assert_matches_oracle(n, r, bases):
     assert beta(m) == oracle.beta(n, r, bases)
 
 
+def near_valid_families(m):
+    """The bases of m with one basis removed or one other r-set added, every way."""
+    bases = sorted(m.bases)
+    removals = [[b for b in bases if b != gone] for gone in bases] if len(bases) > 1 else []
+    additions = [bases + [s] for s in combinations(range(1, m.n + 1), m.r) if s not in m.bases]
+    return removals + additions
+
+
 def test_matroid_layer_matches_oracle_on_corpus(fano, non_pappus, vamos):
     rng = random.Random(41)
     corpus = [m for _, _, _, m in family_corpus(7)] + [fano, non_pappus, vamos]
@@ -366,8 +379,34 @@ def test_matroid_layer_matches_oracle_on_corpus(fano, non_pappus, vamos):
         perm = list(range(1, m.n + 1))
         rng.shuffle(perm)
         relabelled = [tuple(sorted(perm[e - 1] for e in b)) for b in m.bases]
-        for bases in (sorted(m.bases), relabelled):
+        near_valid = near_valid_families(m)
+        for bases in (sorted(m.bases), relabelled, *rng.sample(near_valid, min(2, len(near_valid)))):
             assert_matches_oracle(m.n, m.r, bases)
+
+
+def test_exchange_table_hyperplanes_on_near_valid_families():
+    """The table's hyperplanes match their definition, no family member lies
+    in one of at most r elements, and each size class (below, at and above r)
+    occurs in valid and in invalid families."""
+    seen = set()
+    for _, _, _, m in family_corpus(5):
+        for bases in near_valid_families(m):
+            assert_matches_oracle(m.n, m.r, bases)
+            members = {frozenset(b) for b in bases}
+            closures = oracle.hyperplanes(m.n, m.r, bases)
+            table = matroids._exchange_table(Matroid(m.n, m.r, bases))
+            ground = (1 << m.n) - 1
+            assert closures == {
+                frozenset(matroids._elements(s)): frozenset(matroids._elements(ground ^ fs))
+                for s, fs in table.items()
+            }
+            valid = oracle.exchange_witness(bases) is None
+            for hyperplane in closures.values():
+                size = (len(hyperplane) > m.r) - (len(hyperplane) < m.r)
+                seen.add((size, valid))
+                if size <= 0:
+                    assert not any(b <= hyperplane for b in members)
+    assert seen == {(size, valid) for size in (-1, 0, 1) for valid in (False, True)}
 
 
 @st.composite

@@ -6,9 +6,10 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from schubmat import complement_in_rectangle, hook, jumping_sequence, schur_at_ones, syt_count
+from schubmat import complement_in_rectangle, hook, schur_at_ones, syt_count
 from schubmat.errors import DoesNotFit, InvalidDimensions
 from schubmat.partitions import normalize, partitions_in_rectangle
+from schubert_helpers import jumping_sequence
 
 
 def all_partitions_of(m):

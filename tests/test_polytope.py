@@ -19,8 +19,8 @@ from schubmat import (
     uniform,
 )
 from schubmat.errors import DeskScaleExceeded
-from schubmat.matroids import classify
-from schubmat.polytope import _binding_constraints, _rank_table
+from schubmat.matroids import classify, rank_table as _rank_table
+from schubmat.polytope import _binding_constraints
 from conftest import FANO_LINES, VAMOS_CIRCUIT_HYPERPLANES, family_corpus, matroid_from_nonbases
 import lattice_oracle
 
