@@ -26,7 +26,6 @@ from .matroids import (
     dual,
     from_bases,
     from_rational_matrix,
-    lattice_path_matroid,
     minimal,
     minor,
     panhandle,

@@ -10,13 +10,22 @@ Products are computed per pair of cycles (mu, nu): the LR tableaux of
 content nu on mu are generated directly, one horizontal strip per label
 under the lattice-word condition, so only the non-zero coefficients
 c^lam_{mu,nu} are ever built, and shapes that would leave the rectangle
-are pruned during the search.  Each pair's terms are cached for the life
-of the process (one lru_cache, keyed by (mu, nu, rectangle));
-lr_coefficient reads a single coefficient out of that cache.
+are pruned during the search.  Within a label the search steps over rows
+that get no cell without recursing, and ends a branch as soon as the rows
+left cannot hold the cells left (a capacity prune).  Each pair's terms are
+cached for the life of the process (one lru_cache, keyed by (mu, nu,
+rectangle)); lr_coefficient reads a single coefficient out of that cache.
+Two other designs give the same terms and were measured slower or no
+faster on the box-shifted pairs of direct sums: a label-by-label dynamic
+programme that merges equal (shape, last-label row counts) states (there
+is almost nothing to merge: the coefficients are mostly 1), and folding
+on the complement side, c^kappa_{mu^c, nu^c}, which is the paper's
+direct-sum formula and serves as a test oracle instead.
 
 The degree of c * sigma_1^s needs no products: sigma_lam * sigma_1^s
 meets the point class once for each standard filling of the rectangle
 minus lam, which the hook-length formula counts on the complement of lam.
+That count is cached per (lam, rectangle), since folds repeat partitions.
 """
 
 import re
@@ -183,7 +192,15 @@ def _lr_terms(
     Grows mu by the content nu, one horizontal strip per label, keeping the
     reverse reading word (rows top to bottom, each row right to left) a
     lattice word; each completed filling is one LR tableau of shape lam/mu.
-    Shapes that leave rect are never built.  The result is shared by every
+    Shapes that leave rect are never built.  Within a label, a row that
+    gets no cell is stepped over in a loop (j, prev_old and cum_prev
+    advance), so only a row that gets cells recurses.  Capacity prune: a
+    horizontal strip puts at most prev_old - shape[j] cells in row j and at
+    most shape[k-1] - shape[k] in each later row k (lengths before the
+    label); that sum telescopes to prev_old - shape[-1], and a branch ends
+    as soon as it is less than the cells left.  A label-by-label DP over
+    merged states and a fold on the complement side were measured and were
+    not faster (see the module docstring).  The result is shared by every
     caller, so it is an immutable tuple.
     """
     if (size(nu), nu) > (size(mu), mu):
@@ -192,6 +209,7 @@ def _lr_terms(
         return ()
     rows, cols = rect
     shape = list(padded(mu, rows))
+    last = rows - 1
     # placed[i][j]: cells labelled i in row j; label 0 is a placeholder with none
     placed = [[0] * rows for _ in range(len(nu) + 1)]
     terms: dict[Partition, int] = {}
@@ -211,22 +229,38 @@ def _lr_terms(
                 # label 1 has no lattice bound: give it one no count can reach
                 fill(i + 1, 0, nu[i], cols, 0, 0 if i else size(nu))
             return
-        if j == rows:
-            return
-        old = shape[j]
-        # horizontal strip: at most up to row j-1's old length; lattice: the
-        # i's in rows <= j may not outnumber the (i-1)'s in rows < j
-        hi = min(prev_old - old, left, cum_prev - cum)
-        next_prev = cum_prev + placed[i - 1][j]
-        for add in range(hi, -1, -1):
-            shape[j] = old + add
-            placed[i][j] = add
-            fill(i, j + 1, left - add, old, cum + add, next_prev)
-        shape[j] = old
-        placed[i][j] = 0
+        mine, before = placed[i], placed[i - 1]
+        while j < rows:
+            if prev_old - shape[last] < left:
+                return  # rows j, j+1, ... have room for fewer than `left` cells
+            old = shape[j]
+            # horizontal strip: at most up to row j-1's old length; lattice: the
+            # i's in rows <= j may not outnumber the (i-1)'s in rows < j
+            hi = prev_old - old
+            if left < hi:
+                hi = left
+            if cum_prev - cum < hi:
+                hi = cum_prev - cum
+            next_prev = cum_prev + before[j]
+            for add in range(hi, 0, -1):
+                shape[j] = old + add
+                mine[j] = add
+                fill(i, j + 1, left - add, old, cum + add, next_prev)
+            shape[j] = old
+            mine[j] = 0
+            # row j gets no cell labelled i
+            j, prev_old, cum_prev = j + 1, old, next_prev
 
     fill(0, 0, 0, cols, 0, 0)
     return tuple(terms.items())
+
+
+@lru_cache(maxsize=None)
+def _complement_syt(lam: Partition, rect: tuple[int, int]) -> int:
+    """deg(sigma_lam * sigma_1^s) for |lam| + s = r(n-r): the standard fillings
+    of the complement of lam in rect.  Folds repeat their partitions, so each
+    count is taken once per process."""
+    return syt_count(complement_in_rectangle(lam, rect))
 
 
 def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
@@ -261,7 +295,7 @@ def sigma1_power_degree(c: ChowClass, s: int) -> int:
     """
     rect = c.ambient.rect
     return sum(
-        coeff * syt_count(complement_in_rectangle(lam, rect))
+        coeff * _complement_syt(lam, rect)
         for lam, coeff in c.terms.items()
         if size(lam) + s == rect[0] * rect[1]
     )

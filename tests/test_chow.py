@@ -2,6 +2,7 @@
 
 import random
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +16,13 @@ from schubmat import (
     product,
     sc_direct_sum,
     sc_minimal,
+    sc_sparse_paving,
     sc_uniform,
     sigma,
     sigma1_power_degree,
     syt_count,
 )
+from schubmat.chow import _complement_syt
 from schubmat.errors import AmbientMismatch, DoesNotFit, NotAnInteger
 from schubmat.partitions import (
     complement_in_rectangle,
@@ -29,6 +32,7 @@ from schubmat.partitions import (
     size,
 )
 import lr_oracle
+from conftest import matroid_from_nonbases
 from schubert_helpers import degree_pairing
 
 
@@ -248,6 +252,13 @@ def sigma1_power_degree_by_pieri(c: ChowClass, s: int) -> int:
     return c.coefficient((cols,) * rows)
 
 
+FOLDS = [
+    [sc_uniform(2, 4), sc_uniform(2, 5)],
+    [sc_uniform(2, 5), sc_minimal(2, 4), sc_uniform(1, 3)],
+    [sc_minimal(3, 6), sc_uniform(2, 5) + sc_minimal(2, 5).scaled(-2)],
+]
+
+
 def test_sigma1_power_degree_matches_iterated_pieri():
     for ambient in (Ambient(3, 7), Ambient(4, 8)):
         rows, cols = ambient.rect
@@ -255,12 +266,7 @@ def test_sigma1_power_degree_matches_iterated_pieri():
             cls = sigma(ambient, lam, 3)
             for s in range(max(0, rows * cols - size(lam) - 1), rows * cols - size(lam) + 2):
                 assert sigma1_power_degree(cls, s) == sigma1_power_degree_by_pieri(cls, s)
-    folds = [
-        [sc_uniform(2, 4), sc_uniform(2, 5)],
-        [sc_uniform(2, 5), sc_minimal(2, 4), sc_uniform(1, 3)],
-        [sc_minimal(3, 6), sc_uniform(2, 5) + sc_minimal(2, 5).scaled(-2)],
-    ]
-    for parts in folds:
+    for parts in FOLDS:
         cls = sc_direct_sum(parts)
         rows, cols = cls.ambient.rect
         degree = rows * cols - size(next(iter(cls.terms)))
@@ -287,6 +293,114 @@ def test_box_shift_errors():
         box_shift(sigma(G24, (2, 2)), Ambient(2, 5), 2)
     with pytest.raises(AmbientMismatch):
         box_shift(sigma(G36, (1,)), G24, 0)
+
+
+def direct_sum_by_complements(a: ChowClass, b: ChowClass) -> dict:
+    """The paper's direct-sum formula: the fold of a and b has coefficient
+    sum a_mu b_nu c^kappa_{mu^c, nu^c} at sigma_{kappa^c}, each complement
+    taken in its own rectangle, with c from the tableau oracle."""
+    rect_a, rect_b = a.ambient.rect, b.ambient.rect
+    rect = (rect_a[0] + rect_b[0], rect_a[1] + rect_b[1])
+
+    def complements(terms, rect):
+        return {complement_in_rectangle(lam, rect): c for lam, c in terms.items()}
+
+    kappas = lr_oracle.product_terms(complements(a.terms, rect_a), complements(b.terms, rect_b),
+                                     *rect)
+    return complements(kappas, rect)
+
+
+# r = 0 and r = n included; every ordered pair is folded
+DIRECT_SUM_AMBIENTS = [(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (2, 4), (1, 4), (3, 4), (2, 5),
+                       (3, 5), (3, 6), (2, 6), (4, 6)]
+
+
+@pytest.mark.parametrize("left", DIRECT_SUM_AMBIENTS, ids=lambda a: f"G{a[0]}{a[1]}")
+def test_fold_matches_direct_sum_formula_on_basis_pairs(left):
+    a_ambient = Ambient(*left)
+    for right in DIRECT_SUM_AMBIENTS:
+        b_ambient = Ambient(*right)
+        for mu in partitions_in_rectangle(a_ambient.rect):
+            for nu in partitions_in_rectangle(b_ambient.rect):
+                a, b = sigma(a_ambient, mu), sigma(b_ambient, nu)
+                assert sc_direct_sum([a, b]).terms == direct_sum_by_complements(a, b), (
+                    left, right, mu, nu)
+
+
+def test_fold_matches_direct_sum_formula_on_matroid_classes():
+    sparse_paving = sc_sparse_paving(matroid_from_nonbases(6, 3, [{1, 2, 3}, {1, 4, 5}]))
+    classes = [
+        sc_uniform(2, 4),
+        sc_uniform(3, 6),
+        sc_minimal(2, 5),
+        sc_minimal(3, 6),
+        sparse_paving,
+        sc_uniform(2, 5) + sc_minimal(2, 5).scaled(-2),
+        sc_uniform(3, 6) + sparse_paving.scaled(3),
+    ]
+    for a in classes:
+        for b in classes:
+            expected = direct_sum_by_complements(a, b)
+            assert expected
+            assert sc_direct_sum([a, b]).terms == expected, (a.text(), b.text())
+
+
+# Folded ambients of the benchmark's products workload: the box-shifted
+# cycles fill tall rectangles, where rows that get no cell of a label and
+# the capacity prune of the LR search both occur
+TALL_FOLDS = [((2, 5), (3, 7)), ((5, 7), (6, 8)), ((3, 5), (5, 8))]
+
+
+@pytest.mark.parametrize("left, right", TALL_FOLDS, ids=lambda a: f"G{a[0]}{a[1]}")
+def test_box_shifted_products_match_oracle_in_tall_rectangles(left, right):
+    a_ambient, b_ambient = Ambient(*left), Ambient(*right)
+    target = Ambient(left[0] + right[0], left[1] + right[1])
+    rows, cols = target.rect
+    for mu in partitions_in_rectangle(a_ambient.rect, (left[0] - 1) * (left[1] - left[0] - 1)):
+        a = box_shift(sigma(a_ambient, mu), target, b_ambient.rect[1])
+        for nu in partitions_in_rectangle(b_ambient.rect, (right[0] - 1) * (right[1] - right[0] - 1)):
+            b = box_shift(sigma(b_ambient, nu), target, a_ambient.rect[1])
+            expected = lr_oracle.product_terms(a.terms, b.terms, rows, cols)
+            assert expected
+            assert product(a, b).terms == expected, (mu, nu)
+
+
+def degree_by_hooks(c: ChowClass, s: int) -> int:
+    """deg(c * sigma_1^s) by the hook-length formula, with nothing cached."""
+    rows, cols = c.ambient.rect
+    return sum(coeff * syt_count(complement_in_rectangle(lam, c.ambient.rect))
+               for lam, coeff in c.terms.items() if size(lam) + s == rows * cols)
+
+
+def full_support_class(r, n, rng):
+    """Coefficients 1..3 on every partition of weight (r-1)(n-r-1), as the
+    benchmark's folds draw them."""
+    ambient = Ambient(r, n)
+    return ChowClass(ambient, {lam: rng.randint(1, 3) for lam in
+                               partitions_in_rectangle(ambient.rect, (r - 1) * (n - r - 1))})
+
+
+def test_fold_degree_is_binomial_convolution():
+    rng = random.Random(3)
+    workload_sized = [[full_support_class(*ambient, rng) for ambient in pair]
+                      for pair in TALL_FOLDS[:2]]
+    for parts in FOLDS + workload_sized:
+        acc = parts[0]
+        for nxt in parts[1:]:
+            folded = sc_direct_sum([acc, nxt])
+            rows, cols = folded.ambient.rect
+            top = rows * cols - size(next(iter(folded.terms)))
+            for s in range(top - 1, top + 2):
+                expected = sum(comb(s, s1) * degree_by_hooks(acc, s1) * degree_by_hooks(nxt, s - s1)
+                               for s1 in range(s + 1))
+                _complement_syt.cache_clear()
+                assert sigma1_power_degree(folded, s) == expected
+                missed = _complement_syt.cache_info()
+                assert missed.hits == 0 and missed.misses == (len(folded.terms) if s == top else 0)
+                assert sigma1_power_degree(folded, s) == expected
+                assert _complement_syt.cache_info().hits == missed.misses
+            assert expected == 0 and degree_by_hooks(folded, top) > 0
+            acc = folded
 
 
 def test_chow_class_json_round_trip():

@@ -17,7 +17,6 @@ from schubmat import (
     dual,
     from_bases,
     from_rational_matrix,
-    lattice_path_matroid,
     minimal,
     minor,
     panhandle,
@@ -26,6 +25,7 @@ from schubmat import (
     uniform,
 )
 from schubmat import matroids, orbit, sc, verify_volume_relation
+from schubmat.matroids import lattice_path_matroid
 from schubmat.errors import (
     DependentContraction,
     EmptyBases,
