@@ -29,7 +29,6 @@ That count is cached per (lam, rectangle), since folds repeat partitions.
 """
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import AmbientMismatch, DoesNotFit, require_int, require_type
@@ -45,46 +44,83 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class Ambient:
+class _ReadOnly:
+    """Attributes are set once, in __init__, and never assigned or deleted.
+
+    A plain slot class rather than a frozen dataclass: importing
+    dataclasses (with inspect, ast and dis) would cost every CLI process.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Ambient(_ReadOnly):
     """The Grassmannian G(r,n); Schubert cycles live in the r x (n-r) rectangle."""
 
-    r: int
-    n: int
+    __slots__ = ("r", "n")
 
-    def __post_init__(self):
-        require_int(self.r, "rank")
-        require_int(self.n, "ground-set size")
-        if not 0 <= self.r <= self.n:
-            raise AmbientMismatch(f"need 0 <= r <= n, got r={self.r}, n={self.n}")
+    def __init__(self, r: int, n: int):
+        require_int(r, "rank")
+        require_int(n, "ground-set size")
+        if not 0 <= r <= n:
+            raise AmbientMismatch(f"need 0 <= r <= n, got r={r}, n={n}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.r == other.r and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.r, self.n))
+
+    def __repr__(self):
+        return f"Ambient(r={self.r!r}, n={self.n!r})"
 
     @property
     def rect(self) -> tuple[int, int]:
         return (self.r, self.n - self.r)
 
 
-@dataclass(frozen=True)
-class ChowClass:
+class ChowClass(_ReadOnly):
     """Integer combination of Schubert cycles in a fixed ambient.
 
     terms maps partitions to non-zero int coefficients; the zero class
-    has an empty term map.  A coefficient that is not an int (a bool is
-    not one) raises NotAnInteger.
+    has an empty term map (ChowClass(ambient)).  A coefficient that is not
+    an int (a bool is not one) raises NotAnInteger.  The class is compared
+    by value and, like its term map, is not hashable.
     """
 
-    ambient: Ambient
-    terms: dict[Partition, int] = field(default_factory=dict)
+    __slots__ = ("ambient", "terms")
 
-    def __post_init__(self):
+    def __init__(self, ambient: Ambient, terms: dict[Partition, int] | None = None):
         clean = {}
-        for lam, c in self.terms.items():
+        for lam, c in (terms or {}).items():
             lam = normalize(lam)
-            if not fits(lam, self.ambient.rect):
-                raise DoesNotFit(f"{lam} does not fit in G({self.ambient.r},{self.ambient.n})")
+            if not fits(lam, ambient.rect):
+                raise DoesNotFit(f"{lam} does not fit in G({ambient.r},{ambient.n})")
             require_int(c, "coefficient")
             if c != 0:
                 clean[lam] = c
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", clean)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient == other.ambient and self.terms == other.terms
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"ChowClass(ambient={self.ambient!r}, terms={self.terms!r})"
 
     def coefficient(self, lam: Partition) -> int:
         return self.terms.get(normalize(lam), 0)

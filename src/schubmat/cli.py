@@ -3,13 +3,14 @@
 Verbs: class, beta, volume, circuits, info, verify, product.  Matroids come
 from --uniform/--minimal/--panhandle/--schubert parameters or from JSON
 files (--matroid, --matrix); giving several sources forms their direct sum.
+Integers in flags are decimal (-?[0-9]+), never coerced.
 Exit status: 0 success, 1 domain error (error name on stderr), 2 usage error.
 """
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import asdict
 from functools import reduce
 
 from . import matroids, orbit, polytope
@@ -18,11 +19,20 @@ from .errors import SchubmatError, WrongShape, require_int, require_type
 from .matroids import Matroid
 
 
+def integer(text: str) -> int:
+    """A decimal integer from argv, by the rule ChowClass.from_json_dict
+    applies to coefficient strings; int() alone would also take "+5", " 2"
+    and "1_0".  Anything else is a usage error."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_ints(text: str, count: int, flag: str) -> list[int]:
     parts = text.split(",")
     if len(parts) != count:
         raise ValueError(f"{flag} expects {count} comma-separated integers")
-    return [int(p) for p in parts]
+    return [integer(p) for p in parts]
 
 
 def _read(path: str, build):
@@ -57,7 +67,8 @@ def _load_sources(args) -> list[Matroid]:
             sources.append(build(*_parse_ints(spec, count, f"--{flag}")))
     for spec in args.schubert or []:
         head, _, tail = spec.partition(":")
-        sources.append(matroids.schubert_matroid(int(head), [int(i) for i in tail.split(",")]))
+        indices = [integer(i) for i in tail.split(",")]
+        sources.append(matroids.schubert_matroid(integer(head), indices))
     sources += [_read(path, Matroid.from_json_dict) for path in args.matroid or []]
     sources += [_read(path, _matrix_matroid) for path in args.matrix or []]
     return sources
@@ -75,7 +86,7 @@ def _add_source_flags(sub):
                           ("schubert", "N:I1,I2,..."), ("matroid", "FILE"), ("matrix", "FILE")):
         sub.add_argument(f"--{flag}", action="append", metavar=metavar)
     sub.add_argument("--format", choices=("json", "text"), default="text")
-    sub.add_argument("--limit-n", type=int, default=polytope.DESK_SCALE_LIMIT,
+    sub.add_argument("--limit-n", type=integer, default=polytope.DESK_SCALE_LIMIT,
                      help="override the polytope desk-scale bound (at your own risk)")
 
 
@@ -126,7 +137,7 @@ def _run_circuits(args, m: Matroid):
 def _run_info(args, m: Matroid):
     c = matroids.classify(m)
     # the Classification fields in order, with its tuples and sets as lists
-    info = {"n": m.n, "r": m.r, "bases": len(m.bases), **asdict(c),
+    info = {"n": m.n, "r": m.r, "bases": len(m.bases), **c._asdict(),
             "components": [list(part) for part in c.components],
             "loops": sorted(c.loops), "coloops": sorted(c.coloops)}
     text = "\n".join(f"{key}: {value}" for key, value in info.items())

@@ -26,7 +26,8 @@ class EmptyBases(SchubmatError):
 
 
 class WrongBasisSize(SchubmatError):
-    """A listed basis does not have exactly r elements."""
+    """A listed basis is not a set of exactly r elements: it has too few or
+    too many, or it repeats an element."""
 
 
 class ElementOutOfRange(SchubmatError):

@@ -20,8 +20,7 @@ cached on the instance.
 """
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import reduce
 from itertools import combinations
 from math import comb
@@ -202,8 +201,8 @@ def from_bases(n: int, r: int, bases) -> Matroid:
         for e in b:
             if type(e) is not int:  # a bool, a float, a str or an int subclass
                 require_int(e, "basis element")
-        if len(set(b)) != r:
-            raise WrongBasisSize(f"basis {tuple(sorted(set(b)))} does not have {r} elements")
+        if len(b) != r or len(set(b)) != r:  # a repeated element is not dropped
+            raise WrongBasisSize(f"basis {b} is not a set of {r} elements")
         if b and (min(b) < 1 or max(b) > n):
             raise ElementOutOfRange(f"basis {tuple(sorted(b))} not inside [{n}]")
         masks.add(_mask(b))
@@ -273,8 +272,10 @@ def panhandle(r: int, s: int, n: int) -> Matroid:
     return schubert_matroid(n, list(range(s - r + 2, s + 1)) + [n])
 
 
-def matrix_rank(entries: list[list[Fraction]]) -> int:
+def matrix_rank(entries) -> int:
     """Exact row rank over the rationals, by Gaussian elimination."""
+    from fractions import Fraction  # imported on use, not with the package
+
     rows = [list(map(Fraction, row)) for row in entries]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -293,8 +294,11 @@ def matrix_rank(entries: list[list[Fraction]]) -> int:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
-def _matrix_entry(e) -> Fraction:
-    """An int, a Fraction or a "p/q" string; a float or a bool is rejected."""
+def _matrix_entry(e):
+    """An int, a Fraction or a "p/q" string, as a Fraction; a float or a
+    bool is rejected."""
+    from fractions import Fraction  # imported on use, not with the package
+
     if isinstance(e, str) and _RATIONAL.fullmatch(e) or (
         isinstance(e, (int, Fraction)) and not isinstance(e, bool)
     ):
@@ -394,19 +398,20 @@ def circuits(m: Matroid) -> frozenset:
     return frozenset(frozenset(_elements(c)) for c in found)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(namedtuple("Classification", [
+    "components",  # tuple[tuple[int, ...], ...]
+    "kappa",  # int
+    "loops",  # frozenset
+    "coloops",  # frozenset
+    "is_paving",  # bool
+    "is_sparse_paving",  # bool
+    "nonbasis_count",  # int
+    "is_minimal",  # bool
+    "is_uniform",  # bool
+])):
     """Derived structural facts about a matroid."""
 
-    components: tuple[tuple[int, ...], ...]
-    kappa: int
-    loops: frozenset
-    coloops: frozenset
-    is_paving: bool
-    is_sparse_paving: bool
-    nonbasis_count: int
-    is_minimal: bool
-    is_uniform: bool
+    __slots__ = ()
 
 
 def _components(m: Matroid) -> tuple[tuple[int, ...], ...]:

@@ -7,7 +7,7 @@ direct sums multiply after box-shifting each factor into the joint ambient.
 Connected matroids outside these families raise UnsupportedMatroid.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .chow import Ambient, ChowClass, box_shift, product, sigma, sigma1_power_degree
@@ -36,15 +36,16 @@ METHOD_SPARSE_PAVING = "SparsePaving-Theorem1"
 METHOD_POINT = "Degenerate-Point"
 
 
-@dataclass(frozen=True)
-class ScResult:
+class ScResult(namedtuple("ScResult", [
+    "matroid_summary",  # Classification
+    "chow_class",  # ChowClass
+    "methods",  # tuple[str, ...]: one per connected component, ground-set order
+    "k_used",  # int | None: subdivision facet count, connected sparse paving only
+    "beta_value",  # int
+])):
     """A computed orbit class together with how each component was handled."""
 
-    matroid_summary: Classification
-    chow_class: ChowClass
-    methods: tuple[str, ...]  # one per connected component, ground-set order
-    k_used: int | None  # subdivision facet count, connected sparse paving only
-    beta_value: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         data = self.chow_class.to_json_dict()
@@ -155,8 +156,13 @@ def sc(m: Matroid) -> ScResult:
     )
 
 
-@dataclass(frozen=True)
-class VolumeVerdict:
+class VolumeVerdict(namedtuple("VolumeVerdict", [
+    "sc_result",  # ScResult
+    "volume_report",  # VolumeReport
+    "degree",  # int
+    "volume",  # int
+    "checks",  # tuple[tuple[str, int, int, bool], ...]
+])):
     """The checks of `schubmat verify` on one computed class.
 
     checks holds (name, lhs, rhs, passed) for degree=volume, deg(Sc(M) *
@@ -167,11 +173,7 @@ class VolumeVerdict:
     left out there.
     """
 
-    sc_result: ScResult
-    volume_report: VolumeReport
-    degree: int
-    volume: int
-    checks: tuple[tuple[str, int, int, bool], ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

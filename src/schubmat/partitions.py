@@ -5,7 +5,6 @@ with no trailing zeros (normal form).  The empty partition is ``()``.
 A rectangle is the pair ``(rows, cols)``.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -89,6 +88,8 @@ def _over_hooks(lam: Partition, numerator: int) -> int:
     hooks = prod(hook_lengths(lam))
     value, rest = divmod(numerator, hooks)
     if rest:
+        from fractions import Fraction  # imported on use, not with the package
+
         raise NonIntegralCount(lam, Fraction(numerator, hooks))
     return value
 

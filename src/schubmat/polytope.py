@@ -24,8 +24,7 @@ components, and relabelling the ground set no longer changes the time by
 orders of magnitude.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import accumulate
 from math import factorial
 from operator import or_
@@ -36,14 +35,15 @@ from .matroids import Matroid, _bits, _mask, classify, matrix_rank, rank_table
 DESK_SCALE_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class VolumeReport:
+class VolumeReport(namedtuple("VolumeReport", [
+    "dim",  # int
+    "counts",  # tuple[int, ...]
+    "ehrhart",  # tuple[Fraction, ...]: coefficients, ascending degree
+    "normalized_volume",  # int
+])):
     """Ehrhart data for a base polytope and the resulting normalized volume."""
 
-    dim: int
-    counts: tuple[int, ...]
-    ehrhart: tuple[Fraction, ...]  # coefficients, ascending degree
-    normalized_volume: int
+    __slots__ = ()
 
 
 def polytope_vertices(m: Matroid) -> frozenset:
@@ -185,13 +185,16 @@ def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
     return count_from(0, 0, ())
 
 
-def _interpolate(counts: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Coefficients, in ascending degree, of the polynomial through (t, counts[t]).
+def _interpolate(counts: tuple[int, ...]) -> tuple:
+    """Fraction coefficients, in ascending degree, of the polynomial through
+    (t, counts[t]).
 
     Newton's form at t = 0, 1, ..., d, expanded by Horner's rule: p = a_d,
     then p = p * (t - k) + a_k for k = d-1, ..., 0, where a_k is the k-th
     forward difference of the counts at 0 over k!.
     """
+    from fractions import Fraction  # imported on use, not with the package
+
     diffs, row = [], list(counts)
     while row:
         diffs.append(row[0])

@@ -273,3 +273,54 @@ def test_missing_key_names_the_key_and_the_file(capsys, tmp_path, flag, text, ke
 def test_malformed_flag_value_is_usage_error(capsys, spec):
     code, _, err = run(capsys, "class", "--uniform", spec)
     assert code == 2 and err.startswith("usage error")
+
+
+def exit_code(capsys, *argv):
+    """main's status, counting an argparse error (SystemExit) as its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["class", "--uniform", "2,+5"], 2),
+        (["class", "--uniform", " 2,5"], 2),
+        (["class", "--uniform", "2,5 "], 2),
+        (["class", "--uniform", "2,0x5"], 2),
+        (["class", "--uniform", "2,1_0"], 2),
+        (["class", "--uniform", "2,٥"], 2),
+        (["class", "--minimal", "+2,5"], 2),
+        (["class", "--panhandle", "2,3,5.0"], 2),
+        (["class", "--schubert", "+4:2,4"], 2),
+        (["class", "--schubert", "4:2, 4"], 2),
+        (["info", "--uniform", "2,5", "--limit-n", "1_0"], 2),
+        (["volume", "--uniform", "2,4", "--limit-n", "+8"], 2),
+        (["volume", "--uniform", "2,4", "--limit-n", " 8"], 2),
+        (["class", "--uniform", "2,-5"], 1),
+        (["class", "--panhandle", "2,-3,5"], 1),
+        (["class", "--schubert=-4:1,2"], 1),
+        (["volume", "--uniform", "2,4", "--limit-n", "-1"], 1),
+        (["class", "--uniform", "2,5"], 0),
+        (["class", "--schubert", "4:2,4"], 0),
+        (["volume", "--uniform", "2,4", "--limit-n", "8"], 0),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_flag_integers_are_not_coerced(capsys, argv, code):
+    """Integers from argv are decimal `-?[0-9]+`: a sign, a space, an
+    underscore, a hex prefix or a non-ASCII digit is a usage error, and a
+    negative value reaches the domain checks."""
+    assert exit_code(capsys, *argv) == code
+
+
+def test_basis_with_a_repeated_element_exit_1(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 3, "r": 2, "bases": [[1, 1, 2], [1, 3], [2, 3]]}')
+    code, out, err = run(capsys, "info", "--matroid", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["WrongBasisSize", "basis (1, 1, 2) is not a set of 2 elements"]

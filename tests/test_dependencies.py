@@ -2,6 +2,9 @@
 library and itself."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +30,35 @@ def test_library_imports_only_the_standard_library():
         if name not in allowed
     }
     assert not outside, sorted(outside)
+
+
+COLD_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import schubmat.cli
+added = sorted(set(sys.modules) - before)
+from schubmat import ehrhart_report, uniform
+report = ehrhart_report(uniform(2, 4))
+print(json.dumps({
+    "added": added,
+    "fractions_after_volume": "fractions" in sys.modules,
+    "coefficients": sorted({type(c).__module__ + "." + type(c).__name__ for c in report.ehrhart}),
+}))
+"""
+
+
+def test_cli_import_loads_no_heavy_standard_modules():
+    """`import schubmat.cli` starts every CLI process, so it loads neither
+    dataclasses (with inspect, ast and dis) nor fractions (with decimal).
+    The modules are compared with those of the same interpreter before the
+    import, so what the site setup preloads does not count."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env,
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout)
+    assert "schubmat.cli" in seen["added"]
+    assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(seen["added"])
+    assert seen["fractions_after_volume"]
+    assert seen["coefficients"] == ["fractions.Fraction"]

@@ -66,6 +66,11 @@ def test_from_bases_validation_errors():
         from_bases(3, 2, [])
     with pytest.raises(WrongBasisSize):
         from_bases(3, 2, [(1,)])
+    # a repeated element is not dropped: (1, 1, 2) is not the basis (1, 2)
+    with pytest.raises(WrongBasisSize, match=r"basis \(1, 1, 2\) is not a set of 2 elements"):
+        from_bases(3, 2, [(1, 1, 2), (1, 3), (2, 3)])
+    with pytest.raises(WrongBasisSize, match=r"basis \(1, 1\) is not a set of 2 elements"):
+        from_bases(3, 2, [(1, 1), (1, 3), (2, 3)])
     from schubmat.errors import ElementOutOfRange
     with pytest.raises(ElementOutOfRange):
         from_bases(3, 2, [(1, 5)])
