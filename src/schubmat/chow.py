@@ -112,6 +112,16 @@ class ChowClass(_ReadOnly):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, ambient: Ambient, terms: dict[Partition, int]) -> "ChowClass":
+        """A class from terms the library built itself: the keys are normal
+        and inside the rectangle and the coefficients are ints, so only the
+        zero coefficients are dropped."""
+        c = cls.__new__(cls)
+        object.__setattr__(c, "ambient", ambient)
+        object.__setattr__(c, "terms", {lam: v for lam, v in terms.items() if v})
+        return c
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -319,7 +329,7 @@ def product(a: ChowClass, b: ChowClass) -> ChowClass:
         for nu, cb in b.terms.items():
             for lam, c in _lr_terms(mu, nu, rect):
                 terms[lam] = terms.get(lam, 0) + ca * cb * c
-    return ChowClass(a.ambient, terms)
+    return ChowClass._trusted(a.ambient, terms)
 
 
 def sigma1_power_degree(c: ChowClass, s: int) -> int:
@@ -354,5 +364,5 @@ def box_shift(c: ChowClass, target: Ambient, shift: int) -> ChowClass:
         if not fits(shifted, target.rect):
             raise DoesNotFit(f"shifted {shifted} exceeds {target.rect}")
         terms[shifted] = terms.get(shifted, 0) + coeff
-    return ChowClass(target, terms)
+    return ChowClass._trusted(target, terms)
 

@@ -31,7 +31,8 @@ class WrongBasisSize(SchubmatError):
 
 
 class ElementOutOfRange(SchubmatError):
-    """A basis element lies outside the ground set [n]."""
+    """A basis element or a Schubert index lies outside the ground set [n],
+    or a Schubert index set repeats an index."""
 
 
 class NotAnInteger(SchubmatError):

@@ -12,7 +12,13 @@ hyperplane cl(S).  Every consumer reads it:
   cl(S), and only a hyperplane of more than r elements can hold a basis;
 - connectivity: the elements of one F(S) share circuits;
 - paving: every (r-1)-set is a key; dual paving: every hyperplane has at
-  most r elements, so every cocircuit at least n - r.
+  most r elements, so every cocircuit at least n - r;
+- beta: F(B - x) is the fundamental cocircuit of x in B, and x lies in
+  the fundamental circuit of B + y exactly when y is in F(B - x).  With
+  1 < ... < n, beta counts the bases B that hold 1 in which every other
+  x has an element below it in F(B - x) and every y outside B lies in
+  F(B - x) for some x < y of B (Crapo's t_10: internal activity 1,
+  external activity 0).
 Circuits are the fundamental circuits of the bases, so no subset of the
 ground set is enumerated.  Derived facts (the exchange table, the
 classification, beta, the rank of every subset) are computed once and
@@ -22,7 +28,7 @@ cached on the instance.
 import re
 from collections import namedtuple
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import and_, or_
 
@@ -187,7 +193,15 @@ def validate_exchange(m: Matroid) -> None:
 
 
 def from_bases(n: int, r: int, bases) -> Matroid:
-    """Build a validated matroid from an explicit basis list."""
+    """Build a validated matroid from an explicit basis list.
+
+    One bulk pass over all elements covers the common input: every element
+    is exactly an int, every basis has r of them, and all lie in [n]; a
+    basis that repeats an element then has a mask of fewer than r bits.  If
+    any of that fails, `_rescan` goes basis by basis, raises the first
+    fault (its type, then its size, then its range), and takes int
+    subclasses.
+    """
     require_int(n, "ground-set size")
     require_int(r, "rank")
     if not 0 <= r <= n:
@@ -196,6 +210,25 @@ def from_bases(n: int, r: int, bases) -> Matroid:
         bases = [tuple(b) for b in bases]
     except TypeError as exc:
         raise MalformedBasis(f"bases must be collections of elements: {exc}") from None
+    flat = list(chain.from_iterable(bases))
+    masks = None
+    if (
+        set(map(len, bases)) <= {r}
+        and set(map(type, flat)) <= {int}
+        and (not flat or 1 <= min(flat) and max(flat) <= n)
+    ):
+        masks = set(map(_mask, bases))
+    if masks is None or not set(map(int.bit_count, masks)) <= {r}:
+        masks = _rescan(n, r, bases)
+    if not masks:
+        raise EmptyBases("a matroid needs at least one basis")
+    m = Matroid._from_masks(n, r, masks)
+    validate_exchange(m)
+    return m
+
+
+def _rescan(n: int, r: int, bases: list[tuple]) -> set[int]:
+    """The masks of `bases`, checked one basis at a time."""
     masks = set()
     for b in bases:
         for e in b:
@@ -206,11 +239,7 @@ def from_bases(n: int, r: int, bases) -> Matroid:
         if b and (min(b) < 1 or max(b) > n):
             raise ElementOutOfRange(f"basis {tuple(sorted(b))} not inside [{n}]")
         masks.add(_mask(b))
-    if not masks:
-        raise EmptyBases("a matroid needs at least one basis")
-    m = Matroid._from_masks(n, r, masks)
-    validate_exchange(m)
-    return m
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +276,16 @@ def lattice_path_matroid(upper: str, lower: str) -> Matroid:
 
 
 def schubert_matroid(n: int, indices) -> Matroid:
-    """SM_I: upper path N^r E^(n-r), lower path with north steps at I."""
-    indices = sorted(set(indices))
+    """SM_I: upper path N^r E^(n-r), lower path with north steps at I.
+
+    I is a set of distinct indices in [n]; a repeated index is an error,
+    not dropped.
+    """
+    indices = sorted(indices)
     if indices and (indices[0] < 1 or indices[-1] > n):
         raise ElementOutOfRange(f"index set {indices} not inside [{n}]")
+    if len(set(indices)) != len(indices):
+        raise ElementOutOfRange(f"index set {indices} repeats an index")
     r = len(indices)
     upper = "N" * r + "E" * (n - r)
     lower = "".join("N" if i in set(indices) else "E" for i in range(1, n + 1))
@@ -258,17 +293,25 @@ def schubert_matroid(n: int, indices) -> Matroid:
 
 
 def uniform(r: int, n: int) -> Matroid:
-    """U_{r,n} = SM_{ {n-r+1, ..., n} }."""
+    """U_{r,n} = SM_{ {n-r+1, ..., n} }, for 0 <= r <= n."""
+    if not 0 <= r <= n:
+        raise InvalidDimensions(f"need 0 <= r <= n, got r={r}, n={n}")
     return schubert_matroid(n, range(n - r + 1, n + 1))
 
 
 def minimal(r: int, n: int) -> Matroid:
-    """T_{r,n} = SM_{ {2, ..., r, n} }: the connected matroid with r(n-r)+1 bases."""
+    """T_{r,n} = SM_{ {2, ..., r, n} }: the connected matroid with r(n-r)+1
+    bases, for 1 <= r <= n-1."""
+    if not 1 <= r <= n - 1:
+        raise InvalidDimensions(f"need 1 <= r <= n-1, got r={r}, n={n}")
     return schubert_matroid(n, list(range(2, r + 1)) + [n])
 
 
 def panhandle(r: int, s: int, n: int) -> Matroid:
-    """Pan_{r,s,n} = SM_{ {s-r+2, ..., s, n} }; Pan_{r,r,n} = T_{r,n}, Pan_{r,n-1,n} = U_{r,n}."""
+    """Pan_{r,s,n} = SM_{ {s-r+2, ..., s, n} }, for 1 <= r <= s <= n-1;
+    Pan_{r,r,n} = T_{r,n}, Pan_{r,n-1,n} = U_{r,n}."""
+    if not 1 <= r <= s <= n - 1:
+        raise InvalidDimensions(f"need 1 <= r <= s <= n-1, got r={r}, s={s}, n={n}")
     return schubert_matroid(n, list(range(s - r + 2, s + 1)) + [n])
 
 
@@ -494,30 +537,44 @@ def rank_table(m: Matroid) -> list[int]:
 
 
 def beta(m: Matroid) -> int:
-    """Crapo's beta invariant by deletion-contraction on the smallest element.
+    """Crapo's beta invariant, the Tutte coefficient t_10: the number of
+    bases with internal activity 1 and external activity 0.
 
-    Computed once per matroid instance.
+    Computed once per matroid instance, by `_activity_count`.
     """
     value = m._cache.get("beta")
     if value is None:
-        value = m._cache["beta"] = _beta(m._ground(), m._masks, {})
+        value = m._cache["beta"] = _activity_count(m)
     return value
 
 
-def _beta(ground: int, bases: frozenset, memo: dict) -> int:
-    if ground & (ground - 1) == 0:  # at most one element
-        return 1 if ground and bases == {ground} else 0
-    key = (ground, bases)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if ground & ~reduce(or_, bases) or reduce(and_, bases):
-        value = 0  # a loop or a coloop
-    else:
-        e = ground & -ground
-        rest = ground ^ e
-        value = _beta(rest, frozenset(b ^ e for b in bases if b & e), memo) + _beta(
-            rest, frozenset(b for b in bases if not b & e), memo
-        )
-    memo[key] = value
-    return value
+def _activity_count(m: Matroid) -> int:
+    """The bases B, elements ordered 1 < ... < n, with activities (1, 0).
+
+    Element 1 is active wherever it lies, so B holds it.  Every other x in
+    B is internally passive: its fundamental cocircuit F(B - x) has an
+    element below x.  Every y outside B is externally passive: some x < y
+    in B has y in F(B - x).  The basis bits are walked in ascending order,
+    keeping the union of F(B - x) so far, so each basis holding element 1
+    costs r table reads.
+    """
+    table = _exchange_table(m)
+    ground = m._ground()
+    count = 0
+    for b in m._masks:
+        if not b & 1:
+            continue
+        reached = table[b ^ 1]
+        rest = b ^ 1
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            below = x - 1
+            fx = table[b ^ x]
+            # x is active, or some y < x outside B is reached by no x' < x
+            if not fx & below or below & ~b & ~reached:
+                break
+            reached |= fx
+        else:
+            count += not ground & ~b & ~reached
+    return count

@@ -99,9 +99,10 @@ def sc_sparse_paving(m: Matroid) -> ChowClass:
         raise BetaMismatch(coeff, independent_beta)
     if coeff < 0:
         raise NegativeCoefficient(hc, coeff)
-    terms = dict(sc_uniform(r, n).terms)
+    uniform_class = sc_uniform(r, n)
+    terms = dict(uniform_class.terms)
     terms[hc] = coeff
-    return ChowClass(Ambient(r, n), terms)
+    return ChowClass._trusted(uniform_class.ambient, terms)
 
 
 def sc_direct_sum(parts: list[ChowClass]) -> ChowClass:

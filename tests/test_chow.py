@@ -11,9 +11,12 @@ from schubmat import (
     Ambient,
     ChowClass,
     box_shift,
+    direct_sum,
     lr_coefficient,
+    orbit,
     pieri,
     product,
+    sc,
     sc_direct_sum,
     sc_minimal,
     sc_sparse_paving,
@@ -32,7 +35,7 @@ from schubmat.partitions import (
     size,
 )
 import lr_oracle
-from conftest import matroid_from_nonbases
+from conftest import family_corpus, matroid_from_nonbases
 from schubert_helpers import degree_pairing
 
 
@@ -446,3 +449,60 @@ def test_text_format():
     cls = sigma(g25, (2,), 3) + sigma(g25, (1, 1))
     assert cls.text() == "3 s[2] + 1 s[1,1]"
     assert ChowClass(g25, {}).text() == "0"
+
+
+def assert_validated_form(c: ChowClass):
+    """c is what the validating constructor makes of c's own terms: normal
+    partitions inside the rectangle and non-zero int coefficients."""
+    assert c == ChowClass(c.ambient, dict(c.terms)), c
+    assert all(type(v) is int and v for v in c.terms.values()), c
+
+
+def test_classes_built_by_the_library_are_in_validated_form(monkeypatch, fano, vamos):
+    """product, box_shift and sc_sparse_paving build their classes without
+    re-validating the terms; every class they return on the fold and product
+    corpus of this file and on sc of the family corpus is in validated form."""
+    seen = {"product": 0, "box_shift": 0, "sc_sparse_paving": 0}
+
+    def recording(name, fn):
+        def wrapped(*args):
+            result = fn(*args)
+            assert_validated_form(result)
+            seen[name] += 1
+            return result
+        return wrapped
+
+    for name in seen:
+        monkeypatch.setattr(orbit, name, recording(name, getattr(orbit, name)))
+    for parts in FOLDS:
+        orbit.sc_direct_sum(parts)
+    for left in DIRECT_SUM_AMBIENTS:
+        for right in DIRECT_SUM_AMBIENTS:
+            a_ambient, b_ambient = Ambient(*left), Ambient(*right)
+            orbit.sc_direct_sum([
+                ChowClass(a_ambient, {mu: 1 + i % 3 - (i % 2) * 3 for i, mu in
+                                      enumerate(partitions_in_rectangle(a_ambient.rect))}),
+                ChowClass(b_ambient, {nu: 2 - i % 4 for i, nu in
+                                      enumerate(partitions_in_rectangle(b_ambient.rect))}),
+            ])
+    rng = random.Random(12)
+    for left, right in TALL_FOLDS:
+        a_ambient, b_ambient = Ambient(*left), Ambient(*right)
+        target = Ambient(left[0] + right[0], left[1] + right[1])
+        shapes_a = partitions_in_rectangle(a_ambient.rect)
+        shapes_b = partitions_in_rectangle(b_ambient.rect)
+        for _ in range(5):
+            a = ChowClass(a_ambient, {mu: rng.randint(-3, 3) for mu in rng.sample(shapes_a, 4)})
+            b = ChowClass(b_ambient, {nu: rng.randint(-3, 3) for nu in rng.sample(shapes_b, 4)})
+            orbit.product(orbit.box_shift(a, target, b_ambient.rect[1]),
+                          orbit.box_shift(b, target, a_ambient.rect[1]))
+    # sigma_1 (sigma_2 - sigma_11) = sigma_21 - sigma_21 in G(2,4): the zero class
+    g24 = Ambient(2, 4)
+    assert orbit.product(sigma(g24, (1,)), sigma(g24, (2,)) + sigma(g24, (1, 1), -1)).is_zero()
+    matroids = [m for kind, _, _, m in family_corpus(7) if not kind.startswith("Pan")]
+    matroids += [fano, vamos, matroid_from_nonbases(6, 3, [{1, 2, 3}, {1, 4, 5}])]
+    for m in matroids:
+        assert_validated_form(sc(m).chow_class)
+    for m1, m2 in zip(matroids[::3], matroids[1::3]):
+        assert_validated_form(sc(direct_sum(m1, m2)).chow_class)
+    assert min(seen.values()) > 0, seen

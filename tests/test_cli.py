@@ -324,3 +324,29 @@ def test_basis_with_a_repeated_element_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "info", "--matroid", str(path))
     assert code == 1 and out == ""
     assert err.splitlines() == ["WrongBasisSize", "basis (1, 1, 2) is not a set of 2 elements"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["class", "--uniform=-2,5"], "InvalidDimensions"),
+        (["class", "--uniform", "6,5"], "InvalidDimensions"),
+        (["class", "--minimal=-2,5"], "InvalidDimensions"),
+        (["class", "--minimal", "0,5"], "InvalidDimensions"),
+        (["class", "--minimal", "5,5"], "InvalidDimensions"),
+        (["class", "--panhandle", "2,5,5"], "InvalidDimensions"),
+        (["class", "--panhandle", "3,2,6"], "InvalidDimensions"),
+        (["info", "--schubert", "4:2,2,4"], "ElementOutOfRange"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_family_parameters_out_of_range_exit_1(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[0] == error
+
+
+@pytest.mark.parametrize("spec", ["1,1", "0,1", "3,3"])
+def test_uniform_at_the_ends_of_its_range_exit_0(capsys, spec):
+    code, out, _ = run(capsys, "class", "--uniform", spec)
+    assert code == 0 and out.strip() == "1 s[]"

@@ -28,6 +28,7 @@ from schubmat import matroids, orbit, sc, verify_volume_relation
 from schubmat.matroids import lattice_path_matroid
 from schubmat.errors import (
     DependentContraction,
+    ElementOutOfRange,
     EmptyBases,
     ExchangeAxiomViolated,
     InvalidDimensions,
@@ -36,7 +37,9 @@ from schubmat.errors import (
     OverlappingSets,
     PathsCross,
     RankDeficient,
+    SchubmatError,
     WrongBasisSize,
+    require_int,
 )
 from schubmat.matroids import Matroid, validate_exchange
 from conftest import beta_via_tutte, family_corpus, matroid_from_nonbases
@@ -436,19 +439,19 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
     m = uniform(2, 5)
     assert classify(m) is classify(m)
     components, full_beta = [], []
-    real_components, real_beta = matroids._components, matroids._beta
+    real_components, real_beta = matroids._components, matroids._activity_count
 
     def spy_components(mat):
         components.append(mat)
         return real_components(mat)
 
-    def spy_beta(ground, bases, memo):
-        if ground == (1 << 5) - 1:
-            full_beta.append(ground)
-        return real_beta(ground, bases, memo)
+    def spy_beta(mat):
+        if mat.n == 5:
+            full_beta.append(mat)
+        return real_beta(mat)
 
     monkeypatch.setattr(matroids, "_components", spy_components)
-    monkeypatch.setattr(matroids, "_beta", spy_beta)
+    monkeypatch.setattr(matroids, "_activity_count", spy_beta)
     m = uniform(2, 5)
     verify_volume_relation(m)
     assert components == [m] and len(full_beta) == 1
@@ -499,3 +502,188 @@ def test_from_bases_rejects_malformed_input(n, r, bases, error):
 def test_json_input_is_not_coerced(text):
     with pytest.raises(NotAnInteger):
         Matroid.from_json_dict(json.loads(text))
+
+
+# ---------------------------------------------------------------------------
+# family constructors: parameters outside their range raise, never coerce
+
+
+@pytest.mark.parametrize(
+    "build, args, error",
+    [
+        (uniform, (-2, 5), InvalidDimensions),
+        (uniform, (6, 5), InvalidDimensions),
+        (uniform, (0, -1), InvalidDimensions),
+        (minimal, (0, 5), InvalidDimensions),
+        (minimal, (5, 5), InvalidDimensions),
+        (minimal, (-2, 5), InvalidDimensions),
+        (minimal, (1, 1), InvalidDimensions),
+        (panhandle, (2, 5, 5), InvalidDimensions),
+        (panhandle, (3, 2, 6), InvalidDimensions),
+        (panhandle, (0, 2, 5), InvalidDimensions),
+        (panhandle, (2, -3, 5), InvalidDimensions),
+        (schubert_matroid, (4, [2, 2, 4]), ElementOutOfRange),
+        (schubert_matroid, (4, [4, 1, 4]), ElementOutOfRange),
+    ],
+    ids=["U(-2,5)", "U(6,5)", "U(0,-1)", "T(0,5)", "T(5,5)", "T(-2,5)", "T(1,1)",
+         "Pan(2,5,5)", "Pan(3,2,6)", "Pan(0,2,5)", "Pan(2,-3,5)", "SM(4;2,2,4)",
+         "SM(4;4,1,4)"],
+)
+def test_family_constructors_reject_parameters_out_of_range(build, args, error):
+    with pytest.raises(error):
+        build(*args)
+
+
+def test_family_constructors_at_the_ends_of_their_ranges():
+    assert uniform(0, 1) == from_bases(1, 0, [()])
+    assert uniform(1, 1) == from_bases(1, 1, [(1,)])
+    assert uniform(0, 0) == from_bases(0, 0, [()])
+    assert minimal(1, 2) == uniform(1, 2)
+    for r, n in [(1, 3), (2, 5), (4, 6)]:
+        assert panhandle(r, r, n) == minimal(r, n)
+        assert panhandle(r, n - 1, n) == uniform(r, n)
+    assert schubert_matroid(4, (4, 2)) == schubert_matroid(4, [2, 4])
+
+
+# ---------------------------------------------------------------------------
+# beta as a basis-activity count against Crapo's subset sum
+
+
+def random_sparse_paving(r, n, k, rng):
+    """k non-bases, pairwise meeting in at most r - 2 elements."""
+    nonbases = []
+    while len(nonbases) < k:
+        cand = frozenset(rng.sample(range(1, n + 1), r))
+        if all(len(cand & b) <= r - 2 for b in nonbases):
+            nonbases.append(cand)
+    return matroid_from_nonbases(n, r, nonbases)
+
+
+def test_beta_matches_crapo_subset_sum(fano, vamos):
+    corpus = [m for _, _, _, m in family_corpus(8)] + [fano, vamos]
+    corpus += [dual(m) for m in corpus]
+    loop, coloop = uniform(0, 1), uniform(1, 1)
+    corpus += [loop, coloop, direct_sum(loop, coloop), direct_sum(coloop, loop)]
+    for m in (uniform(2, 4), minimal(2, 5), fano):
+        corpus += [direct_sum(m, loop), direct_sum(loop, m), direct_sum(m, coloop),
+                   direct_sum(coloop, m), direct_sum(direct_sum(coloop, m), loop)]
+    sp = random_sparse_paving(4, 10, 3, random.Random(10))
+    assert classify(sp).is_sparse_paving and classify(sp).nonbasis_count == 3
+    corpus += [uniform(5, 10), minimal(5, 10), panhandle(3, 5, 8), sp]
+    for m in corpus:
+        assert beta(m) == oracle.beta(m.n, m.r, m.bases), m
+    assert beta(sp) == comb(8, 3) - 3
+
+
+# ---------------------------------------------------------------------------
+# from_bases: the bulk parse gives the outcome of a basis-by-basis parse
+
+
+def per_basis_from_bases(n, r, bases):
+    """from_bases checked one basis at a time, in order: the type of each
+    element, then the size, then the range of the basis."""
+    require_int(n, "ground-set size")
+    require_int(r, "rank")
+    if not 0 <= r <= n:
+        raise InvalidDimensions(f"need 0 <= r <= n, got r={r}, n={n}")
+    try:
+        bases = [tuple(b) for b in bases]
+    except TypeError as exc:
+        raise MalformedBasis(f"bases must be collections of elements: {exc}") from None
+    sets = set()
+    for b in bases:
+        for e in b:
+            require_int(e, "basis element")
+        if len(b) != r or len(set(b)) != r:
+            raise WrongBasisSize(f"basis {b} is not a set of {r} elements")
+        if b and (min(b) < 1 or max(b) > n):
+            raise ElementOutOfRange(f"basis {tuple(sorted(b))} not inside [{n}]")
+        sets.add(tuple(sorted(b)))
+    if not sets:
+        raise EmptyBases("a matroid needs at least one basis")
+    m = Matroid(n, r, sets)
+    validate_exchange(m)
+    return m
+
+
+def outcome(build, n, r, bases):
+    """("ok", matroid) or (error class name, message)."""
+    try:
+        return "ok", build(n, r, bases)
+    except SchubmatError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "n, r, bases, expected",
+    [
+        (3, 2, [(1, 2), (1,), (True, 2)], ("WrongBasisSize", "basis (1,) is not a set of 2 elements")),
+        (3, 2, [(1, 2), (1, 2, 3), (0, 1)],
+         ("WrongBasisSize", "basis (1, 2, 3) is not a set of 2 elements")),
+        (3, 2, [(1, 2), (1,), (1, 4)], ("WrongBasisSize", "basis (1,) is not a set of 2 elements")),
+        (3, 2, [(1, 2), (True, 2), (1,)], ("NotAnInteger", "basis element True is not an int")),
+        (3, 2, [(2, 0), (1,)], ("ElementOutOfRange", "basis (0, 2) not inside [3]")),
+        (3, 2, [(1, 2), (4, 1), (True,)], ("ElementOutOfRange", "basis (1, 4) not inside [3]")),
+        (3, 2, [(1, 2), (0, 1, 2)], ("WrongBasisSize", "basis (0, 1, 2) is not a set of 2 elements")),
+        (3, 2, [(2, 1.0, 5)], ("NotAnInteger", "basis element 1.0 is not an int")),
+        (3, 2, [(1, 3), (2, 2), (1, 2)], ("WrongBasisSize", "basis (2, 2) is not a set of 2 elements")),
+        (3, 2, [(1, 2), (2, 2), (1, 5)], ("WrongBasisSize", "basis (2, 2) is not a set of 2 elements")),
+        (3, 2, [(1, 5), (2, 2)], ("ElementOutOfRange", "basis (1, 5) not inside [3]")),
+        (3, 2, [(4, 4)], ("WrongBasisSize", "basis (4, 4) is not a set of 2 elements")),
+        (4, 3, [(1, 2, 3), (3, 1, 3)],
+         ("WrongBasisSize", "basis (3, 1, 3) is not a set of 3 elements")),
+        (3, 2, [(1, 2), (0, 1)], ("ElementOutOfRange", "basis (0, 1) not inside [3]")),
+        (3, 2, [(1, 2), (4, 1)], ("ElementOutOfRange", "basis (1, 4) not inside [3]")),
+        (3, 2, [], ("EmptyBases", "a matroid needs at least one basis")),
+        (3, 0, [(1,)], ("WrongBasisSize", "basis (1,) is not a set of 0 elements")),
+    ],
+    ids=["size-then-bool", "size-then-zero", "size-then-n+1", "bool-then-size",
+         "zero-then-size", "n+1-then-bool", "size-before-range", "type-before-size",
+         "repeat-in-range", "repeat-then-n+1", "n+1-then-repeat", "repeat-out-of-range",
+         "repeat-rank-3", "zero-only", "n+1-only", "empty-list",
+         "r=0-nonempty-basis"],
+)
+def test_from_bases_raises_the_first_fault_of_the_basis_list(n, r, bases, expected):
+    assert outcome(from_bases, n, r, bases) == expected
+    assert outcome(per_basis_from_bases, n, r, bases) == expected
+
+
+def test_from_bases_accepts_what_a_per_basis_parse_accepts():
+    u23 = Matroid(3, 2, [(1, 2), (1, 3), (2, 3)])
+    cases = [  # (n, r, a function returning fresh bases, expected matroid)
+        (3, 2, lambda: [(1, 2), (2, 1), (1, 2), (1, 3), (2, 3)], u23),  # duplicate bases
+        (3, 0, lambda: [()], Matroid(3, 0, [()])),
+        (3, 0, lambda: [(), []], Matroid(3, 0, [()])),
+        (0, 0, lambda: [()], Matroid(0, 0, [()])),
+        (3, 2, lambda: [(Label(1), Label(2)), (1, 3), (2, 3)], u23),  # int subclass
+        (3, 2, lambda: [(Label(1), Label(2)), (Label(1), Label(3)), (Label(3), Label(2))], u23),
+        (3, 2, lambda: [[1, 2], iter((1, 3)), (e for e in (3, 2))], u23),  # lists, iterators
+        (3, 2, lambda: (b for b in [(1, 2), (1, 3), (2, 3)]), u23),  # a generator of bases
+        (3, 2, lambda: [{1, 2}, frozenset({1, 3}), (2, 3)], u23),
+    ]
+    for n, r, bases, expected in cases:
+        assert outcome(from_bases, n, r, bases()) == ("ok", expected)
+        assert outcome(per_basis_from_bases, n, r, bases()) == ("ok", expected)
+
+
+@st.composite
+def faulty_basis_lists(draw):
+    """A few bases over [n], n <= 5, with occasional wrong sizes, repeated
+    elements, elements 0 or n + 1, bools, floats and int subclasses."""
+    n = draw(st.integers(0, 5))
+    r = draw(st.integers(0, n))
+    element = st.one_of(
+        st.integers(1, n) if n else st.just(1),
+        st.sampled_from([0, n + 1, -1, True, False, 1.0]),
+        st.integers(1, max(n, 1)).map(Label),
+    )
+    plain = st.lists(st.integers(1, n), min_size=r, max_size=r, unique=True) if n else st.just([])
+    basis = st.one_of(plain, plain, plain, st.lists(element, min_size=max(r - 1, 0), max_size=r + 1))
+    return n, r, draw(st.lists(basis.map(tuple), min_size=0, max_size=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_basis_lists())
+def test_from_bases_matches_per_basis_parse_on_faulty_lists(case):
+    n, r, bases = case
+    assert outcome(from_bases, n, r, bases) == outcome(per_basis_from_bases, n, r, bases)
