@@ -3,6 +3,7 @@
 Verbs: class, beta, volume, circuits, info, verify, product.  Matroids come
 from --uniform/--minimal/--panhandle/--schubert parameters or from JSON
 files (--matroid, --matrix); giving several sources forms their direct sum.
+--limit-n, the volume oracle's ground-set bound, belongs to volume and verify.
 Integers in flags are decimal (-?[0-9]+), never coerced.
 Exit status: 0 success, 1 domain error (error name on stderr), 2 usage error.
 """
@@ -86,8 +87,6 @@ def _add_source_flags(sub):
                           ("schubert", "N:I1,I2,..."), ("matroid", "FILE"), ("matrix", "FILE")):
         sub.add_argument(f"--{flag}", action="append", metavar=metavar)
     sub.add_argument("--format", choices=("json", "text"), default="text")
-    sub.add_argument("--limit-n", type=integer, default=polytope.DESK_SCALE_LIMIT,
-                     help="override the polytope desk-scale bound (at your own risk)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,6 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     for verb in _MATROID_VERBS:
         sub = subs.add_parser(verb)
         _add_source_flags(sub)
+        if verb in ("volume", "verify"):  # the verbs that count lattice points
+            sub.add_argument("--limit-n", type=integer, default=polytope.DESK_SCALE_LIMIT,
+                             help="override the polytope desk-scale bound (at your own risk)")
     prod = subs.add_parser("product")
     prod.add_argument("lhs", metavar="CLASS_JSON")
     prod.add_argument("rhs", metavar="CLASS_JSON")

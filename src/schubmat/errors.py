@@ -31,12 +31,14 @@ class WrongBasisSize(SchubmatError):
 
 
 class ElementOutOfRange(SchubmatError):
-    """A basis element or a Schubert index lies outside the ground set [n],
-    or a Schubert index set repeats an index."""
+    """A basis element, a Schubert index or an element given to `minor` or
+    `restriction` lies outside the ground set [n], or a Schubert index set
+    repeats an index."""
 
 
 class NotAnInteger(SchubmatError):
-    """A ground-set size, rank, basis element, partition part or Chow-class
+    """A ground-set size, rank, basis element, family parameter, Schubert
+    index, element of a minor's set, partition part or Chow-class
     coefficient is not an int.
 
     Bools, floats and numeric strings are rejected, never coerced.

@@ -21,13 +21,14 @@ hyperplane cl(S).  Every consumer reads it:
   external activity 0).
 Circuits are the fundamental circuits of the bases, so no subset of the
 ground set is enumerated.  Derived facts (the exchange table, the
-classification, beta, the rank of every subset) are computed once and
-cached on the instance.
+classification, beta, the rank of every subset, and the polytope's binding
+flats and coordinate order) are computed once per instance by functions
+decorated with `_memo`, the one owner of the per-instance cache.
 """
 
 import re
 from collections import namedtuple
-from functools import reduce
+from functools import reduce, wraps
 from itertools import chain, combinations
 from math import comb
 from operator import and_, or_
@@ -74,16 +75,52 @@ def _bits(mask: int) -> list[int]:
 class Matroid:
     """Immutable matroid with ground set [n], rank r, and an explicit basis set.
 
+    Two constructors.  `Matroid(n, r, bases)` is the checked one, for input
+    from outside the library: n and r are ints with 0 <= r <= n, every basis
+    is r distinct int elements of [n], there is at least one basis, and the
+    bases satisfy the exchange axiom; the first fault raises its named
+    error.  `Matroid._from_masks(n, r, masks)` trusts its bitmasks and checks
+    nothing; it builds what is derived from a valid matroid (`dual`,
+    `minor`, `direct_sum`), and tests use it for deliberate non-matroids.
+
     `bases` is a read-only view (a frozenset of sorted element tuples) of the
-    bitmasks the library works on.  `_cache` holds what is derived from them
-    once per instance: the exchange table, the classification, beta, the
-    rank table, and the base polytope's binding flats and coordinate order.
+    bitmasks the library works on.  `_cache` holds what the `_memo`
+    functions derive from them, once per instance: the exchange table, the
+    classification, beta, the rank table, and the base polytope's binding
+    flats and coordinate order.
     """
 
-    __slots__ = ("n", "r", "_masks", "_hash", "_bases", "_cache")
+    __slots__ = ("n", "r", "_masks", "_bases", "_cache")
 
     def __init__(self, n: int, r: int, bases):
-        self._init(n, r, frozenset(_mask(b) for b in bases))
+        # one bulk pass over all elements covers the common input: every
+        # element is exactly an int, every basis has r of them, and all lie
+        # in [n]; a basis that repeats an element then has a mask of fewer
+        # than r bits.  If any of that fails, `_rescan` goes basis by basis,
+        # raises the first fault (its type, then its size, then its range),
+        # and takes int subclasses.
+        require_int(n, "ground-set size")
+        require_int(r, "rank")
+        if not 0 <= r <= n:
+            raise InvalidDimensions(f"need 0 <= r <= n, got r={r}, n={n}")
+        try:
+            bases = [tuple(b) for b in bases]
+        except TypeError as exc:
+            raise MalformedBasis(f"bases must be collections of elements: {exc}") from None
+        flat = list(chain.from_iterable(bases))
+        masks = None
+        if (
+            set(map(len, bases)) <= {r}
+            and set(map(type, flat)) <= {int}
+            and (not flat or 1 <= min(flat) and max(flat) <= n)
+        ):
+            masks = set(map(_mask, bases))
+        if masks is None or not set(map(int.bit_count, masks)) <= {r}:
+            masks = _rescan(n, r, bases)
+        if not masks:
+            raise EmptyBases("a matroid needs at least one basis")
+        self._init(n, r, frozenset(masks))
+        validate_exchange(self)
 
     @classmethod
     def _from_masks(cls, n: int, r: int, masks) -> "Matroid":
@@ -95,7 +132,6 @@ class Matroid:
         self.n = n
         self.r = r
         self._masks = masks
-        self._hash = hash((n, r, masks))
         self._bases = None
         self._cache = {}
 
@@ -114,7 +150,7 @@ class Matroid:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.r, self._masks))  # a frozenset caches its own hash
 
     def __repr__(self):
         return f"Matroid(n={self.n}, r={self.r}, |bases|={len(self._masks)})"
@@ -149,23 +185,36 @@ class Matroid:
         return from_bases(data["n"], data["r"], data["bases"])
 
 
+def _memo(fn):
+    """fn(m), computed once per matroid instance and kept in `m._cache`
+    under fn's name; the memoized functions never return None."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def memoized(m: Matroid):
+        value = m._cache.get(name)
+        if value is None:
+            value = m._cache[name] = fn(m)
+        return value
+
+    return memoized
+
+
+@_memo
 def _exchange_table(m: Matroid) -> dict[int, int]:
     """F(S) = {e : S + e is a basis} for every (r-1)-set S = B - x.
 
     One pass of |B| * r updates.  S is independent, F(S) holds the x of
     every basis S + x, and its complement is the hyperplane cl(S).
     """
-    table = m._cache.get("exchange")
-    if table is None:
-        table = {}
-        get = table.get
-        for b in m._masks:
-            rest = b
-            while rest:
-                x = rest & -rest
-                rest ^= x
-                table[b ^ x] = get(b ^ x, 0) | x
-        m._cache["exchange"] = table
+    table = {}
+    get = table.get
+    for b in m._masks:
+        rest = b
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            table[b ^ x] = get(b ^ x, 0) | x
     return table
 
 
@@ -193,38 +242,9 @@ def validate_exchange(m: Matroid) -> None:
 
 
 def from_bases(n: int, r: int, bases) -> Matroid:
-    """Build a validated matroid from an explicit basis list.
-
-    One bulk pass over all elements covers the common input: every element
-    is exactly an int, every basis has r of them, and all lie in [n]; a
-    basis that repeats an element then has a mask of fewer than r bits.  If
-    any of that fails, `_rescan` goes basis by basis, raises the first
-    fault (its type, then its size, then its range), and takes int
-    subclasses.
-    """
-    require_int(n, "ground-set size")
-    require_int(r, "rank")
-    if not 0 <= r <= n:
-        raise InvalidDimensions(f"need 0 <= r <= n, got r={r}, n={n}")
-    try:
-        bases = [tuple(b) for b in bases]
-    except TypeError as exc:
-        raise MalformedBasis(f"bases must be collections of elements: {exc}") from None
-    flat = list(chain.from_iterable(bases))
-    masks = None
-    if (
-        set(map(len, bases)) <= {r}
-        and set(map(type, flat)) <= {int}
-        and (not flat or 1 <= min(flat) and max(flat) <= n)
-    ):
-        masks = set(map(_mask, bases))
-    if masks is None or not set(map(int.bit_count, masks)) <= {r}:
-        masks = _rescan(n, r, bases)
-    if not masks:
-        raise EmptyBases("a matroid needs at least one basis")
-    m = Matroid._from_masks(n, r, masks)
-    validate_exchange(m)
-    return m
+    """Build a validated matroid from an explicit basis list: the checked
+    constructor `Matroid(n, r, bases)`."""
+    return Matroid(n, r, bases)
 
 
 def _rescan(n: int, r: int, bases: list[tuple]) -> set[int]:
@@ -278,10 +298,14 @@ def lattice_path_matroid(upper: str, lower: str) -> Matroid:
 def schubert_matroid(n: int, indices) -> Matroid:
     """SM_I: upper path N^r E^(n-r), lower path with north steps at I.
 
-    I is a set of distinct indices in [n]; a repeated index is an error,
-    not dropped.
+    I is a set of distinct int indices in [n]; a repeated index is an
+    error, not dropped.
     """
-    indices = sorted(indices)
+    require_int(n, "ground-set size")
+    indices = list(indices)
+    for i in indices:
+        require_int(i, "Schubert index")
+    indices.sort()
     if indices and (indices[0] < 1 or indices[-1] > n):
         raise ElementOutOfRange(f"index set {indices} not inside [{n}]")
     if len(set(indices)) != len(indices):
@@ -294,6 +318,8 @@ def schubert_matroid(n: int, indices) -> Matroid:
 
 def uniform(r: int, n: int) -> Matroid:
     """U_{r,n} = SM_{ {n-r+1, ..., n} }, for 0 <= r <= n."""
+    require_int(r, "rank")
+    require_int(n, "ground-set size")
     if not 0 <= r <= n:
         raise InvalidDimensions(f"need 0 <= r <= n, got r={r}, n={n}")
     return schubert_matroid(n, range(n - r + 1, n + 1))
@@ -302,6 +328,8 @@ def uniform(r: int, n: int) -> Matroid:
 def minimal(r: int, n: int) -> Matroid:
     """T_{r,n} = SM_{ {2, ..., r, n} }: the connected matroid with r(n-r)+1
     bases, for 1 <= r <= n-1."""
+    require_int(r, "rank")
+    require_int(n, "ground-set size")
     if not 1 <= r <= n - 1:
         raise InvalidDimensions(f"need 1 <= r <= n-1, got r={r}, n={n}")
     return schubert_matroid(n, list(range(2, r + 1)) + [n])
@@ -310,6 +338,9 @@ def minimal(r: int, n: int) -> Matroid:
 def panhandle(r: int, s: int, n: int) -> Matroid:
     """Pan_{r,s,n} = SM_{ {s-r+2, ..., s, n} }, for 1 <= r <= s <= n-1;
     Pan_{r,r,n} = T_{r,n}, Pan_{r,n-1,n} = U_{r,n}."""
+    require_int(r, "rank")
+    require_int(s, "panhandle size s")
+    require_int(n, "ground-set size")
     if not 1 <= r <= s <= n - 1:
         raise InvalidDimensions(f"need 1 <= r <= s <= n-1, got r={r}, s={s}, n={n}")
     return schubert_matroid(n, list(range(s - r + 2, s + 1)) + [n])
@@ -381,6 +412,18 @@ def from_rational_matrix(entries, r: int) -> Matroid:
 # structural operations
 
 
+def _subset_mask(n: int, elements) -> int:
+    """The mask of a set of elements of [n]; an element that is not an int,
+    or lies outside [n], raises before it is masked."""
+    mask = 0
+    for e in elements:
+        require_int(e, "element")
+        if not 1 <= e <= n:
+            raise ElementOutOfRange(f"element {e} not inside [{n}]")
+        mask |= 1 << (e - 1)
+    return mask
+
+
 def dual(m: Matroid) -> Matroid:
     ground = m._ground()
     return Matroid._from_masks(m.n, m.n - m.r, (ground ^ b for b in m._masks))
@@ -389,15 +432,16 @@ def dual(m: Matroid) -> Matroid:
 def minor(m: Matroid, delete=(), contract=()) -> Matroid:
     """Delete and contract, relabelling the remaining ground set to [m] in order.
 
-    Loops created by contraction stay in the ground set.
+    Both sets hold int elements of [n].  Loops created by contraction stay
+    in the ground set.
     """
     delete, contract = frozenset(delete), frozenset(contract)
-    if delete & contract:
+    d, c = _subset_mask(m.n, delete), _subset_mask(m.n, contract)
+    if d & c:
         raise OverlappingSets(f"{sorted(delete & contract)} in both sets")
     if not m.is_independent(contract):
         raise DependentContraction(f"{sorted(contract)} is dependent")
-    c = _mask(contract)
-    keep = m._ground() & ~_mask(delete) & ~c
+    keep = m._ground() & ~d & ~c
     # contract: bases containing the contract set, minus it; then delete: the
     # largest distinct traces on the kept elements are the bases of the minor
     traces = {b & keep for b in m._masks if b & c == c}
@@ -412,8 +456,9 @@ def minor(m: Matroid, delete=(), contract=()) -> Matroid:
 
 
 def restriction(m: Matroid, subset) -> Matroid:
-    """M restricted to subset (delete everything else)."""
-    return minor(m, delete=set(range(1, m.n + 1)) - set(subset))
+    """M restricted to subset, a set of int elements of [n] (delete
+    everything else)."""
+    return minor(m, delete=_elements(m._ground() & ~_subset_mask(m.n, subset)))
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
@@ -480,6 +525,7 @@ def _components(m: Matroid) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(_elements(part) for part in parts))
 
 
+@_memo
 def classify(m: Matroid) -> Classification:
     """Components, paving and family flags; computed once per matroid instance.
 
@@ -487,9 +533,6 @@ def classify(m: Matroid) -> Classification:
     independent, that is, a key of the table.  Dual paving: every hyperplane
     E - F(S) has at most r elements, so every cocircuit at least n - r.
     """
-    summary = m._cache.get("classify")
-    if summary is not None:
-        return summary
     n, r, bases = m.n, m.r, m._masks
     table = _exchange_table(m)
     components = _components(m)
@@ -497,7 +540,7 @@ def classify(m: Matroid) -> Classification:
     is_paving = r == 0 or len(table) == comb(n, r - 1)
     dual_paving = all(fs.bit_count() >= n - r for fs in table.values())
     nonbasis_count = comb(n, r) - len(bases)
-    summary = Classification(
+    return Classification(
         components=components,
         kappa=kappa,
         loops=m.loops(),
@@ -508,10 +551,9 @@ def classify(m: Matroid) -> Classification:
         is_minimal=(kappa == 1 and len(bases) == r * (n - r) + 1),
         is_uniform=(nonbasis_count == 0),
     )
-    m._cache["classify"] = summary
-    return summary
 
 
+@_memo
 def rank_table(m: Matroid) -> list[int]:
     """rank(S) for every subset S of [n], indexed by its mask.
 
@@ -520,32 +562,27 @@ def rank_table(m: Matroid) -> list[int]:
     rank among its subsets one element smaller.  It has 2^n entries, so a
     caller bounds n first.  Computed once per instance.
     """
-    table = m._cache.get("rank_table")
-    if table is None:
-        table = [0] * (1 << m.n)
-        for b in m._masks:
-            table[b] = m.r
-        for s in range(len(table) - 1, 0, -1):
-            if table[s] == s.bit_count():
-                for e in _bits(s):
-                    table[s ^ e] = table[s] - 1
-        for s in range(1, len(table)):
-            if table[s] != s.bit_count():
-                table[s] = max(table[s ^ e] for e in _bits(s))
-        m._cache["rank_table"] = table
+    table = [0] * (1 << m.n)
+    for b in m._masks:
+        table[b] = m.r
+    for s in range(len(table) - 1, 0, -1):
+        if table[s] == s.bit_count():
+            for e in _bits(s):
+                table[s ^ e] = table[s] - 1
+    for s in range(1, len(table)):
+        if table[s] != s.bit_count():
+            table[s] = max(table[s ^ e] for e in _bits(s))
     return table
 
 
+@_memo
 def beta(m: Matroid) -> int:
     """Crapo's beta invariant, the Tutte coefficient t_10: the number of
     bases with internal activity 1 and external activity 0.
 
     Computed once per matroid instance, by `_activity_count`.
     """
-    value = m._cache.get("beta")
-    if value is None:
-        value = m._cache["beta"] = _activity_count(m)
-    return value
+    return _activity_count(m)
 
 
 def _activity_count(m: Matroid) -> int:

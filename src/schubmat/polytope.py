@@ -30,7 +30,7 @@ from math import factorial
 from operator import or_
 
 from .errors import DeskScaleExceeded, NonIntegralVolume, WrongAffineDimension
-from .matroids import Matroid, _bits, _mask, classify, matrix_rank, rank_table
+from .matroids import Matroid, _bits, _mask, _memo, classify, matrix_rank, rank_table
 
 DESK_SCALE_LIMIT = 8
 
@@ -63,6 +63,7 @@ def _check_scale(m: Matroid, limit: int) -> None:
         raise DeskScaleExceeded(f"n={m.n} exceeds the desk-scale limit {limit}")
 
 
+@_memo
 def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
     """Flats A (as masks) of one connected component C, closed in C, with
     2 <= |A| and rank(A) < min(|A|, r).
@@ -74,39 +75,35 @@ def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
     when rank(A & C) = r, follows from sum(y) = t*r.
     Computed once per matroid instance: every dilate shares them.
     """
-    out = m._cache.get("binding_flats")
-    if out is None:
-        rank = rank_table(m)
-        out = m._cache["binding_flats"] = []
-        for part in classify(m).components:
-            comp = _mask(part)
-            bits = _bits(comp)
-            s = comp
-            while s:  # every non-empty subset of the component, as a submask
-                # a set is not closed in C when some e of C outside it keeps
-                # the rank; its closure then gives a tighter constraint
-                if (2 <= s.bit_count() and rank[s] < min(s.bit_count(), m.r)
-                        and all(rank[s | e] > rank[s] for e in bits if not s & e)):
-                    out.append((s, rank[s]))
-                s = (s - 1) & comp
+    rank = rank_table(m)
+    out = []
+    for part in classify(m).components:
+        comp = _mask(part)
+        bits = _bits(comp)
+        s = comp
+        while s:  # every non-empty subset of the component, as a submask
+            # a set is not closed in C when some e of C outside it keeps
+            # the rank; its closure then gives a tighter constraint
+            if (2 <= s.bit_count() and rank[s] < min(s.bit_count(), m.r)
+                    and all(rank[s | e] > rank[s] for e in bits if not s & e)):
+                out.append((s, rank[s]))
+            s = (s - 1) & comp
     return out
 
 
+@_memo
 def _coordinate_order(m: Matroid) -> list[int]:
     """Coordinates (single-bit masks), component by component; inside one,
     those in more binding flats come first and the label breaks ties.
 
     Computed once per matroid instance, like the flats.
     """
-    order = m._cache.get("coordinate_order")
-    if order is None:
-        flats = _binding_constraints(m)
-        order = m._cache["coordinate_order"] = [
-            e
-            for part in classify(m).components
-            for e in sorted(_bits(_mask(part)), key=lambda e: -sum(1 for s, _ in flats if s & e))
-        ]
-    return order
+    flats = _binding_constraints(m)
+    return [
+        e
+        for part in classify(m).components
+        for e in sorted(_bits(_mask(part)), key=lambda e: -sum(1 for s, _ in flats if s & e))
+    ]
 
 
 def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:

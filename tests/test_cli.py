@@ -298,7 +298,8 @@ def exit_code(capsys, *argv):
         (["class", "--panhandle", "2,3,5.0"], 2),
         (["class", "--schubert", "+4:2,4"], 2),
         (["class", "--schubert", "4:2, 4"], 2),
-        (["info", "--uniform", "2,5", "--limit-n", "1_0"], 2),
+        (["verify", "--uniform", "2,5", "--limit-n", "1_0"], 2),
+        (["class", "--uniform", "2,4", "--limit-n", "9"], 2),
         (["volume", "--uniform", "2,4", "--limit-n", "+8"], 2),
         (["volume", "--uniform", "2,4", "--limit-n", " 8"], 2),
         (["class", "--uniform", "2,-5"], 1),

@@ -4,6 +4,7 @@ library and itself."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,18 @@ def test_library_imports_only_the_standard_library():
         for path in SOURCES
         for name in imported_modules(ast.parse(path.read_text()))
         if name not in allowed
+    }
+    assert not outside, sorted(outside)
+
+
+def test_matroid_cache_and_trusted_constructor_stay_in_the_matroid_module():
+    """Only matroids.py reads or writes a matroid's `_cache` (through its
+    memo decorator) or builds a matroid unchecked with `_from_masks`."""
+    outside = {
+        f"{path.name}: {name}"
+        for path in SOURCES
+        if path.name != "matroids.py"
+        for name in re.findall(r"\b(_cache|_from_masks)\b", path.read_text())
     }
     assert not outside, sorted(outside)
 

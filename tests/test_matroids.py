@@ -208,6 +208,30 @@ def test_minor_errors():
         minor(t24, contract={3, 4})
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda m: restriction(m, {1, 2, 9}), ElementOutOfRange),
+        (lambda m: minor(m, delete={9}), ElementOutOfRange),
+        (lambda m: minor(m, delete={True}), NotAnInteger),
+        (lambda m: minor(m, contract={0}), ElementOutOfRange),
+        (lambda m: restriction(m, {1, 2.0}), NotAnInteger),
+    ],
+    ids=["restrict-to-9", "delete-9", "delete-True", "contract-0", "restrict-to-2.0"],
+)
+def test_minor_and_restriction_check_their_elements(build, error):
+    with pytest.raises(error):
+        build(uniform(2, 4))
+
+
+def test_restriction_takes_any_iterable_of_elements():
+    two_pts = direct_sum(uniform(1, 2), uniform(1, 3))
+    assert restriction(two_pts, (e for e in (3, 4, 5))) == uniform(1, 3)
+    assert restriction(two_pts, [Label(1), Label(2)]) == uniform(1, 2)
+    assert minor(two_pts, delete=iter([5]), contract=[Label(1)]) == direct_sum(
+        uniform(0, 1), uniform(1, 2))
+
+
 def test_circuits_examples():
     assert circuits(uniform(2, 4)) == frozenset(
         frozenset(c) for c in combinations(range(1, 5), 3)
@@ -402,7 +426,8 @@ def test_exchange_table_hyperplanes_on_near_valid_families():
             assert_matches_oracle(m.n, m.r, bases)
             members = {frozenset(b) for b in bases}
             closures = oracle.hyperplanes(m.n, m.r, bases)
-            table = matroids._exchange_table(Matroid(m.n, m.r, bases))
+            table = matroids._exchange_table(
+                Matroid._from_masks(m.n, m.r, map(matroids._mask, bases)))
             ground = (1 << m.n) - 1
             assert closures == {
                 frozenset(matroids._elements(s)): frozenset(matroids._elements(ground ^ fs))
@@ -455,6 +480,34 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
     m = uniform(2, 5)
     verify_volume_relation(m)
     assert components == [m] and len(full_beta) == 1
+    # every instance gets a cache that records the name of each value stored
+    caches = []
+
+    class RecordingCache(dict):
+        def __setitem__(self, name, value):
+            self.stored.append(name)
+            super().__setitem__(name, value)
+
+    real_init = Matroid._init
+
+    def recording_init(self, n, r, masks):
+        real_init(self, n, r, masks)
+        self._cache = RecordingCache()
+        self._cache.stored = []
+        caches.append(self._cache)
+
+    monkeypatch.setattr(Matroid, "_init", recording_init)
+    memoized = {"_exchange_table", "classify", "rank_table", "beta",
+                "_binding_constraints", "_coordinate_order"}
+    # sc skips beta on a disconnected matroid; its components compute it
+    for build, expected in ((lambda: uniform(2, 5), memoized),
+                            (lambda: direct_sum(uniform(1, 2), minimal(2, 4)), memoized - {"beta"})):
+        del caches[:]
+        m = build()
+        verify_volume_relation(m)
+        for cache in caches:  # no instance computes a value twice
+            assert len(cache.stored) == len(set(cache.stored)) and set(cache.stored) <= memoized
+        assert set(m._cache.stored) == expected
 
 
 def test_sc_skips_beta_on_disconnected_matroids(monkeypatch):
@@ -524,10 +577,20 @@ def test_json_input_is_not_coerced(text):
         (panhandle, (2, -3, 5), InvalidDimensions),
         (schubert_matroid, (4, [2, 2, 4]), ElementOutOfRange),
         (schubert_matroid, (4, [4, 1, 4]), ElementOutOfRange),
+        (uniform, (True, 3), NotAnInteger),
+        (uniform, (2.0, 5), NotAnInteger),
+        (uniform, (2, 5.0), NotAnInteger),
+        (minimal, (True, 3), NotAnInteger),
+        (panhandle, (2, 3.0, 5), NotAnInteger),
+        (panhandle, (True, 2, 5), NotAnInteger),
+        (schubert_matroid, (4, [True, 3]), NotAnInteger),
+        (schubert_matroid, (4, [2.0, 4]), NotAnInteger),
+        (schubert_matroid, (4.0, [2, 4]), NotAnInteger),
     ],
     ids=["U(-2,5)", "U(6,5)", "U(0,-1)", "T(0,5)", "T(5,5)", "T(-2,5)", "T(1,1)",
          "Pan(2,5,5)", "Pan(3,2,6)", "Pan(0,2,5)", "Pan(2,-3,5)", "SM(4;2,2,4)",
-         "SM(4;4,1,4)"],
+         "SM(4;4,1,4)", "U(True,3)", "U(2.0,5)", "U(2,5.0)", "T(True,3)", "Pan(2,3.0,5)",
+         "Pan(True,2,5)", "SM(4;True,3)", "SM(4;2.0,4)", "SM(4.0;2,4)"],
 )
 def test_family_constructors_reject_parameters_out_of_range(build, args, error):
     with pytest.raises(error):
@@ -601,7 +664,7 @@ def per_basis_from_bases(n, r, bases):
         sets.add(tuple(sorted(b)))
     if not sets:
         raise EmptyBases("a matroid needs at least one basis")
-    m = Matroid(n, r, sets)
+    m = Matroid._from_masks(n, r, map(matroids._mask, sets))
     validate_exchange(m)
     return m
 
@@ -687,3 +750,48 @@ def faulty_basis_lists(draw):
 def test_from_bases_matches_per_basis_parse_on_faulty_lists(case):
     n, r, bases = case
     assert outcome(from_bases, n, r, bases) == outcome(per_basis_from_bases, n, r, bases)
+
+
+# ---------------------------------------------------------------------------
+# Matroid(n, r, bases) is the checked constructor; Matroid._from_masks trusts
+
+
+@pytest.mark.parametrize(
+    "n, r, bases, error",
+    [
+        (3, 2, [(1, 1)], WrongBasisSize),
+        (4, 2, [(1, 2), (3, 4)], ExchangeAxiomViolated),
+        (2, 1, [(5,)], ElementOutOfRange),
+    ],
+    ids=["repeated-element", "no-exchange", "out-of-range"],
+)
+def test_matroid_constructor_checks_its_input(n, r, bases, error):
+    with pytest.raises(error):
+        Matroid(n, r, bases)
+
+
+def test_matroid_constructor_is_from_bases_on_the_family_corpus():
+    for _, r, n, m in family_corpus(7):
+        bases = sorted(m.bases)
+        assert Matroid(n, r, bases) == from_bases(n, r, bases) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(faulty_basis_lists(), r_subset_families()))
+def test_matroid_constructor_fails_as_from_bases_does(case):
+    n, r, bases = case
+    assert outcome(Matroid, n, r, bases) == outcome(from_bases, n, r, bases)
+
+
+def test_derived_matroids_satisfy_the_exchange_axiom(fano, vamos):
+    """dual, minor, restriction and direct_sum build through the trusted
+    constructor; what they derive from a matroid is a matroid."""
+    corpus = [m for _, _, _, m in family_corpus(6)] + [fano, vamos]
+    for prev, m in zip(corpus[-1:] + corpus, corpus):
+        contracted = min(min(b) for b in m.bases)  # an element of some basis
+        derived = [dual(m), minor(m, delete={m.n}), minor(m, contract={contracted}),
+                   direct_sum(m, prev)]
+        derived += [restriction(m, part) for part in classify(m).components]
+        for d in derived:
+            validate_exchange(d)
+            assert Matroid(d.n, d.r, d.bases) == d
