@@ -9,7 +9,6 @@ from . import errors
 from .chow import (
     Ambient,
     ChowClass,
-    box_shift,
     lr_coefficient,
     pieri,
     product,

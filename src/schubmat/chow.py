@@ -1,26 +1,43 @@
 """The Chow ring of the Grassmannian G(r,n) as a free abelian group on
 Schubert cycles, with Pieri products, Littlewood-Richardson products,
-sigma_1-power degrees, and the box-shift embedding used for direct sums.
+sigma_1-power degrees, and the direct-sum fold.
 
 A ChowClass is a finite integer combination of Schubert cycles sigma_lam,
 with every lam inside the r x (n-r) rectangle.  Cycles that would leave
 the rectangle are truncated away (the quotient-ring convention).
 
-Products are computed per pair of cycles (mu, nu): the LR tableaux of
+LR terms are computed per pair of cycles (mu, nu): the LR tableaux of
 content nu on mu are generated directly, one horizontal strip per label
 under the lattice-word condition, so only the non-zero coefficients
 c^lam_{mu,nu} are ever built, and shapes that would leave the rectangle
 are pruned during the search.  Within a label the search steps over rows
 that get no cell without recursing, and ends a branch as soon as the rows
-left cannot hold the cells left (a capacity prune).  Each pair's terms are
-cached for the life of the process (one lru_cache, keyed by (mu, nu,
-rectangle)); lr_coefficient reads a single coefficient out of that cache.
-Two other designs give the same terms and were measured slower or no
-faster on the box-shifted pairs of direct sums: a label-by-label dynamic
-programme that merges equal (shape, last-label row counts) states (there
-is almost nothing to merge: the coefficients are mostly 1), and folding
-on the complement side, c^kappa_{mu^c, nu^c}, which is the paper's
-direct-sum formula and serves as a test oracle instead.
+left cannot hold the cells left (a capacity prune).  The search recurses
+per label, so the orientation rule picks the pair's smaller partition as
+content and, when that content has more rows than columns, searches the
+conjugate pair in the transposed rectangle and conjugates the results
+back.  Each pair's terms are cached for the life of the process (one
+lru_cache on _lr_terms, keyed by (mu, nu, rectangle)); lr_coefficient
+reads a single coefficient out of that cache.
+
+A direct sum folds on the complement side, as in the paper's direct-sum
+formula: the class of M1 + M2 has coefficient sum a_mu b_nu
+c^kappa_{mu^c,nu^c} at sigma_{kappa^c}.  For matroid classes each
+complement has n_i - 1 cells, so a search places at most n_i - 1 cells in
+the pair's bounding rectangle, where box-shifting both classes into the
+joint rectangle placed 10-17 cells in rectangles such as 12 x 4.  The
+pair goes in a fixed order and the bounding rectangle depends on the pair
+only, so folds into different ambients share cache entries.  An earlier
+prototype that changed only the fold was not faster than the box-shifted
+product (72-84 against 62-71 ms per process of the benchmark's products
+workload): it took every complement through the validating
+complement_in_rectangle, and those several thousand checked passes per
+process cancelled the gain.  Complements of partitions the library built
+now come from one cached, unchecked helper (partitions._complement),
+and tall contents are searched transposed.  A label-by-label dynamic
+programme that merges equal (shape, last-label row counts) states was
+also measured and was not faster: there is almost nothing to merge,
+since the coefficients are mostly 1.
 
 The degree of c * sigma_1^s needs no products: sigma_lam * sigma_1^s
 meets the point class once for each standard filling of the rectangle
@@ -31,10 +48,11 @@ That count is cached per (lam, rectangle), since folds repeat partitions.
 import re
 from functools import lru_cache
 
-from .errors import AmbientMismatch, DoesNotFit, require_int, require_type
+from .errors import AmbientMismatch, DoesNotFit, InvalidDimensions, require_int, require_type
 from .partitions import (
     Partition,
-    complement_in_rectangle,
+    _complement,
+    conjugate,
     contains,
     fits,
     normalize,
@@ -93,9 +111,11 @@ class ChowClass(_ReadOnly):
     """Integer combination of Schubert cycles in a fixed ambient.
 
     terms maps partitions to non-zero int coefficients; the zero class
-    has an empty term map (ChowClass(ambient)).  A coefficient that is not
-    an int (a bool is not one) raises NotAnInteger.  The class is compared
-    by value and, like its term map, is not hashable.
+    has an empty term map (ChowClass(ambient)).  A partition part or a
+    coefficient that is not an int (a bool is not one) raises NotAnInteger:
+    the kernel's caches are keyed by partitions, and (1.0,) == (1,) would
+    share an entry.  The class is compared by value and, like its term map,
+    is not hashable.
     """
 
     __slots__ = ("ambient", "terms")
@@ -104,6 +124,8 @@ class ChowClass(_ReadOnly):
         clean = {}
         for lam, c in (terms or {}).items():
             lam = normalize(lam)
+            for p in lam:
+                require_int(p, "partition part")
             if not fits(lam, ambient.rect):
                 raise DoesNotFit(f"{lam} does not fit in G({ambient.r},{ambient.n})")
             require_int(c, "coefficient")
@@ -219,7 +241,9 @@ def _pieri_shapes(lam: Partition, b: int, rect: tuple[int, int]):
 
 
 def pieri(c: ChowClass, b: int) -> ChowClass:
-    """Multiply by the single-row cycle sigma_(b) via Pieri's rule."""
+    """Multiply by the single-row cycle sigma_(b) via Pieri's rule; b is a
+    non-negative int."""
+    _require_degree(b, "Pieri degree")
     if b == 0:
         return c
     terms: dict[Partition, int] = {}
@@ -235,6 +259,33 @@ def _lr_terms(
 ) -> tuple[tuple[Partition, int], ...]:
     """The pairs (lam, c^lam_{mu,nu}) with c > 0 and lam inside rect.
 
+    The smaller partition is placed as content (c^lam_{mu,nu} =
+    c^lam_{nu,mu}), since the search recurses once per label and per row
+    that gets cells.  When that content has more rows than columns, the
+    search runs on the conjugates in the transposed rectangle, where it has
+    fewer labels, and conjugates the results back (c^lam_{mu,nu} =
+    c^lam'_{mu',nu'}, and lam fits in rows x cols iff lam' fits in
+    cols x rows).  The key is (mu, nu, rect) as the caller gives it: product
+    passes its ambient's rectangle, fold the pair of complements in a fixed
+    order and its bounding rectangle, so fold's key depends on the pair
+    only and is shared by folds into different ambients.  The module
+    docstring says why an earlier complement-side fold was not faster.  The
+    result is shared by every caller, so it is an immutable tuple.
+    """
+    if (size(nu), nu) > (size(mu), mu):
+        mu, nu = nu, mu
+    if not fits(mu, rect):
+        return ()
+    if nu and len(nu) > nu[0]:
+        rows, cols = rect
+        found = _strip_search(conjugate(mu), conjugate(nu), (cols, rows))
+        return tuple((conjugate(lam), c) for lam, c in found.items())
+    return tuple(_strip_search(mu, nu, rect).items())
+
+
+def _strip_search(mu: Partition, nu: Partition, rect: tuple[int, int]) -> dict[Partition, int]:
+    """{lam: c^lam_{mu,nu}} for the lam inside rect with c > 0; mu fits in rect.
+
     Grows mu by the content nu, one horizontal strip per label, keeping the
     reverse reading word (rows top to bottom, each row right to left) a
     lattice word; each completed filling is one LR tableau of shape lam/mu.
@@ -244,15 +295,8 @@ def _lr_terms(
     horizontal strip puts at most prev_old - shape[j] cells in row j and at
     most shape[k-1] - shape[k] in each later row k (lengths before the
     label); that sum telescopes to prev_old - shape[-1], and a branch ends
-    as soon as it is less than the cells left.  A label-by-label DP over
-    merged states and a fold on the complement side were measured and were
-    not faster (see the module docstring).  The result is shared by every
-    caller, so it is an immutable tuple.
+    as soon as it is less than the cells left.
     """
-    if (size(nu), nu) > (size(mu), mu):
-        mu, nu = nu, mu  # c^lam_{mu,nu} = c^lam_{nu,mu}: place the smaller as content
-    if not fits(mu, rect):
-        return ()
     rows, cols = rect
     shape = list(padded(mu, rows))
     last = rows - 1
@@ -298,7 +342,7 @@ def _lr_terms(
             j, prev_old, cum_prev = j + 1, old, next_prev
 
     fill(0, 0, 0, cols, 0, 0)
-    return tuple(terms.items())
+    return terms
 
 
 @lru_cache(maxsize=None)
@@ -306,7 +350,7 @@ def _complement_syt(lam: Partition, rect: tuple[int, int]) -> int:
     """deg(sigma_lam * sigma_1^s) for |lam| + s = r(n-r): the standard fillings
     of the complement of lam in rect.  Folds repeat their partitions, so each
     count is taken once per process."""
-    return syt_count(complement_in_rectangle(lam, rect))
+    return syt_count(_complement(lam, rect))
 
 
 def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
@@ -332,37 +376,48 @@ def product(a: ChowClass, b: ChowClass) -> ChowClass:
     return ChowClass._trusted(a.ambient, terms)
 
 
+def fold(a: ChowClass, b: ChowClass) -> ChowClass:
+    """The class of a direct sum M1 + M2 in G(r1 + r2, n1 + n2) from the
+    class a of M1 and the class b of M2.
+
+    The coefficient of sigma_{kappa^c} is sum a_mu b_nu c^kappa_{mu^c,nu^c},
+    with mu^c and nu^c the complements in the rectangles of a and b and
+    kappa^c the complement in the joint rectangle.  The LR terms of a pair
+    are taken in its bounding rectangle, which holds every kappa, so nothing
+    is truncated; the pair goes to _lr_terms in a fixed order, so its cache
+    key does not depend on the ambients.
+    """
+    target = Ambient(a.ambient.r + b.ambient.r, a.ambient.n + b.ambient.n)
+    rect, rect_a, rect_b = target.rect, a.ambient.rect, b.ambient.rect
+    rights = [(_complement(nu, rect_b), cb) for nu, cb in b.terms.items()]
+    terms: dict[Partition, int] = {}
+    for mu, ca in a.terms.items():
+        left = _complement(mu, rect_a)
+        for right, cb in rights:
+            x, y = (left, right) if left >= right else (right, left)
+            for kappa, c in _lr_terms(x, y, (len(x) + len(y), sum(x[:1] + y[:1]))):
+                lam = _complement(kappa, rect)
+                terms[lam] = terms.get(lam, 0) + ca * cb * c
+    return ChowClass._trusted(target, terms)
+
+
+def _require_degree(d, what: str) -> None:
+    require_int(d, what)
+    if d < 0:
+        raise InvalidDimensions(f"{what} {d} is negative")
+
+
 def sigma1_power_degree(c: ChowClass, s: int) -> int:
-    """deg(c * sigma_(1)^s).
+    """deg(c * sigma_(1)^s); s is a non-negative int.
 
     sigma_lam * sigma_(1)^s has degree the number of standard fillings of
     the rectangle minus lam, which are counted by the hook-length formula on
     its complement; only terms with |lam| + s = r(n-r) reach the rectangle.
     """
+    _require_degree(s, "sigma_1 power")
     rect = c.ambient.rect
     return sum(
         coeff * _complement_syt(lam, rect)
         for lam, coeff in c.terms.items()
         if size(lam) + s == rect[0] * rect[1]
     )
-
-
-def box_shift(c: ChowClass, target: Ambient, shift: int) -> ChowClass:
-    """Embed c into the larger ambient by prepending a (c.r x shift) rectangle to each term.
-
-    Each sigma_mu becomes sigma over (shift+mu_1, ..., shift+mu_r) with mu
-    zero-padded to the source rank; coefficients are unchanged.
-    """
-    src = c.ambient
-    if shift < 0 or src.r > target.r or src.n > target.n:
-        raise AmbientMismatch(
-            f"cannot box-shift from G({src.r},{src.n}) into G({target.r},{target.n})"
-        )
-    terms: dict[Partition, int] = {}
-    for mu, coeff in c.terms.items():
-        shifted = normalize(tuple(shift + p for p in padded(mu, src.r)))
-        if not fits(shifted, target.rect):
-            raise DoesNotFit(f"shifted {shifted} exceeds {target.rect}")
-        terms[shifted] = terms.get(shifted, 0) + coeff
-    return ChowClass._trusted(target, terms)
-

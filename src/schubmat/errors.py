@@ -12,7 +12,8 @@ class DoesNotFit(SchubmatError):
 
 
 class InvalidDimensions(SchubmatError):
-    """Rank/ground-set dimensions outside the valid range."""
+    """Rank/ground-set dimensions outside the valid range, or a negative
+    degree given to `pieri` or `sigma1_power_degree`."""
 
 
 class AmbientMismatch(SchubmatError):
@@ -31,15 +32,16 @@ class WrongBasisSize(SchubmatError):
 
 
 class ElementOutOfRange(SchubmatError):
-    """A basis element, a Schubert index or an element given to `minor` or
-    `restriction` lies outside the ground set [n], or a Schubert index set
-    repeats an index."""
+    """A basis element, a Schubert index or an element given to `minor`,
+    `restriction`, `rank_of` or `is_independent` lies outside the ground set
+    [n], or a Schubert index set repeats an index."""
 
 
 class NotAnInteger(SchubmatError):
     """A ground-set size, rank, basis element, family parameter, Schubert
-    index, element of a minor's set, partition part or Chow-class
-    coefficient is not an int.
+    index, element of a subset given to a matroid method or `minor`,
+    partition part, Chow-class coefficient or Chow-kernel degree is not an
+    int.
 
     Bools, floats and numeric strings are rejected, never coerced.
     """

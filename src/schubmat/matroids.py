@@ -159,11 +159,11 @@ class Matroid:
         return (1 << self.n) - 1
 
     def is_independent(self, subset) -> bool:
-        s = _mask(subset)
+        s = _subset_mask(self.n, subset)
         return any(s & b == s for b in self._masks)
 
     def rank_of(self, subset) -> int:
-        s = _mask(subset)
+        s = _subset_mask(self.n, subset)
         return max((s & b).bit_count() for b in self._masks)
 
     def loops(self) -> frozenset:

@@ -3,14 +3,15 @@
 The class of a connected sparse paving matroid agrees with the uniform one
 except at the hook complement, where the coefficient drops to the beta
 invariant; minimal matroids contribute a single hook-complement cycle;
-direct sums multiply after box-shifting each factor into the joint ambient.
+direct sums fold the factors' classes on the complement side, in the joint
+ambient.
 Connected matroids outside these families raise UnsupportedMatroid.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 
-from .chow import Ambient, ChowClass, box_shift, product, sigma, sigma1_power_degree
+from .chow import Ambient, ChowClass, fold, sigma, sigma1_power_degree
 from .errors import (
     BetaMismatch,
     EmptyMatroid,
@@ -106,16 +107,13 @@ def sc_sparse_paving(m: Matroid) -> ChowClass:
 
 
 def sc_direct_sum(parts: list[ChowClass]) -> ChowClass:
-    """Fold classes of direct summands into the joint ambient and multiply."""
+    """Fold the classes of direct summands, left to right, into the joint
+    ambient (chow.fold: the paper's direct-sum formula on the complement side)."""
     if not parts:
         raise EmptyMatroid("a direct sum needs at least one part")
     acc = parts[0]
     for nxt in parts[1:]:
-        a1, a2 = acc.ambient, nxt.ambient
-        target = Ambient(a1.r + a2.r, a1.n + a2.n)
-        left = box_shift(acc, target, a2.n - a2.r)
-        right = box_shift(nxt, target, a1.n - a1.r)
-        acc = product(left, right)
+        acc = fold(acc, nxt)
     return acc
 
 

@@ -8,7 +8,7 @@ A rectangle is the pair ``(rows, cols)``.
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .errors import DoesNotFit, InvalidDimensions, NonIntegralCount
+from .errors import DoesNotFit, InvalidDimensions, NonIntegralCount, require_int
 
 Partition = tuple[int, ...]
 Rectangle = tuple[int, int]
@@ -47,18 +47,35 @@ def padded(lam: Partition, rows: int) -> tuple[int, ...]:
 
 
 def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+    """The transposed diagram, walking the rows from the bottom: the columns
+    past the ones already counted and inside row i have height i + 1."""
+    conj: list[int] = []
+    for i in range(len(lam) - 1, -1, -1):
+        conj += [i + 1] * (lam[i] - len(conj))
+    return tuple(conj)
+
+
+@lru_cache(maxsize=None)
+def _complement(lam: Partition, rect: Rectangle) -> Partition:
+    """Complement of lam inside rect, rotated 180 degrees, for lam that the
+    library built and that fits in rect: nothing is checked."""
+    rows, cols = rect
+    comp = [cols] * (rows - len(lam)) + [cols - p for p in reversed(lam)]
+    while comp and not comp[-1]:
+        comp.pop()
+    return tuple(comp)
 
 
 def complement_in_rectangle(lam: Partition, rect: Rectangle) -> Partition:
-    """Complement of lam inside rect, rotated 180 degrees."""
+    """Complement of lam inside rect, rotated 180 degrees.  A part that is
+    not an int raises NotAnInteger before it reaches the cache, where (1.0,)
+    would share the entry of (1,)."""
+    for p in lam:
+        require_int(p, "partition part")
     rows, cols = rect
     if not fits(lam, rect):
         raise DoesNotFit(f"{lam} does not fit in {rows}x{cols}")
-    full = padded(lam, rows)
-    return normalize(cols - p for p in reversed(full))
+    return normalize(_complement(lam, rect))
 
 
 def hook(r: int, n: int) -> Partition:

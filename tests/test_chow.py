@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from schubmat import (
     Ambient,
     ChowClass,
-    box_shift,
+    chow,
     direct_sum,
     lr_coefficient,
     orbit,
@@ -26,7 +26,7 @@ from schubmat import (
     syt_count,
 )
 from schubmat.chow import _complement_syt
-from schubmat.errors import AmbientMismatch, DoesNotFit, NotAnInteger
+from schubmat.errors import AmbientMismatch, DoesNotFit, InvalidDimensions, NotAnInteger
 from schubmat.partitions import (
     complement_in_rectangle,
     contains,
@@ -36,7 +36,7 @@ from schubmat.partitions import (
 )
 import lr_oracle
 from conftest import family_corpus, matroid_from_nonbases
-from schubert_helpers import degree_pairing
+from schubert_helpers import box_shift, degree_pairing
 
 
 def jacobi_trudi_lr(mu, nu, lam):
@@ -75,6 +75,24 @@ def test_pieri_examples():
     # adding b boxes to the empty shape with at most one per column gives the
     # single row (b); (1,1) would stack two boxes in one column
     assert pieri(sigma(G24, ()), 2).terms == {(2,): 1}
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: sigma1_power_degree(sc_uniform(2, 5), 4.0), NotAnInteger),
+        (lambda: sigma1_power_degree(sc_uniform(2, 5), True), NotAnInteger),
+        (lambda: sigma1_power_degree(sc_uniform(2, 5), -1), InvalidDimensions),
+        (lambda: pieri(sigma(G24, (1,)), True), NotAnInteger),
+        (lambda: pieri(sigma(G24, (1,)), 1.0), NotAnInteger),
+        (lambda: pieri(sigma(G24, (1,)), -1), InvalidDimensions),
+    ],
+    ids=["degree-float", "degree-bool", "degree-negative", "pieri-bool", "pieri-float",
+         "pieri-negative"],
+)
+def test_degree_arguments_are_checked(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_lr_coefficient_examples():
@@ -132,6 +150,29 @@ def test_lr_against_jacobi_trudi_random_sample():
         assert value == jacobi_trudi_lr(mu, nu, lam), (mu, nu, lam)
         nonzero += value > 0
     assert nonzero >= 30
+
+
+@pytest.mark.parametrize("rect", [(5, 2), (7, 2), (8, 2), (6, 3)], ids=lambda r: f"{r[0]}x{r[1]}")
+def test_lr_terms_match_oracle_on_every_pair(monkeypatch, rect):
+    """Every pair of the rectangle, the cache bypassed; a content with more
+    rows than columns is searched in the transposed rectangle, so no search
+    places a content with more rows than columns."""
+    searched = []
+    search = chow._strip_search
+
+    def recording(mu, nu, rect):
+        assert not nu or len(nu) <= nu[0], nu
+        searched.append(rect)
+        return search(mu, nu, rect)
+
+    monkeypatch.setattr(chow, "_strip_search", recording)
+    shapes = partitions_in_rectangle(rect)
+    for mu in shapes:
+        for nu in shapes:
+            terms = chow._lr_terms.__wrapped__(mu, nu, rect)
+            assert len(dict(terms)) == len(terms)
+            assert dict(terms) == lr_oracle.product_terms({mu: 1}, {nu: 1}, *rect), (mu, nu)
+    assert rect in searched and rect[::-1] in searched
 
 
 def test_product_matches_oracle_on_every_pair_in_small_rectangles():
@@ -383,6 +424,52 @@ def full_support_class(r, n, rng):
                                partitions_in_rectangle(ambient.rect, (r - 1) * (n - r - 1))})
 
 
+def folded_by_box_shift(a: ChowClass, b: ChowClass) -> ChowClass:
+    """The fold on the box-shift side: both classes embedded in the joint
+    ambient and multiplied there."""
+    target = Ambient(a.ambient.r + b.ambient.r, a.ambient.n + b.ambient.n)
+    return product(box_shift(a, target, b.ambient.rect[1]),
+                   box_shift(b, target, a.ambient.rect[1]))
+
+
+@pytest.mark.parametrize("left", DIRECT_SUM_AMBIENTS, ids=lambda a: f"G{a[0]}{a[1]}")
+def test_fold_matches_box_shifted_product_on_basis_pairs(left):
+    a_ambient = Ambient(*left)
+    for right in DIRECT_SUM_AMBIENTS:
+        b_ambient = Ambient(*right)
+        for mu in partitions_in_rectangle(a_ambient.rect):
+            for nu in partitions_in_rectangle(b_ambient.rect):
+                a, b = sigma(a_ambient, mu), sigma(b_ambient, nu)
+                assert sc_direct_sum([a, b]) == folded_by_box_shift(a, b), (left, right, mu, nu)
+
+
+def test_fold_matches_box_shifted_product_on_tall_folds():
+    rng = random.Random(5)
+    for left, right in TALL_FOLDS:
+        a, b = full_support_class(*left, rng), full_support_class(*right, rng)
+        assert sc_direct_sum([a, b]) == folded_by_box_shift(a, b), (left, right)
+        assert sc_direct_sum([b, a]) == folded_by_box_shift(b, a), (right, left)
+
+
+def test_folds_of_different_ambients_share_lr_searches():
+    """A fold keys its LR terms by the complement pair alone.  The partitions
+    of 6 in 3 x 4 and in 4 x 3 (the complements of G(3,7) and G(4,7)) have
+    (3,3), (3,2,1) and (2,2,2) in common; each meets the 3 complements of
+    G(2,8), so the second fold finds 9 of its 15 pairs already searched."""
+    rng = random.Random(8)
+    u = full_support_class(2, 8, rng)
+    first, second = full_support_class(3, 7, rng), full_support_class(4, 7, rng)
+    chow._lr_terms.cache_clear()
+    sc_direct_sum([first, u])
+    info = chow._lr_terms.cache_info()
+    assert (info.misses, info.hits) == (15, 0)
+    sc_direct_sum([second, u])
+    info = chow._lr_terms.cache_info()
+    assert (info.misses, info.hits) == (21, 9)
+    sc_direct_sum([u, second])
+    assert chow._lr_terms.cache_info().misses == 21
+
+
 def test_fold_degree_is_binomial_convolution():
     rng = random.Random(3)
     workload_sized = [[full_support_class(*ambient, rng) for ambient in pair]
@@ -417,6 +504,16 @@ def test_chow_class_json_round_trip():
 def test_chow_class_rejects_non_int_coefficient(coeff):
     with pytest.raises(NotAnInteger):
         ChowClass(G24, {(1,): coeff})
+
+
+@pytest.mark.parametrize("lam", [(1.0,), (True,), (2, 1.0)], ids=["float", "bool", "float-part"])
+def test_chow_class_rejects_non_int_partition_part(lam):
+    """A float or bool part would share the kernel's cache entries of the
+    int partition equal to it, so the class is never built."""
+    with pytest.raises(NotAnInteger):
+        ChowClass(G24, {lam: 1})
+    with pytest.raises(NotAnInteger):
+        sigma(G24, lam)
 
 
 @pytest.mark.parametrize(
@@ -459,10 +556,11 @@ def assert_validated_form(c: ChowClass):
 
 
 def test_classes_built_by_the_library_are_in_validated_form(monkeypatch, fano, vamos):
-    """product, box_shift and sc_sparse_paving build their classes without
+    """product, fold and sc_sparse_paving build their classes without
     re-validating the terms; every class they return on the fold and product
     corpus of this file and on sc of the family corpus is in validated form."""
-    seen = {"product": 0, "box_shift": 0, "sc_sparse_paving": 0}
+    seen = {"product": 0, "fold": 0, "sc_sparse_paving": 0}
+    spied = {"product": chow, "fold": orbit, "sc_sparse_paving": orbit}
 
     def recording(name, fn):
         def wrapped(*args):
@@ -472,8 +570,8 @@ def test_classes_built_by_the_library_are_in_validated_form(monkeypatch, fano, v
             return result
         return wrapped
 
-    for name in seen:
-        monkeypatch.setattr(orbit, name, recording(name, getattr(orbit, name)))
+    for name, module in spied.items():
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     for parts in FOLDS:
         orbit.sc_direct_sum(parts)
     for left in DIRECT_SUM_AMBIENTS:
@@ -494,11 +592,11 @@ def test_classes_built_by_the_library_are_in_validated_form(monkeypatch, fano, v
         for _ in range(5):
             a = ChowClass(a_ambient, {mu: rng.randint(-3, 3) for mu in rng.sample(shapes_a, 4)})
             b = ChowClass(b_ambient, {nu: rng.randint(-3, 3) for nu in rng.sample(shapes_b, 4)})
-            orbit.product(orbit.box_shift(a, target, b_ambient.rect[1]),
-                          orbit.box_shift(b, target, a_ambient.rect[1]))
+            chow.product(box_shift(a, target, b_ambient.rect[1]),
+                         box_shift(b, target, a_ambient.rect[1]))
     # sigma_1 (sigma_2 - sigma_11) = sigma_21 - sigma_21 in G(2,4): the zero class
     g24 = Ambient(2, 4)
-    assert orbit.product(sigma(g24, (1,)), sigma(g24, (2,)) + sigma(g24, (1, 1), -1)).is_zero()
+    assert chow.product(sigma(g24, (1,)), sigma(g24, (2,)) + sigma(g24, (1, 1), -1)).is_zero()
     matroids = [m for kind, _, _, m in family_corpus(7) if not kind.startswith("Pan")]
     matroids += [fano, vamos, matroid_from_nonbases(6, 3, [{1, 2, 3}, {1, 4, 5}])]
     for m in matroids:

@@ -216,8 +216,13 @@ def test_minor_errors():
         (lambda m: minor(m, delete={True}), NotAnInteger),
         (lambda m: minor(m, contract={0}), ElementOutOfRange),
         (lambda m: restriction(m, {1, 2.0}), NotAnInteger),
+        (lambda m: m.rank_of({9}), ElementOutOfRange),
+        (lambda m: m.rank_of({True, 2}), NotAnInteger),
+        (lambda m: m.is_independent({0}), ElementOutOfRange),
+        (lambda m: m.is_independent({9, 1}), ElementOutOfRange),
     ],
-    ids=["restrict-to-9", "delete-9", "delete-True", "contract-0", "restrict-to-2.0"],
+    ids=["restrict-to-9", "delete-9", "delete-True", "contract-0", "restrict-to-2.0",
+         "rank-of-9", "rank-of-True", "independent-0", "independent-9"],
 )
 def test_minor_and_restriction_check_their_elements(build, error):
     with pytest.raises(error):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schubmat import complement_in_rectangle, hook, schur_at_ones, syt_count
-from schubmat.errors import DoesNotFit, InvalidDimensions
-from schubmat.partitions import normalize, partitions_in_rectangle
+from schubmat.errors import DoesNotFit, InvalidDimensions, NotAnInteger
+from schubmat.partitions import conjugate, normalize, partitions_in_rectangle
 from schubert_helpers import jumping_sequence
 
 
@@ -80,6 +80,35 @@ def test_complement_involution_exhaustive():
             comp = complement_in_rectangle(lam, rect)
             assert complement_in_rectangle(comp, rect) == lam
             assert sum(lam) + sum(comp) == rows * cols
+
+
+def test_complement_checks_what_it_is_given():
+    """The unchecked complement is read through the checks: a shape that is
+    not weakly decreasing still raises, and trailing zeros are dropped."""
+    for lam, rect in [((1, 2), (2, 3)), ((3, 0, 3), (3, 3)), ((-1,), (2, 3))]:
+        with pytest.raises(ValueError):
+            complement_in_rectangle(lam, rect)
+    assert complement_in_rectangle((1, 0), (2, 3)) == (3, 2)
+    assert complement_in_rectangle((), (3, 0)) == ()
+    assert complement_in_rectangle((), (0, 3)) == ()
+
+
+@pytest.mark.parametrize("lam", [(1.0,), (True,), (2, 1.0)], ids=["float", "bool", "float-part"])
+def test_complement_rejects_non_int_parts(lam):
+    """A float or bool part would share the cache entry of the int part
+    equal to it, so it is rejected before the cache is read."""
+    with pytest.raises(NotAnInteger):
+        complement_in_rectangle(lam, (2, 2))
+    comp = complement_in_rectangle(tuple(map(int, lam)), (2, 2))
+    assert all(type(p) is int for p in comp)
+
+
+def test_conjugate_counts_the_columns_exhaustive():
+    for rows, cols in iproduct(range(7), range(7)):
+        for lam in partitions_in_rectangle((rows, cols)):
+            columns = tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+            assert conjugate(lam) == conjugate(lam + (0,)) == columns, lam
+            assert conjugate(columns) == lam
 
 
 def test_partitions_of_a_weight_are_the_filtered_list():
