@@ -52,13 +52,14 @@ from .errors import AmbientMismatch, DoesNotFit, InvalidDimensions, require_int,
 from .partitions import (
     Partition,
     _complement,
+    _syt_count,
     conjugate,
     contains,
     fits,
     normalize,
     padded,
+    require_parts,
     size,
-    syt_count,
 )
 
 
@@ -124,8 +125,7 @@ class ChowClass(_ReadOnly):
         clean = {}
         for lam, c in (terms or {}).items():
             lam = normalize(lam)
-            for p in lam:
-                require_int(p, "partition part")
+            require_parts(lam)
             if not fits(lam, ambient.rect):
                 raise DoesNotFit(f"{lam} does not fit in G({ambient.r},{ambient.n})")
             require_int(c, "coefficient")
@@ -194,8 +194,7 @@ class ChowClass(_ReadOnly):
             require_type(item, dict, "a term")
             parts = item["partition"]
             require_type(parts, list, "partition")
-            for p in parts:
-                require_int(p, "partition part")
+            require_parts(parts)
             lam = normalize(parts)
             coeff = item["coeff"]
             if isinstance(coeff, str) and re.fullmatch(r"-?[0-9]+", coeff):
@@ -350,12 +349,15 @@ def _complement_syt(lam: Partition, rect: tuple[int, int]) -> int:
     """deg(sigma_lam * sigma_1^s) for |lam| + s = r(n-r): the standard fillings
     of the complement of lam in rect.  Folds repeat their partitions, so each
     count is taken once per process."""
-    return syt_count(_complement(lam, rect))
+    return _syt_count(_complement(lam, rect))
 
 
 def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
     """The Littlewood-Richardson coefficient c^lam_{mu,nu}, read off the
-    terms of (mu, nu) in lam's bounding rectangle."""
+    terms of (mu, nu) in lam's bounding rectangle.  A part that is not an
+    int raises NotAnInteger before anything is normalized or cached."""
+    for parts in (mu, nu, lam):
+        require_parts(parts)
     mu, nu, lam = normalize(mu), normalize(nu), normalize(lam)
     if size(mu) + size(nu) != size(lam) or not contains(lam, mu):
         return 0

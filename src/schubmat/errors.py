@@ -40,8 +40,8 @@ class ElementOutOfRange(SchubmatError):
 class NotAnInteger(SchubmatError):
     """A ground-set size, rank, basis element, family parameter, Schubert
     index, element of a subset given to a matroid method or `minor`,
-    partition part, Chow-class coefficient or Chow-kernel degree is not an
-    int.
+    partition part, variable count of `schur_at_ones`, Chow-class
+    coefficient or Chow-kernel degree is not an int.
 
     Bools, floats and numeric strings are rejected, never coerced.
     """

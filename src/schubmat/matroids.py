@@ -4,13 +4,20 @@ Constructors (uniform, minimal, Schubert, lattice-path, panhandle, rational
 matrix realization), structural queries (dual, minors, circuits, rank,
 connectivity), the beta invariant, paving classification, and direct sums.
 
-Bases are stored as int bitmasks, element e being bit e - 1.  One exchange
-table per matroid, built in one pass of |B| * r updates, maps each (r-1)-set
-S = B - x to F(S) = {e : S + e is a basis}, the complement of the
-hyperplane cl(S).  Every consumer reads it:
+Bases are stored as int bitmasks, element e being bit e - 1.  A direct sum
+is split before any table of the whole sum is built: the fundamental graph of one
+basis b0, which joins x in b0 and y outside it when b0 - x + y is a basis,
+has the connected components as its parts (Krogdahl, "The dependence graph
+for bases in matroids", Discrete Math. 19, 1977; Oxley, Matroid Theory,
+4.3), at r(n - r) lookups.  With several parts, a basis family is a matroid
+exactly when it is the product of its projections onto the parts and each
+projection is a matroid, so the checked constructor validates the factors
+alone, and the sum's classification is read off theirs.
+One exchange table per connected matroid, built in one pass of |B| * r
+updates, maps each (r-1)-set S = B - x to F(S) = {e : S + e is a basis},
+the complement of the hyperplane cl(S).  Every consumer reads it:
 - validation: B1 = S + x has no exchange into B2 exactly when B2 lies in
   cl(S), and only a hyperplane of more than r elements can hold a basis;
-- connectivity: the elements of one F(S) share circuits;
 - paving: every (r-1)-set is a key; dual paving: every hyperplane has at
   most r elements, so every cocircuit at least n - r;
 - beta: F(B - x) is the fundamental cocircuit of x in B, and x lies in
@@ -20,17 +27,18 @@ hyperplane cl(S).  Every consumer reads it:
   F(B - x) for some x < y of B (Crapo's t_10: internal activity 1,
   external activity 0).
 Circuits are the fundamental circuits of the bases, so no subset of the
-ground set is enumerated.  Derived facts (the exchange table, the
-classification, beta, the rank of every subset, and the polytope's binding
-flats and coordinate order) are computed once per instance by functions
-decorated with `_memo`, the one owner of the per-instance cache.
+ground set is enumerated.  Derived facts (the factors of a sum, the
+exchange table, the classification, beta, the rank of every subset, and the
+polytope's binding flats and coordinate order) are computed once per
+instance by functions decorated with `_memo`, the one owner of the
+per-instance cache.
 """
 
 import re
 from collections import namedtuple
 from functools import reduce, wraps
 from itertools import chain, combinations
-from math import comb
+from math import comb, prod
 from operator import and_, or_
 
 from .errors import (
@@ -79,7 +87,8 @@ class Matroid:
     from outside the library: n and r are ints with 0 <= r <= n, every basis
     is r distinct int elements of [n], there is at least one basis, and the
     bases satisfy the exchange axiom; the first fault raises its named
-    error.  `Matroid._from_masks(n, r, masks)` trusts its bitmasks and checks
+    error; a direct sum is checked factor by factor (`_validate`).
+    `Matroid._from_masks(n, r, masks)` trusts its bitmasks and checks
     nothing; it builds what is derived from a valid matroid (`dual`,
     `minor`, `direct_sum`), and tests use it for deliberate non-matroids.
 
@@ -87,7 +96,7 @@ class Matroid:
     bitmasks the library works on.  `_cache` holds what the `_memo`
     functions derive from them, once per instance: the exchange table, the
     classification, beta, the rank table, and the base polytope's binding
-    flats and coordinate order.
+    flats and coordinate order, and the factors of a disconnected matroid.
     """
 
     __slots__ = ("n", "r", "_masks", "_bases", "_cache")
@@ -120,7 +129,7 @@ class Matroid:
         if not masks:
             raise EmptyBases("a matroid needs at least one basis")
         self._init(n, r, frozenset(masks))
-        validate_exchange(self)
+        _validate(self)
 
     @classmethod
     def _from_masks(cls, n: int, r: int, masks) -> "Matroid":
@@ -239,6 +248,25 @@ def validate_exchange(m: Matroid) -> None:
             raise ExchangeAxiomViolated(
                 frozenset(_elements(s | x)), frozenset(_elements(b2)), x.bit_length()
             )
+
+
+def _validate(m: Matroid) -> None:
+    """The exchange check of the checked constructor.
+
+    A disconnected m is checked as the product of its factors, each by its
+    own `validate_exchange`.  Only if that fails is the whole family
+    checked, which then raises with the witness it gives: a matroid is the
+    direct sum of its components, so it always passes the factor check.
+    """
+    factors = _factors(m)
+    if factors and prod(len(f._masks) for _, f in factors) == len(m._masks):
+        try:
+            for _, f in factors:
+                validate_exchange(f)
+            return
+        except ExchangeAxiomViolated:
+            pass
+    validate_exchange(m)
 
 
 def from_bases(n: int, r: int, bases) -> Matroid:
@@ -446,13 +474,14 @@ def minor(m: Matroid, delete=(), contract=()) -> Matroid:
     # largest distinct traces on the kept elements are the bases of the minor
     traces = {b & keep for b in m._masks if b & c == c}
     new_rank = max(t.bit_count() for t in traces)
+    new_bases = _relabel([t for t in traces if t.bit_count() == new_rank], keep)
+    return Matroid._from_masks(keep.bit_count(), new_rank, new_bases)
+
+
+def _relabel(masks, keep: int) -> set[int]:
+    """The masks, subsets of keep, with keep's elements renumbered 1, 2, ... in order."""
     positions = _bits(keep)
-    new_bases = {
-        sum(1 << i for i, p in enumerate(positions) if t & p)
-        for t in traces
-        if t.bit_count() == new_rank
-    }
-    return Matroid._from_masks(len(positions), new_rank, new_bases)
+    return {sum(1 << i for i, p in enumerate(positions) if t & p) for t in masks}
 
 
 def restriction(m: Matroid, subset) -> Matroid:
@@ -502,43 +531,79 @@ class Classification(namedtuple("Classification", [
     __slots__ = ()
 
 
-def _components(m: Matroid) -> tuple[tuple[int, ...], ...]:
-    """Partition of [n]: x ~ y iff x and y lie in one F(S).
+def _split(m: Matroid) -> list[int]:
+    """The parts of the fundamental graph of one basis b0, lowest first.
 
-    When S + x and S + y are both bases, the circuit inside S + x + y holds
-    x and y.  Loops lie in no F(S) and coloops only in singleton ones, so
-    both stay singletons.
+    y outside b0 is joined to the x of b0 with b0 - x + y a basis: its
+    fundamental circuit.  For a matroid the parts are the connected
+    components, at r(n - r) lookups; loops and coloops stay singletons.
     """
+    masks = m._masks
+    b0 = next(iter(masks))
+    inside = _bits(b0)
     parts: list[int] = []
-    for fs in set(_exchange_table(m).values()):
-        merged = fs
+    for y in _bits(m._ground() & ~b0):
+        merged = y
+        for x in inside:
+            if b0 ^ x | y in masks:
+                merged |= x
         rest = []
         for part in parts:
-            if part & fs:
+            if part & merged:
                 merged |= part
             else:
                 rest.append(part)
         rest.append(merged)
         parts = rest
-    covered = reduce(or_, parts, 0)
-    parts.extend(_bits(m._ground() & ~covered))
-    return tuple(sorted(_elements(part) for part in parts))
+    parts += _bits(m._ground() & ~reduce(or_, parts, 0))
+    return sorted(parts, key=lambda p: p & -p)
+
+
+@_memo
+def _factors(m: Matroid) -> tuple:
+    """(part, factor) for each part of `_split(m)`, the factor being the
+    projections of the bases onto the part, relabelled to [|part|]; empty
+    when there is at most one part, so that a connected matroid does not
+    hold itself.  For a matroid these are its components, and m their sum.
+    """
+    parts = _split(m)
+    if len(parts) < 2:
+        return ()
+    b0 = next(iter(m._masks))
+    return tuple(
+        (c, Matroid._from_masks(
+            c.bit_count(), (b0 & c).bit_count(), _relabel({b & c for b in m._masks}, c)))
+        for c in parts
+    )
 
 
 @_memo
 def classify(m: Matroid) -> Classification:
     """Components, paving and family flags; computed once per matroid instance.
 
-    All of it is read off the exchange table.  Paving: every (r-1)-set is
-    independent, that is, a key of the table.  Dual paving: every hyperplane
-    E - F(S) has at most r elements, so every cocircuit at least n - r.
+    A connected matroid is read off its exchange table.  Paving: every
+    (r-1)-set is independent, that is, a key of the table.  Dual paving:
+    every hyperplane E - F(S) has at most r elements, so every cocircuit at
+    least n - r.  A sum is read off its factors: it is paving when every
+    circuit has at least r elements, and a factor's smallest circuit has
+    r_i + 1 elements if it is uniform, r_i if it is paving and fewer
+    otherwise (a coloop has none); cocircuits likewise, with n - r.
     """
     n, r, bases = m.n, m.r, m._masks
-    table = _exchange_table(m)
-    components = _components(m)
+    factors = _factors(m)
+    if factors:
+        components = tuple(_elements(c) for c, _ in factors)
+        flags = [(f, classify(f)) for _, f in factors]
+        is_paving = all(
+            f.r + c.is_uniform - (not c.is_paving) >= r for f, c in flags if f.r < f.n)
+        dual_paving = all(  # read only when every factor is paving
+            f.n - f.r + c.is_uniform - (not c.is_sparse_paving) >= n - r for f, c in flags if f.r)
+    else:
+        table = _exchange_table(m)
+        components = (_elements(m._ground()),) if n else ()
+        is_paving = r == 0 or len(table) == comb(n, r - 1)
+        dual_paving = all(fs.bit_count() >= n - r for fs in table.values())
     kappa = len(components)
-    is_paving = r == 0 or len(table) == comb(n, r - 1)
-    dual_paving = all(fs.bit_count() >= n - r for fs in table.values())
     nonbasis_count = comb(n, r) - len(bases)
     return Classification(
         components=components,
@@ -580,9 +645,10 @@ def beta(m: Matroid) -> int:
     """Crapo's beta invariant, the Tutte coefficient t_10: the number of
     bases with internal activity 1 and external activity 0.
 
-    Computed once per matroid instance, by `_activity_count`.
+    Computed once per matroid instance, by `_activity_count`; it vanishes
+    on a matroid with several components.
     """
-    return _activity_count(m)
+    return 0 if _factors(m) else _activity_count(m)
 
 
 def _activity_count(m: Matroid) -> int:

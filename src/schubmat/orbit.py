@@ -22,7 +22,7 @@ from .errors import (
     NotSparsePaving,
     UnsupportedMatroid,
 )
-from .matroids import Classification, Matroid, beta, classify, restriction
+from .matroids import Classification, Matroid, _factors, beta, classify
 from .partitions import (
     binomial,
     complement_in_rectangle,
@@ -137,7 +137,7 @@ def sc(m: Matroid) -> ScResult:
     if m.n == 0:
         raise EmptyMatroid("the empty matroid has no connected component")
     summary = classify(m)
-    comps = [restriction(m, c) for c in summary.components] if summary.kappa > 1 else [m]
+    comps = [f for _, f in _factors(m)] or [m]
     parts, methods, ks = zip(*map(_component_class, comps))
     combined = sc_direct_sum(list(parts))
     # homogeneity: every term has size r(n-r) - (n - kappa)

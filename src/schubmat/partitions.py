@@ -26,6 +26,14 @@ def normalize(parts) -> Partition:
     return parts
 
 
+def require_parts(lam) -> None:
+    """Raise NotAnInteger unless every part of lam is an int.  The caches are
+    keyed by partitions, where (1.0,) and (True,) would share the entry of
+    (1,), so a public function checks its parts before anything else."""
+    for p in lam:
+        require_int(p, "partition part")
+
+
 def size(lam: Partition) -> int:
     return sum(lam)
 
@@ -68,10 +76,8 @@ def _complement(lam: Partition, rect: Rectangle) -> Partition:
 
 def complement_in_rectangle(lam: Partition, rect: Rectangle) -> Partition:
     """Complement of lam inside rect, rotated 180 degrees.  A part that is
-    not an int raises NotAnInteger before it reaches the cache, where (1.0,)
-    would share the entry of (1,)."""
-    for p in lam:
-        require_int(p, "partition part")
+    not an int raises NotAnInteger before it reaches the cache."""
+    require_parts(lam)
     rows, cols = rect
     if not fits(lam, rect):
         raise DoesNotFit(f"{lam} does not fit in {rows}x{cols}")
@@ -80,6 +86,8 @@ def complement_in_rectangle(lam: Partition, rect: Rectangle) -> Partition:
 
 def hook(r: int, n: int) -> Partition:
     """The hook partition (n-r, 1, ..., 1) with r-1 ones."""
+    require_int(r, "rank")
+    require_int(n, "ground-set size")
     if r < 1 or r >= n:
         raise InvalidDimensions(f"need 1 <= r <= n-1, got r={r}, n={n}")
     return normalize((n - r,) + (1,) * (r - 1))
@@ -113,6 +121,12 @@ def _over_hooks(lam: Partition, numerator: int) -> int:
 
 def syt_count(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
+    require_parts(lam)
+    return _syt_count(lam)
+
+
+def _syt_count(lam: Partition) -> int:
+    """syt_count of a partition the library built: nothing is checked."""
     return _over_hooks(lam, factorial(size(lam)))
 
 
@@ -122,6 +136,8 @@ def schur_at_ones(lam: Partition, k: int) -> int:
     Hook-content product, prod (k + j - i) / prod hooks over the boxes
     (i, j); exact, returns 0 when lam has more than k rows.
     """
+    require_parts(lam)
+    require_int(k, "number of variables")
     if lam and len(lam) > k:
         return 0
     return _over_hooks(lam, prod(k + j - i for i, part in enumerate(lam) for j in range(part)))

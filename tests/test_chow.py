@@ -101,6 +101,18 @@ def test_lr_coefficient_examples():
     assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
 
 
+@pytest.mark.parametrize("mu", [(True,), (1.0,)], ids=["bool", "float"])
+def test_lr_coefficient_rejects_non_int_parts(mu):
+    """Checked before normalizing or reading the LR cache, where (True,)
+    and (1.0,) would share the entry of (1,)."""
+    chow._lr_terms.cache_clear()
+    with pytest.raises(NotAnInteger):
+        lr_coefficient(mu, (1,), (2,))
+    assert chow._lr_terms.cache_info().currsize == 0
+    with pytest.raises(NotAnInteger):
+        lr_coefficient((1,), (1,), (2.0,))
+
+
 def test_lr_symmetry_small():
     def partitions_of(m):
         def gen(total, max_part):

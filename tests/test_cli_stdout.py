@@ -35,7 +35,17 @@ CORPUS = {
     "sparse-paving-file": ["--matroid", "{sparse_paving}"],
     "U(1,3)+T(2,4)": ["--uniform", "1,3", "--minimal", "2,4"],
 }
-CASES = [f"{verb} {name} {fmt}" for verb in VERBS for name in CORPUS for fmt in FORMATS]
+# direct sums with loops, a coloop and a paving sum, pinned in `info` (json) and `class`
+SUMS = {
+    "U(0,2)+U(2,4)": ["--uniform", "0,2", "--uniform", "2,4"],
+    "U(1,2)+U(1,1)": ["--uniform", "1,2", "--uniform", "1,1"],
+    "U(2,4)+T(2,4)+U(1,1)": ["--uniform", "2,4", "--minimal", "2,4", "--uniform", "1,1"],
+}
+CORPUS.update(SUMS)
+CASES = [f"{verb} {name} {fmt}" for verb in VERBS for name in CORPUS for fmt in FORMATS
+         if name not in SUMS]
+CASES += [f"{case} {name} {fmt}" for name in SUMS
+          for case, fmt in (("info", "json"), ("class", "text"), ("class", "json"))]
 
 
 def run_case(case: str, directory: Path) -> dict:

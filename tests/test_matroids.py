@@ -408,10 +408,27 @@ def near_valid_families(m):
     return removals + additions
 
 
+def no_exchange_connected() -> Matroid:
+    """A family of 3-subsets of [6] that breaks the exchange axiom although
+    the fundamental graph of each of its members is connected."""
+    gone = {(1, 2, 4), (1, 2, 5), (1, 3, 6), (3, 4, 5), (3, 5, 6)}
+    return Matroid._from_masks(
+        6, 3, [matroids._mask(b) for b in combinations(range(1, 7), 3) if b not in gone])
+
+
 def test_matroid_layer_matches_oracle_on_corpus(fano, non_pappus, vamos):
     rng = random.Random(41)
     corpus = [m for _, _, _, m in family_corpus(7)] + [fano, non_pappus, vamos]
     corpus.append(direct_sum(uniform(2, 4), minimal(2, 4)))
+    # sums split at one basis: with loops, with coloops, a paving sum, a dual
+    # paving sum, a non-matroid times a matroid, and a family whose basis
+    # graph splits although it is not the product of its projections
+    corpus += [direct_sum(uniform(0, 2), uniform(2, 4)), direct_sum(uniform(1, 3), uniform(1, 1)),
+               direct_sum(direct_sum(uniform(1, 1), minimal(2, 4)), uniform(0, 1)),
+               direct_sum(uniform(1, 2), uniform(1, 1)), direct_sum(uniform(2, 3), uniform(2, 3)),
+               direct_sum(Matroid._from_masks(4, 2, [0b0011, 0b1100]), uniform(1, 2)),
+               direct_sum(no_exchange_connected(), uniform(1, 2)),
+               Matroid._from_masks(4, 2, [0b0101, 0b1001, 0b0110])]
     for m in corpus:
         perm = list(range(1, m.n + 1))
         rng.shuffle(perm)
@@ -465,11 +482,33 @@ def test_matroid_layer_matches_oracle_on_random_families(family):
     assert_matches_oracle(*family)
 
 
+SUMMANDS = [m for _, _, _, m in family_corpus(4)] + [uniform(0, 1), uniform(1, 1), uniform(0, 2)]
+
+
+@st.composite
+def relabelled_sums(draw):
+    """The bases of a direct sum of 2-3 family matroids, loops and coloops
+    among them, on at most 8 elements, relabelled at random."""
+    parts = draw(st.lists(st.sampled_from(SUMMANDS), min_size=2, max_size=3)
+                 .filter(lambda ms: sum(m.n for m in ms) <= 8))
+    m = parts[0]
+    for part in parts[1:]:
+        m = direct_sum(m, part)
+    perm = draw(st.permutations(range(1, m.n + 1)))
+    return m.n, m.r, [tuple(sorted(perm[e - 1] for e in b)) for b in m.bases]
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_sums())
+def test_matroid_layer_matches_oracle_on_relabelled_sums(family):
+    assert_matches_oracle(*family)
+
+
 def test_classification_and_beta_computed_once_per_instance(monkeypatch):
     m = uniform(2, 5)
     assert classify(m) is classify(m)
     components, full_beta = [], []
-    real_components, real_beta = matroids._components, matroids._activity_count
+    real_components, real_beta = matroids._split, matroids._activity_count
 
     def spy_components(mat):
         components.append(mat)
@@ -480,7 +519,7 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
             full_beta.append(mat)
         return real_beta(mat)
 
-    monkeypatch.setattr(matroids, "_components", spy_components)
+    monkeypatch.setattr(matroids, "_split", spy_components)
     monkeypatch.setattr(matroids, "_activity_count", spy_beta)
     m = uniform(2, 5)
     verify_volume_relation(m)
@@ -503,16 +542,23 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(Matroid, "_init", recording_init)
     memoized = {"_exchange_table", "classify", "rank_table", "beta",
-                "_binding_constraints", "_coordinate_order"}
-    # sc skips beta on a disconnected matroid; its components compute it
+                "_binding_constraints", "_coordinate_order", "_factors"}
+    # sc skips beta on a disconnected matroid and reads its factors' tables
     for build, expected in ((lambda: uniform(2, 5), memoized),
-                            (lambda: direct_sum(uniform(1, 2), minimal(2, 4)), memoized - {"beta"})):
+                            (lambda: direct_sum(uniform(1, 2), minimal(2, 4)),
+                             memoized - {"beta", "_exchange_table"})):
         del caches[:]
         m = build()
         verify_volume_relation(m)
         for cache in caches:  # no instance computes a value twice
             assert len(cache.stored) == len(set(cache.stored)) and set(cache.stored) <= memoized
         assert set(m._cache.stored) == expected
+    # a checked sum is split before its own exchange table is built
+    minors = []
+    monkeypatch.setattr(matroids, "minor", lambda *args, **kw: minors.append(args))
+    m = from_bases(6, 3, direct_sum(uniform(1, 2), minimal(2, 4)).bases)
+    sc(m)
+    assert "_exchange_table" not in m._cache and minors == []
 
 
 def test_sc_skips_beta_on_disconnected_matroids(monkeypatch):

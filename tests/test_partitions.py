@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from schubmat import complement_in_rectangle, hook, schur_at_ones, syt_count
 from schubmat.errors import DoesNotFit, InvalidDimensions, NotAnInteger
-from schubmat.partitions import conjugate, normalize, partitions_in_rectangle
+from schubmat.partitions import conjugate, hook_complement, normalize, partitions_in_rectangle
 from schubert_helpers import jumping_sequence
 
 
@@ -101,6 +101,19 @@ def test_complement_rejects_non_int_parts(lam):
         complement_in_rectangle(lam, (2, 2))
     comp = complement_in_rectangle(tuple(map(int, lam)), (2, 2))
     assert all(type(p) is int for p in comp)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: hook(True, 3), lambda: syt_count((True,)), lambda: schur_at_ones((1,), True),
+     lambda: hook(2.0, 5), lambda: syt_count((2.0, 1)), lambda: schur_at_ones((1,), 2.5),
+     lambda: hook_complement(2, 5.0)],
+    ids=["hook-bool", "syt-bool", "schur-bool", "hook-float", "syt-float", "schur-float",
+         "hook-complement-float"],
+)
+def test_partition_functions_reject_non_int_arguments(call):
+    with pytest.raises(NotAnInteger):
+        call()
 
 
 def test_conjugate_counts_the_columns_exhaustive():
