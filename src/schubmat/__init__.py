@@ -53,7 +53,6 @@ from .polytope import (
     ehrhart_report,
     lattice_points,
     normalized_volume,
-    polytope_vertices,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -234,20 +234,29 @@ def validate_exchange(m: Matroid) -> None:
     basis, so it fails exactly when B2 lies inside cl(S) = E - F(S).  A
     hyperplane of at most r elements holds no basis: cl(S) = S + z has z
     outside F(S).  Only each larger hyperplane needs one scan of the bases.
+
+    The witness is the least violation: the smallest B1 = S + x, then the
+    smallest B2, then the smallest x, comparing sets as bitmasks.  It so
+    depends on the family alone, not on the order its bases came in; it is
+    searched for only once some violation is found.
     """
     r, bases = m.r, m._masks
     ground = m._ground()
+    table = _exchange_table(m)
     scanned = set()
-    for s, fs in _exchange_table(m).items():
+    for fs in table.values():
         if (ground ^ fs).bit_count() <= r or fs in scanned:
             continue
         scanned.add(fs)
-        b2 = next((b for b in bases if not b & fs), None)
-        if b2 is not None:
-            x = fs & -fs
-            raise ExchangeAxiomViolated(
-                frozenset(_elements(s | x)), frozenset(_elements(b2)), x.bit_length()
-            )
+        if any(not b & fs for b in bases):
+            break
+    else:
+        return
+    least = {fs: min((b for b in bases if not b & fs), default=None) for fs in set(table.values())}
+    b1, b2, x = min(
+        (s | x, least[fs], x) for s, fs in table.items() if least[fs] is not None for x in _bits(fs)
+    )
+    raise ExchangeAxiomViolated(frozenset(_elements(b1)), frozenset(_elements(b2)), x.bit_length())
 
 
 def _validate(m: Matroid) -> None:

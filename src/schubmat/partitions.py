@@ -56,11 +56,12 @@ def padded(lam: Partition, rows: int) -> tuple[int, ...]:
 
 def conjugate(lam: Partition) -> Partition:
     """The transposed diagram, walking the rows from the bottom: the columns
-    past the ones already counted and inside row i have height i + 1."""
-    conj: list[int] = []
-    for i in range(len(lam) - 1, -1, -1):
-        conj += [i + 1] * (lam[i] - len(conj))
-    return tuple(conj)
+    past the ones already counted and inside row i (counted from 1) have
+    height i."""
+    conj: Partition = ()
+    for i in range(len(lam), 0, -1):
+        conj += (i,) * (lam[i - 1] - len(conj))
+    return conj
 
 
 @lru_cache(maxsize=None)

@@ -29,8 +29,8 @@ from itertools import accumulate
 from math import factorial
 from operator import or_
 
-from .errors import DeskScaleExceeded, NonIntegralVolume, WrongAffineDimension
-from .matroids import Matroid, _bits, _mask, _memo, classify, matrix_rank, rank_table
+from .errors import DeskScaleExceeded, NonIntegralVolume
+from .matroids import Matroid, _bits, _mask, _memo, classify, rank_table
 
 DESK_SCALE_LIMIT = 8
 
@@ -44,18 +44,6 @@ class VolumeReport(namedtuple("VolumeReport", [
     """Ehrhart data for a base polytope and the resulting normalized volume."""
 
     __slots__ = ()
-
-
-def polytope_vertices(m: Matroid) -> frozenset:
-    """Indicator vectors of the bases; affine dimension is checked to be n - kappa."""
-    vertices = frozenset(tuple(b >> i & 1 for i in range(m.n)) for b in m._masks)
-    first = next(iter(vertices))
-    diffs = [[a - b for a, b in zip(v, first)] for v in vertices if v != first]
-    dim = matrix_rank(diffs) if diffs else 0
-    expected = m.n - classify(m).kappa
-    if dim != expected:
-        raise WrongAffineDimension(dim, expected)
-    return vertices
 
 
 def _check_scale(m: Matroid, limit: int) -> None:

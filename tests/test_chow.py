@@ -25,7 +25,7 @@ from schubmat import (
     sigma1_power_degree,
     syt_count,
 )
-from schubmat.chow import _complement_syt
+from schubmat.chow import _shape_syt
 from schubmat.errors import AmbientMismatch, DoesNotFit, InvalidDimensions, NotAnInteger
 from schubmat.partitions import (
     complement_in_rectangle,
@@ -164,7 +164,8 @@ def test_lr_against_jacobi_trudi_random_sample():
     assert nonzero >= 30
 
 
-@pytest.mark.parametrize("rect", [(5, 2), (7, 2), (8, 2), (6, 3)], ids=lambda r: f"{r[0]}x{r[1]}")
+@pytest.mark.parametrize("rect", [(5, 2), (7, 2), (8, 2), (6, 3), (4, 4), (5, 4)],
+                         ids=lambda r: f"{r[0]}x{r[1]}")
 def test_lr_terms_match_oracle_on_every_pair(monkeypatch, rect):
     """Every pair of the rectangle, the cache bypassed; a content with more
     rows than columns is searched in the transposed rectangle, so no search
@@ -482,6 +483,31 @@ def test_folds_of_different_ambients_share_lr_searches():
     assert chow._lr_terms.cache_info().misses == 21
 
 
+def test_folds_of_different_ambients_share_degree_counts():
+    """sigma1_power_degree counts the standard fillings of each term's
+    complement under a key that holds the shape alone.  The complements of
+    the terms of G(3,7)+G(2,8) in 5 x 10 and of G(4,7)+G(2,8) in 6 x 9 are
+    the outputs of the folds' LR searches, 9 of whose pairs the two folds
+    share; 46 of the second fold's 56 shapes were counted for the first."""
+    rng = random.Random(8)
+    u = full_support_class(2, 8, rng)
+    first, second = full_support_class(3, 7, rng), full_support_class(4, 7, rng)
+
+    def degree(folded):
+        rows, cols = folded.ambient.rect
+        return sigma1_power_degree(folded, rows * cols - size(next(iter(folded.terms))))
+
+    _shape_syt.cache_clear()
+    assert degree(sc_direct_sum([first, u])) > 0
+    info = _shape_syt.cache_info()
+    assert (info.misses, info.hits) == (51, 0)
+    assert degree(sc_direct_sum([second, u])) > 0
+    info = _shape_syt.cache_info()
+    assert (info.misses, info.hits) == (61, 46)
+    assert degree(sc_direct_sum([u, second])) > 0
+    assert _shape_syt.cache_info().misses == 61
+
+
 def test_fold_degree_is_binomial_convolution():
     rng = random.Random(3)
     workload_sized = [[full_support_class(*ambient, rng) for ambient in pair]
@@ -495,12 +521,12 @@ def test_fold_degree_is_binomial_convolution():
             for s in range(top - 1, top + 2):
                 expected = sum(comb(s, s1) * degree_by_hooks(acc, s1) * degree_by_hooks(nxt, s - s1)
                                for s1 in range(s + 1))
-                _complement_syt.cache_clear()
+                _shape_syt.cache_clear()
                 assert sigma1_power_degree(folded, s) == expected
-                missed = _complement_syt.cache_info()
+                missed = _shape_syt.cache_info()
                 assert missed.hits == 0 and missed.misses == (len(folded.terms) if s == top else 0)
                 assert sigma1_power_degree(folded, s) == expected
-                assert _complement_syt.cache_info().hits == missed.misses
+                assert _shape_syt.cache_info().hits == missed.misses
             assert expected == 0 and degree_by_hooks(folded, top) > 0
             acc = folded
 
@@ -516,6 +542,13 @@ def test_chow_class_json_round_trip():
 def test_chow_class_rejects_non_int_coefficient(coeff):
     with pytest.raises(NotAnInteger):
         ChowClass(G24, {(1,): coeff})
+
+
+@pytest.mark.parametrize("factor", [True, 1.5], ids=["bool", "float"])
+def test_scaled_rejects_non_int_factor(factor):
+    """A bool or a float factor is not coerced to an int."""
+    with pytest.raises(NotAnInteger, match=f"factor {factor!r} is not an int"):
+        sigma(G24, (1,)).scaled(factor)
 
 
 @pytest.mark.parametrize("lam", [(1.0,), (True,), (2, 1.0)], ids=["float", "bool", "float-part"])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from schubmat import Ambient, ChowClass, orbit, partitions, polytope, sc, uniform
+from schubmat import Ambient, ChowClass, orbit, partitions, sc, uniform
 from schubmat.errors import (
     BetaMismatch,
     InhomogeneousClass,
@@ -21,6 +21,7 @@ from schubmat.errors import (
     NonIntegralCount,
     WrongAffineDimension,
 )
+import polytope_helpers as polytope
 
 
 def negative_klyachko(patch):

@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -801,6 +801,48 @@ def faulty_basis_lists(draw):
 def test_from_bases_matches_per_basis_parse_on_faulty_lists(case):
     n, r, bases = case
     assert outcome(from_bases, n, r, bases) == outcome(per_basis_from_bases, n, r, bases)
+
+
+@pytest.mark.parametrize(
+    "n, r, bases, message",
+    [
+        (5, 2, [(2, 3), (5, 1), (4, 1)], "no exchange for x=2 between bases [2, 3] and [1, 4]"),
+        (6, 3, [(1, 4, 5), (3, 5, 6), (3, 4, 6), (1, 3, 4)],
+         "no exchange for x=4 between bases [1, 3, 4] and [3, 5, 6]"),
+        (6, 3, [(1, 3, 6), (2, 5, 6), (3, 4, 6), (3, 5, 6)],
+         "no exchange for x=3 between bases [1, 3, 6] and [2, 5, 6]"),
+    ],
+)
+def test_exchange_witness_does_not_depend_on_basis_order(n, r, bases, message):
+    """The witness is the least violation, so every order of one family
+    raises the same message, as does the per-basis parse."""
+    outcomes = {outcome(from_bases, n, r, list(order)) for order in permutations(bases)}
+    assert outcomes == {("ExchangeAxiomViolated", message)}
+    assert outcome(per_basis_from_bases, n, r, bases) == ("ExchangeAxiomViolated", message)
+
+
+def test_exchange_witness_is_the_least_violation():
+    """Against every (b1, b2, x) that violates the axiom, on random r-set
+    families: the least by b1, then b2, then x, sets compared as bitmasks."""
+    rng = random.Random(13)
+    checked = 0
+    for _ in range(600):
+        n = rng.randint(3, 6)
+        r = rng.randint(1, n - 1)
+        sets = {frozenset(b) for b in rng.sample(list(combinations(range(1, n + 1), r)),
+                                                 rng.randint(2, min(6, comb(n, r))))}
+        violations = [(matroids._mask(b1), matroids._mask(b2), x)
+                      for b1 in sets for b2 in sets for x in b1 - b2
+                      if not any(b1 - {x} | {y} in sets for y in b2 - b1)]
+        if not violations:
+            continue
+        b1, b2, x = min(violations)
+        with pytest.raises(ExchangeAxiomViolated) as err:
+            from_bases(n, r, [tuple(b) for b in sets])
+        assert (err.value.b1, err.value.b2, err.value.x) == (
+            frozenset(matroids._elements(b1)), frozenset(matroids._elements(b2)), x)
+        checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------

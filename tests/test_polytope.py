@@ -15,7 +15,6 @@ from schubmat import (
     minimal,
     normalized_volume,
     panhandle,
-    polytope_vertices,
     uniform,
 )
 from schubmat.errors import DeskScaleExceeded
@@ -23,6 +22,7 @@ from schubmat.matroids import classify, rank_table as _rank_table
 from schubmat.polytope import _binding_constraints
 from conftest import FANO_LINES, VAMOS_CIRCUIT_HYPERPLANES, family_corpus, matroid_from_nonbases
 import lattice_oracle
+from polytope_helpers import polytope_vertices
 
 LOOP = from_bases(1, 0, [()])
 COLOOP = from_bases(1, 1, [(1,)])
