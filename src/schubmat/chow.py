@@ -14,14 +14,23 @@ are pruned during the search.  Within a label the search steps over rows
 that get no cell without recursing, and ends a branch as soon as the rows
 left cannot hold the cells left (a capacity prune).  A label is finished
 in the frame that places its last cells, which records the tableau or
-starts the next label there, so a finished label costs no call of its own
-(4,830 in place of 10,269 calls per process of the benchmark's products
-workload).  The search recurses per label, so the orientation rule picks
-the pair's smaller partition as content and, when that content has more
-rows than columns, searches the conjugate pair in the transposed rectangle
-and conjugates the results back.  Each pair's terms are cached for the
-life of the process (one lru_cache on _lr_terms, keyed by (mu, nu,
-rectangle)); lr_coefficient reads a single coefficient out of that cache.
+starts the next label there, so a finished label costs no call of its own.
+The search recurses per label, so the orientation rule picks the pair's
+smaller partition as content and, when that content has more rows than
+columns, searches the conjugate pair in the transposed rectangle and
+conjugates the results back.  There are two caches, both for the life of
+the process.  _lr_terms holds each caller's key (mu, nu, rectangle), so a
+warm pair costs one lookup; lr_coefficient reads a single coefficient out
+of it.  _strip_search holds each search under the orientation it runs in,
+which is the same for a pair, the swapped pair and the conjugate pair in
+the transposed rectangle (c^lam_{mu,nu} = c^lam_{nu,mu} =
+c^lam'_{mu',nu'}): the classes of G(r,n) and G(n-r,n), or of M and M*,
+are conjugates, so their folds share searches.  The first process of
+the benchmark's products workload at seed 1 asks _lr_terms for 361 keys
+and runs 239 searches, with 3,325 calls of the search's inner frame (one
+search per key made 4,830 calls, and the search before labels were
+finished in place 10,269).  Conjugates of library-built partitions come from one store
+(partitions._conjugates) that keeps each pair both ways.
 
 A direct sum folds on the complement side, as in the paper's direct-sum
 formula: the class of M1 + M2 has coefficient sum a_mu b_nu
@@ -38,8 +47,8 @@ product (72-84 against 62-71 ms per process of the benchmark's products
 workload): it took every complement through the validating
 complement_in_rectangle, and those several thousand checked passes per
 process cancelled the gain.  Complements of partitions the library built
-now come from one cached, unchecked helper (partitions._complement),
-and tall contents are searched transposed.  A label-by-label dynamic
+now come from one unchecked store (partitions._complements), and tall
+contents are searched transposed.  A label-by-label dynamic
 programme that merges equal (shape, last-label row counts) states was
 also measured and was not faster: there is almost nothing to merge,
 since the coefficients are mostly 1.
@@ -50,7 +59,12 @@ minus lam, which the hook-length formula counts on the complement of lam.
 That count is cached per shape, the complement alone: folds into different
 ambients produce the same complements (the outputs of shared LR searches),
 so a benchmark products process counts 328 shapes, where a key of
-(lam, rectangle) counted 857.
+(lam, rectangle) counted 857.  The complement itself is not recomputed:
+the complement store keeps each pair both ways, and fold complemented
+every kappa it outputs, so the degree of a fold's output finds each
+complement stored.  fold and the degree share only that store; the same
+products process computes 907 complements, where a cache keyed one way
+computed 1,766.
 """
 
 import re
@@ -59,9 +73,9 @@ from functools import lru_cache
 from .errors import AmbientMismatch, DoesNotFit, InvalidDimensions, require_int, require_type
 from .partitions import (
     Partition,
-    _complement,
+    _complements,
+    _conjugates,
     _syt_count,
-    conjugate,
     contains,
     fits,
     normalize,
@@ -163,6 +177,9 @@ class ChowClass(_ReadOnly):
         return f"ChowClass(ambient={self.ambient!r}, terms={self.terms!r})"
 
     def coefficient(self, lam: Partition) -> int:
+        """The coefficient of sigma_lam.  A part that is not an int raises
+        NotAnInteger: (1.0,) and (True,) would read the term of (1,)."""
+        require_parts(lam)
         return self.terms.get(normalize(lam), 0)
 
     def is_zero(self) -> bool:
@@ -268,32 +285,55 @@ def _lr_terms(
 ) -> tuple[tuple[Partition, int], ...]:
     """The pairs (lam, c^lam_{mu,nu}) with c > 0 and lam inside rect.
 
-    The smaller partition is placed as content (c^lam_{mu,nu} =
-    c^lam_{nu,mu}), since the search recurses once per label and per row
-    that gets cells.  When that content has more rows than columns, the
-    search runs on the conjugates in the transposed rectangle, where it has
-    fewer labels, and conjugates the results back (c^lam_{mu,nu} =
-    c^lam'_{mu',nu'}, and lam fits in rows x cols iff lam' fits in
-    cols x rows).  The key is (mu, nu, rect) as the caller gives it: product
-    passes its ambient's rectangle, fold the pair of complements in a fixed
-    order and its bounding rectangle, so fold's key depends on the pair
-    only and is shared by folds into different ambients.  The module
-    docstring says why an earlier complement-side fold was not faster.  The
-    result is shared by every caller, so it is an immutable tuple.
+    The key is (mu, nu, rect) as the caller gives it: product passes its
+    ambient's rectangle, fold the pair of complements in a fixed order and
+    its bounding rectangle, so fold's key depends on the pair only and is
+    shared by folds into different ambients.  A warm pair costs one lookup
+    here.  A cold pair reads the search of the orientation that
+    _search_orientation picks, which _strip_search caches in its own right,
+    so (nu, mu) and (mu', nu') in the transposed rectangle read the same
+    search as (mu, nu); the terms of a search run on the conjugates are
+    conjugated back here, once per key.  The result is shared by every
+    caller, so it is an immutable tuple.
     """
-    if (size(nu), nu) > (size(mu), mu):
-        mu, nu = nu, mu
-    if not fits(mu, rect):
+    if not (fits(mu, rect) and fits(nu, rect)):
         return ()
-    if nu and len(nu) > nu[0]:
-        rows, cols = rect
-        found = _strip_search(conjugate(mu), conjugate(nu), (cols, rows))
-        return tuple((conjugate(lam), c) for lam, c in found.items())
-    return tuple(_strip_search(mu, nu, rect).items())
+    outer, content, box, transposed = _search_orientation(mu, nu, rect)
+    found = _strip_search(outer, content, box)
+    if transposed:
+        return tuple((_conjugates[lam], c) for lam, c in found)
+    return found
 
 
-def _strip_search(mu: Partition, nu: Partition, rect: tuple[int, int]) -> dict[Partition, int]:
-    """{lam: c^lam_{mu,nu}} for the lam inside rect with c > 0; mu fits in rect.
+def _search_orientation(mu: Partition, nu: Partition, rect: tuple[int, int]):
+    """The (outer, content, rectangle) that _strip_search runs for the pair,
+    and whether it is the conjugate pair in the transposed rectangle.
+
+    c^lam_{mu,nu} = c^lam_{nu,mu} = c^lam'_{mu',nu'}, and lam fits in
+    rows x cols iff lam' fits in cols x rows, so the four orientations of a
+    pair have one set of terms up to conjugation.  The search recurses once
+    per label and per row that gets cells, so the content is the smaller
+    partition and has no more rows than columns; among the orientations
+    that allow, the one with the fewest labels and then the least tuple is
+    searched, so every orientation of a pair picks the same one.
+    """
+    mu_t, nu_t, rect_t = _conjugates[mu], _conjugates[nu], (rect[1], rect[0])
+    orientations = []
+    if size(nu) <= size(mu):
+        orientations += [(mu, nu, rect, False), (mu_t, nu_t, rect_t, True)]
+    if size(mu) <= size(nu):
+        orientations += [(nu, mu, rect, False), (nu_t, mu_t, rect_t, True)]
+    return min((len(o[1]), o) for o in orientations if not o[1] or len(o[1]) <= o[1][0])[1]
+
+
+@lru_cache(maxsize=None)
+def _strip_search(
+    mu: Partition, nu: Partition, rect: tuple[int, int]
+) -> tuple[tuple[Partition, int], ...]:
+    """The pairs (lam, c^lam_{mu,nu}) for the lam inside rect with c > 0;
+    mu fits in rect.  Cached for the life of the process under the
+    orientation _search_orientation picks; the result is shared, so it is
+    an immutable tuple.
 
     Grows mu by the content nu, one horizontal strip per label, keeping the
     reverse reading word (rows top to bottom, each row right to left) a
@@ -307,10 +347,10 @@ def _strip_search(mu: Partition, nu: Partition, rect: tuple[int, int]) -> dict[P
     as soon as it is less than the cells left.  A label is finished in the
     frame that places its last cells: the last label records the tableau
     and any other starts the next label there, so no call is made for a
-    label with no cells left.  An empty content gives {mu: 1}.
+    label with no cells left.  An empty content gives ((mu, 1),).
     """
     if not nu:
-        return {mu: 1}
+        return ((mu, 1),)
     rows, cols = rect
     shape = list(padded(mu, rows))
     last, labels = rows - 1, len(nu)
@@ -356,7 +396,7 @@ def _strip_search(mu: Partition, nu: Partition, rect: tuple[int, int]) -> dict[P
 
     # label 1 has no lattice bound: give it one no count can reach
     fill(1, 0, nu[0], cols, 0, size(nu))
-    return terms
+    return tuple(terms.items())
 
 
 @lru_cache(maxsize=None)
@@ -407,15 +447,15 @@ def fold(a: ChowClass, b: ChowClass) -> ChowClass:
     """
     target = Ambient(a.ambient.r + b.ambient.r, a.ambient.n + b.ambient.n)
     rect, rect_a, rect_b = target.rect, a.ambient.rect, b.ambient.rect
-    rights = [(_complement(nu, rect_b), cb) for nu, cb in b.terms.items()]
+    rights = [(_complements[nu, rect_b], cb) for nu, cb in b.terms.items()]
     sums: dict[Partition, int] = {}
     for mu, ca in a.terms.items():
-        left = _complement(mu, rect_a)
+        left = _complements[mu, rect_a]
         for right, cb in rights:
             x, y = (left, right) if left >= right else (right, left)
             for kappa, c in _lr_terms(x, y, (len(x) + len(y), sum(x[:1] + y[:1]))):
                 sums[kappa] = sums.get(kappa, 0) + ca * cb * c
-    return ChowClass._trusted(target, {_complement(kappa, rect): v for kappa, v in sums.items()})
+    return ChowClass._trusted(target, {_complements[kappa, rect]: v for kappa, v in sums.items()})
 
 
 def _require_degree(d, what: str) -> None:
@@ -434,7 +474,7 @@ def sigma1_power_degree(c: ChowClass, s: int) -> int:
     _require_degree(s, "sigma_1 power")
     rect = c.ambient.rect
     return sum(
-        coeff * _shape_syt(_complement(lam, rect))
+        coeff * _shape_syt(_complements[lam, rect])
         for lam, coeff in c.terms.items()
         if size(lam) + s == rect[0] * rect[1]
     )

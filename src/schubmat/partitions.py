@@ -64,25 +64,58 @@ def conjugate(lam: Partition) -> Partition:
     return conj
 
 
-@lru_cache(maxsize=None)
-def _complement(lam: Partition, rect: Rectangle) -> Partition:
-    """Complement of lam inside rect, rotated 180 degrees, for lam that the
-    library built and that fits in rect: nothing is checked."""
-    rows, cols = rect
-    comp = [cols] * (rows - len(lam)) + [cols - p for p in reversed(lam)]
-    while comp and not comp[-1]:
-        comp.pop()
-    return tuple(comp)
+class _ConjugateStore(dict):
+    """Conjugates of partitions the library built, stored both ways, since
+    conjugation is an involution: the LR kernel conjugates a pair to orient
+    its search and the terms of a transposed search back, and the same few
+    hundred shapes recur.  A hit is one dict lookup, with no Python call."""
+
+    __slots__ = ()
+
+    def __missing__(self, lam: Partition) -> Partition:
+        conj = self[lam] = conjugate(lam)
+        self[conj] = lam
+        return conj
+
+
+_conjugates = _ConjugateStore()
+
+
+class _ComplementStore(dict):
+    """Complements of partitions the library built, keyed by (lam, rect):
+    nothing is checked, and lam must fit in rect.  Complementing is an
+    involution on the partitions in a rectangle, so a miss stores the pair
+    both ways: the complement of a fold's output, which the fold computed
+    from the other side, is already here when sigma1_power_degree asks for
+    it.  A hit is one dict lookup, with no Python call."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple[Partition, Rectangle]) -> Partition:
+        lam, rect = key
+        rows, cols = rect
+        comp = [cols] * (rows - len(lam)) + [cols - p for p in reversed(lam)]
+        while comp and not comp[-1]:
+            comp.pop()
+        comp = self[key] = tuple(comp)
+        self[comp, rect] = lam
+        return comp
+
+
+_complements = _ComplementStore()
 
 
 def complement_in_rectangle(lam: Partition, rect: Rectangle) -> Partition:
     """Complement of lam inside rect, rotated 180 degrees.  A part that is
-    not an int raises NotAnInteger before it reaches the cache."""
+    not an int raises NotAnInteger before it reaches the store, and lam is
+    normalized (a negative part or an increase raises ValueError) before
+    it is fitted."""
     require_parts(lam)
+    lam = normalize(lam)
     rows, cols = rect
     if not fits(lam, rect):
         raise DoesNotFit(f"{lam} does not fit in {rows}x{cols}")
-    return normalize(_complement(lam, rect))
+    return _complements[lam, rect]
 
 
 def hook(r: int, n: int) -> Partition:
@@ -121,9 +154,11 @@ def _over_hooks(lam: Partition, numerator: int) -> int:
 
 
 def syt_count(lam: Partition) -> int:
-    """Number of standard Young tableaux of shape lam (hook length formula)."""
+    """Number of standard Young tableaux of shape lam (hook length formula).
+    A part that is not an int raises NotAnInteger, and a shape that is not
+    a partition raises ValueError, as in normalize."""
     require_parts(lam)
-    return _syt_count(lam)
+    return _syt_count(normalize(lam))
 
 
 def _syt_count(lam: Partition) -> int:
@@ -135,9 +170,11 @@ def schur_at_ones(lam: Partition, k: int) -> int:
     """Principal specialization s_lam(1^k): semistandard tableaux with entries <= k.
 
     Hook-content product, prod (k + j - i) / prod hooks over the boxes
-    (i, j); exact, returns 0 when lam has more than k rows.
+    (i, j); exact, returns 0 when lam has more than k rows.  Its input is
+    checked as syt_count's is.
     """
     require_parts(lam)
+    lam = normalize(lam)
     require_int(k, "number of variables")
     if lam and len(lam) > k:
         return 0

@@ -11,6 +11,7 @@ from schubmat import (
     Ambient,
     ChowClass,
     chow,
+    partitions,
     direct_sum,
     lr_coefficient,
     orbit,
@@ -29,6 +30,7 @@ from schubmat.chow import _shape_syt
 from schubmat.errors import AmbientMismatch, DoesNotFit, InvalidDimensions, NotAnInteger
 from schubmat.partitions import (
     complement_in_rectangle,
+    conjugate,
     contains,
     normalize,
     partitions_in_rectangle,
@@ -167,14 +169,15 @@ def test_lr_against_jacobi_trudi_random_sample():
 @pytest.mark.parametrize("rect", [(5, 2), (7, 2), (8, 2), (6, 3), (4, 4), (5, 4)],
                          ids=lambda r: f"{r[0]}x{r[1]}")
 def test_lr_terms_match_oracle_on_every_pair(monkeypatch, rect):
-    """Every pair of the rectangle, the cache bypassed; a content with more
-    rows than columns is searched in the transposed rectangle, so no search
-    places a content with more rows than columns."""
+    """Every pair of the rectangle, the per-caller cache bypassed; the
+    smaller partition is the content, and a content with more rows than
+    columns is searched in the transposed rectangle, so no search places a
+    content with more rows than columns."""
     searched = []
     search = chow._strip_search
 
     def recording(mu, nu, rect):
-        assert not nu or len(nu) <= nu[0], nu
+        assert size(nu) <= size(mu) and (not nu or len(nu) <= nu[0]), (mu, nu)
         searched.append(rect)
         return search(mu, nu, rect)
 
@@ -186,6 +189,30 @@ def test_lr_terms_match_oracle_on_every_pair(monkeypatch, rect):
             assert len(dict(terms)) == len(terms)
             assert dict(terms) == lr_oracle.product_terms({mu: 1}, {nu: 1}, *rect), (mu, nu)
     assert rect in searched and rect[::-1] in searched
+
+
+@st.composite
+def pairs_in_rectangles(draw):
+    rect = (draw(st.integers(min_value=1, max_value=5)), draw(st.integers(min_value=1, max_value=5)))
+    shapes = st.sampled_from(partitions_in_rectangle(rect))
+    return draw(shapes), draw(shapes), rect
+
+
+@settings(max_examples=120, deadline=None)
+@given(pairs_in_rectangles())
+def test_conjugate_pair_reads_the_search_of_the_pair(pair):
+    """c^lam_{mu,nu} = c^lam'_{mu',nu'}: the terms of the conjugate pair in
+    the transposed rectangle are the conjugated terms of the pair, and the
+    two share one strip search."""
+    mu, nu, rect = pair
+    chow._lr_terms.cache_clear()
+    chow._strip_search.cache_clear()
+    terms = dict(chow._lr_terms(mu, nu, rect))
+    assert terms == lr_oracle.product_terms({mu: 1}, {nu: 1}, *rect), (mu, nu, rect)
+    transposed = chow._lr_terms(conjugate(mu), conjugate(nu), rect[::-1])
+    assert dict(transposed) == {conjugate(lam): c for lam, c in terms.items()}
+    assert len(dict(transposed)) == len(transposed)
+    assert chow._strip_search.cache_info().misses == 1
 
 
 def test_product_matches_oracle_on_every_pair_in_small_rectangles():
@@ -481,6 +508,47 @@ def test_folds_of_different_ambients_share_lr_searches():
     assert (info.misses, info.hits) == (21, 9)
     sc_direct_sum([u, second])
     assert chow._lr_terms.cache_info().misses == 21
+
+
+def test_folds_of_dual_ambients_share_strip_searches():
+    """G(3,5) and G(5,8) are the duals of G(2,5) and G(3,8), so the
+    complements of their classes, and the pairs a fold searches, are the
+    conjugates of the first fold's.  Conjugate pairs read one search: the
+    first fold's 12 pairs run 11 searches, since one of its pairs is the
+    conjugate of another.  Of the dual fold's 12 pairs, 2 are keys the first
+    fold asked for (pairs that are their own conjugates), and the other 10
+    run no strip search.  The dual class is the conjugate of the first
+    fold's (the class of M* is the class of M with every partition
+    conjugated)."""
+    rng = random.Random(8)
+    first = [full_support_class(2, 5, rng), full_support_class(3, 8, rng)]
+    dual = [ChowClass(Ambient(c.ambient.n - c.ambient.r, c.ambient.n),
+                      {conjugate(lam): v for lam, v in c.terms.items()}) for c in first]
+    chow._lr_terms.cache_clear()
+    chow._strip_search.cache_clear()
+    folded = sc_direct_sum(first)
+    info = chow._strip_search.cache_info()
+    assert (info.misses, info.hits) == (11, 1)
+    folded_dual = sc_direct_sum(dual)
+    info = chow._strip_search.cache_info()
+    assert (info.misses, info.hits) == (11, 11)
+    info = chow._lr_terms.cache_info()
+    assert (info.misses, info.hits) == (22, 2)
+    assert folded_dual.terms == {conjugate(lam): v for lam, v in folded.terms.items()}
+
+
+def test_fold_degree_computes_no_complement():
+    """fold stores each output's complement both ways, so the degree of the
+    fold's output finds every complement it keys its counts by already
+    stored."""
+    rng = random.Random(3)
+    for left, right in TALL_FOLDS + [((3, 7), (2, 8))]:
+        partitions._complements.clear()
+        folded = sc_direct_sum([full_support_class(*left, rng), full_support_class(*right, rng)])
+        stored = len(partitions._complements)
+        rows, cols = folded.ambient.rect
+        assert sigma1_power_degree(folded, rows * cols - size(next(iter(folded.terms)))) > 0
+        assert len(partitions._complements) == stored, (left, right)
 
 
 def test_folds_of_different_ambients_share_degree_counts():

@@ -84,8 +84,10 @@ def test_complement_involution_exhaustive():
 
 def test_complement_checks_what_it_is_given():
     """The unchecked complement is read through the checks: a shape that is
-    not weakly decreasing still raises, and trailing zeros are dropped."""
-    for lam, rect in [((1, 2), (2, 3)), ((3, 0, 3), (3, 3)), ((-1,), (2, 3))]:
+    not weakly decreasing or has a negative part still raises, even where
+    the flipped parts would be weakly decreasing, and trailing zeros are
+    dropped."""
+    for lam, rect in [((1, 2), (2, 3)), ((3, 0, 3), (3, 3)), ((-1,), (2, 3)), ((3, -1), (2, 3))]:
         with pytest.raises(ValueError):
             complement_in_rectangle(lam, rect)
     assert complement_in_rectangle((1, 0), (2, 3)) == (3, 2)
@@ -172,6 +174,18 @@ def test_syt_count_examples():
     assert syt_count(hook(3, 7)) == 10
     assert syt_count((1,)) == 1
     assert syt_count((2, 1)) == 2
+    assert syt_count((2, 1, 0)) == 2
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (1, 3), (2, -1), (-1,), (2, 0, 1)])
+def test_shape_functions_reject_non_partitions(lam):
+    """A shape that is not weakly decreasing or has a negative part is not
+    a partition: it raises as normalize does, not as a failed invariant
+    and not with a count."""
+    with pytest.raises(ValueError):
+        syt_count(lam)
+    with pytest.raises(ValueError):
+        schur_at_ones(lam, 3)
 
 
 def test_syt_count_against_brute_force():
@@ -189,6 +203,7 @@ def test_schur_at_ones_examples():
     assert schur_at_ones((), 0) == 1
     assert schur_at_ones((2, 1), 1) == 0
     assert schur_at_ones((2, 1), 2) == 2
+    assert schur_at_ones((1, 0), 1) == 1
 
 
 def test_schur_at_ones_against_brute_force():

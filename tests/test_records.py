@@ -86,6 +86,11 @@ def test_chow_class_zero_class_and_validation():
         ChowClass(g, {(1,): True})
     with pytest.raises(ValueError, match="not weakly decreasing"):
         ChowClass(g, {(1, 2): 1})
+    a = ChowClass(g, {(1,): 2})
+    assert a.coefficient((1, 0)) == 2 and a.coefficient((2,)) == 0
+    for lam in [(1.0,), (True,), (1, 0.0)]:
+        with pytest.raises(NotAnInteger):
+            a.coefficient(lam)
 
 
 def test_chow_class_repr():
