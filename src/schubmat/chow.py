@@ -1,70 +1,42 @@
 """The Chow ring of the Grassmannian G(r,n) as a free abelian group on
-Schubert cycles, with Pieri products, Littlewood-Richardson products,
-sigma_1-power degrees, and the direct-sum fold.
+Schubert cycles, with Littlewood-Richardson products (Pieri's rule is the
+one-row case), sigma_1-power degrees, and the direct-sum fold.
 
 A ChowClass is a finite integer combination of Schubert cycles sigma_lam,
 with every lam inside the r x (n-r) rectangle.  Cycles that would leave
-the rectangle are truncated away (the quotient-ring convention).
+the rectangle are truncated away (the quotient-ring convention).  Every
+partition from outside the library goes through partitions.normalize.
 
 LR terms are computed per pair of cycles (mu, nu): the LR tableaux of
 content nu on mu are generated directly, one horizontal strip per label
 under the lattice-word condition, so only the non-zero coefficients
-c^lam_{mu,nu} are ever built, and shapes that would leave the rectangle
-are pruned during the search.  Within a label the search steps over rows
-that get no cell without recursing, and ends a branch as soon as the rows
-left cannot hold the cells left (a capacity prune).  A label is finished
-in the frame that places its last cells, which records the tableau or
-starts the next label there, so a finished label costs no call of its own.
-The search recurses per label, so the orientation rule picks the pair's
-smaller partition as content and, when that content has more rows than
-columns, searches the conjugate pair in the transposed rectangle and
-conjugates the results back.  There are two caches, both for the life of
-the process.  _lr_terms holds each caller's key (mu, nu, rectangle), so a
-warm pair costs one lookup; lr_coefficient reads a single coefficient out
-of it.  _strip_search holds each search under the orientation it runs in,
-which is the same for a pair, the swapped pair and the conjugate pair in
-the transposed rectangle (c^lam_{mu,nu} = c^lam_{nu,mu} =
-c^lam'_{mu',nu'}): the classes of G(r,n) and G(n-r,n), or of M and M*,
-are conjugates, so their folds share searches.  The first process of
-the benchmark's products workload at seed 1 asks _lr_terms for 361 keys
-and runs 239 searches, with 3,325 calls of the search's inner frame (one
-search per key made 4,830 calls, and the search before labels were
-finished in place 10,269).  Conjugates of library-built partitions come from one store
-(partitions._conjugates) that keeps each pair both ways.
+c^lam_{mu,nu} are built, and shapes that would leave the rectangle are
+pruned during the search.  The search recurses per label, so it takes the
+pair's smaller partition as content and, when that content has more rows
+than columns, searches the conjugate pair in the transposed rectangle and
+conjugates the results back.  Two caches live as long as the process:
+_lr_terms, keyed by the caller's (mu, nu, rectangle), so a warm pair costs
+one lookup; and _strip_search, keyed by the orientation searched, which a
+pair, the swapped pair and the conjugate pair in the transposed rectangle
+share (c^lam_{mu,nu} = c^lam_{nu,mu} = c^lam'_{mu',nu'}), so the folds of
+M and M* share searches.
 
 A direct sum folds on the complement side, as in the paper's direct-sum
 formula: the class of M1 + M2 has coefficient sum a_mu b_nu
 c^kappa_{mu^c,nu^c} at sigma_{kappa^c}.  The sums are kept on kappa, and
 each distinct kappa is complemented into the joint rectangle once, at the
-end, rather than once per LR term.  For matroid classes each
-complement has n_i - 1 cells, so a search places at most n_i - 1 cells in
-the pair's bounding rectangle, where box-shifting both classes into the
-joint rectangle placed 10-17 cells in rectangles such as 12 x 4.  The
-pair goes in a fixed order and the bounding rectangle depends on the pair
-only, so folds into different ambients share cache entries.  An earlier
-prototype that changed only the fold was not faster than the box-shifted
-product (72-84 against 62-71 ms per process of the benchmark's products
-workload): it took every complement through the validating
-complement_in_rectangle, and those several thousand checked passes per
-process cancelled the gain.  Complements of partitions the library built
-now come from one unchecked store (partitions._complements), and tall
-contents are searched transposed.  A label-by-label dynamic
-programme that merges equal (shape, last-label row counts) states was
-also measured and was not faster: there is almost nothing to merge,
-since the coefficients are mostly 1.
+end.  A pair is searched in its bounding rectangle and in a fixed order, so
+its cache key depends on the pair only and folds into different ambients
+share it.
 
 The degree of c * sigma_1^s needs no products: sigma_lam * sigma_1^s
 meets the point class once for each standard filling of the rectangle
 minus lam, which the hook-length formula counts on the complement of lam.
-That count is cached per shape, the complement alone: folds into different
-ambients produce the same complements (the outputs of shared LR searches),
-so a benchmark products process counts 328 shapes, where a key of
-(lam, rectangle) counted 857.  The complement itself is not recomputed:
-the complement store keeps each pair both ways, and fold complemented
-every kappa it outputs, so the degree of a fold's output finds each
-complement stored.  fold and the degree share only that store; the same
-products process computes 907 complements, where a cache keyed one way
-computed 1,766.
+That count is cached per shape, so folds into different ambients share the
+counts of their common complements.  Complements and conjugates of
+library-built partitions come from the stores in partitions, which keep
+each pair both ways: the complement of a fold's output is already stored
+when its degree asks for it.
 """
 
 import re
@@ -80,7 +52,6 @@ from .partitions import (
     fits,
     normalize,
     padded,
-    require_parts,
     size,
 )
 
@@ -147,7 +118,6 @@ class ChowClass(_ReadOnly):
         clean = {}
         for lam, c in (terms or {}).items():
             lam = normalize(lam)
-            require_parts(lam)
             if not fits(lam, ambient.rect):
                 raise DoesNotFit(f"{lam} does not fit in G({ambient.r},{ambient.n})")
             require_int(c, "coefficient")
@@ -177,9 +147,9 @@ class ChowClass(_ReadOnly):
         return f"ChowClass(ambient={self.ambient!r}, terms={self.terms!r})"
 
     def coefficient(self, lam: Partition) -> int:
-        """The coefficient of sigma_lam.  A part that is not an int raises
-        NotAnInteger: (1.0,) and (True,) would read the term of (1,)."""
-        require_parts(lam)
+        """The coefficient of sigma_lam; lam goes through normalize, so
+        (1.0,) and (True,) raise NotAnInteger rather than read the term of
+        (1,)."""
         return self.terms.get(normalize(lam), 0)
 
     def is_zero(self) -> bool:
@@ -221,7 +191,6 @@ class ChowClass(_ReadOnly):
             require_type(item, dict, "a term")
             parts = item["partition"]
             require_type(parts, list, "partition")
-            require_parts(parts)
             lam = normalize(parts)
             coeff = item["coeff"]
             if isinstance(coeff, str) and re.fullmatch(r"-?[0-9]+", coeff):
@@ -241,42 +210,22 @@ class ChowClass(_ReadOnly):
 
 
 def sigma(ambient: Ambient, lam, coeff: int = 1) -> ChowClass:
-    return ChowClass(ambient, {normalize(lam): coeff})
-
-
-def _pieri_shapes(lam: Partition, b: int, rect: tuple[int, int]):
-    """Partitions in rect obtained from lam by adding b boxes, at most one per column."""
-    rows, cols = rect
-    full = padded(lam, rows)
-
-    def gen(i, remaining, prev_new, prev_old):
-        if i == rows:
-            if remaining == 0:
-                yield ()
-            return
-        old = full[i]
-        # at most one box per column: row i may grow at most to the previous
-        # row's *old* length; must stay weakly decreasing and inside rect
-        hi = min(prev_old, prev_new, cols, old + remaining)
-        for new in range(old, hi + 1):
-            for rest in gen(i + 1, remaining - (new - old), new, old):
-                yield (new,) + rest
-
-    for shape in gen(0, b, cols, cols):
-        yield normalize(shape)
+    """coeff times the Schubert cycle sigma_lam; lam is checked as a term of
+    ChowClass(...) is."""
+    return ChowClass(ambient, {tuple(lam): coeff})
 
 
 def pieri(c: ChowClass, b: int) -> ChowClass:
-    """Multiply by the single-row cycle sigma_(b) via Pieri's rule; b is a
-    non-negative int."""
+    """Multiply by the one-row cycle sigma_(b); b is a non-negative int.
+    Pieri's rule is the LR rule with a one-row content, so this is the LR
+    product with sigma_(b), and a row that does not fit the rectangle (any
+    row when r = 0) gives the zero class."""
     _require_degree(b, "Pieri degree")
     if b == 0:
         return c
-    terms: dict[Partition, int] = {}
-    for lam, coeff in c.terms.items():
-        for mu in _pieri_shapes(lam, b, c.ambient.rect):
-            terms[mu] = terms.get(mu, 0) + coeff
-    return ChowClass(c.ambient, terms)
+    if not fits((b,), c.ambient.rect):
+        return ChowClass(c.ambient)
+    return product(c, sigma(c.ambient, (b,)))
 
 
 @lru_cache(maxsize=None)
@@ -409,10 +358,8 @@ def _shape_syt(shape: Partition) -> int:
 
 def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
     """The Littlewood-Richardson coefficient c^lam_{mu,nu}, read off the
-    terms of (mu, nu) in lam's bounding rectangle.  A part that is not an
-    int raises NotAnInteger before anything is normalized or cached."""
-    for parts in (mu, nu, lam):
-        require_parts(parts)
+    terms of (mu, nu) in lam's bounding rectangle.  Each partition goes
+    through normalize before anything is cached."""
     mu, nu, lam = normalize(mu), normalize(nu), normalize(lam)
     if size(mu) + size(nu) != size(lam) or not contains(lam, mu):
         return 0

@@ -40,8 +40,9 @@ class ElementOutOfRange(SchubmatError):
 class NotAnInteger(SchubmatError):
     """A ground-set size, rank, basis element, family parameter, Schubert
     index, element of a subset given to a matroid method or `minor`,
-    partition part, variable count of `schur_at_ones`, Chow-class
-    coefficient or Chow-kernel degree is not an int.
+    partition part, variable count of `schur_at_ones`, weight given to
+    `partitions_in_rectangle`, Chow-class coefficient or Chow-kernel degree
+    is not an int.
 
     Bools, floats and numeric strings are rejected, never coerced.
     """
@@ -152,14 +153,6 @@ class InhomogeneousClass(SchubmatError):
     def __init__(self, partition, expected_size):
         self.partition, self.expected_size = partition, expected_size
         super().__init__(f"term {partition} does not have size {expected_size}")
-
-
-class WrongAffineDimension(SchubmatError):
-    """A base polytope's affine dimension is not n - kappa."""
-
-    def __init__(self, dim, expected):
-        self.dim, self.expected = dim, expected
-        super().__init__(f"affine dimension {dim} != n - kappa = {expected}")
 
 
 class NonIntegralCount(SchubmatError):

@@ -150,8 +150,7 @@ def sc(m: Matroid) -> ScResult:
         chow_class=combined,
         methods=methods,
         k_used=ks[0] if summary.kappa == 1 else None,
-        # Crapo's beta vanishes on disconnected matroids
-        beta_value=beta(m) if summary.kappa == 1 else 0,
+        beta_value=beta(m),
     )
 
 

@@ -3,6 +3,11 @@
 Partitions are plain tuples of positive integers in weakly decreasing order,
 with no trailing zeros (normal form).  The empty partition is ``()``.
 A rectangle is the pair ``(rows, cols)``.
+
+normalize is the one gate a partition from outside the library goes
+through: every public function that takes a partition calls it first.  The
+helpers and stores whose names start with an underscore take partitions the
+library built and check nothing.
 """
 
 from functools import lru_cache
@@ -15,23 +20,22 @@ Rectangle = tuple[int, int]
 
 
 def normalize(parts) -> Partition:
-    """Drop trailing zeros and return the canonical tuple form."""
+    """The one gate for a partition from outside the library, returning its
+    canonical tuple form.  In order: every part is an int, else
+    NotAnInteger (a bool is not one; the caches are keyed by partitions,
+    where (1.0,) and (True,) would share the entry of (1,)); the parts
+    weakly decrease and none is negative, else ValueError; trailing zeros
+    are dropped."""
     parts = tuple(parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
+    for p in parts:
+        require_int(p, "partition part")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError(f"not weakly decreasing: {parts}")
     if parts and parts[-1] < 0:
         raise ValueError(f"negative part in {parts}")
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
     return parts
-
-
-def require_parts(lam) -> None:
-    """Raise NotAnInteger unless every part of lam is an int.  The caches are
-    keyed by partitions, where (1.0,) and (True,) would share the entry of
-    (1,), so a public function checks its parts before anything else."""
-    for p in lam:
-        require_int(p, "partition part")
 
 
 def size(lam: Partition) -> int:
@@ -55,9 +59,14 @@ def padded(lam: Partition, rows: int) -> tuple[int, ...]:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """The transposed diagram, walking the rows from the bottom: the columns
-    past the ones already counted and inside row i (counted from 1) have
-    height i."""
+    """The transposed diagram of lam, which goes through normalize."""
+    return _conjugate(normalize(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    """conjugate of a partition the library built: nothing is checked.
+    Walks the rows from the bottom: the columns past the ones already
+    counted and inside row i (counted from 1) have height i."""
     conj: Partition = ()
     for i in range(len(lam), 0, -1):
         conj += (i,) * (lam[i - 1] - len(conj))
@@ -73,7 +82,7 @@ class _ConjugateStore(dict):
     __slots__ = ()
 
     def __missing__(self, lam: Partition) -> Partition:
-        conj = self[lam] = conjugate(lam)
+        conj = self[lam] = _conjugate(lam)
         self[conj] = lam
         return conj
 
@@ -106,11 +115,8 @@ _complements = _ComplementStore()
 
 
 def complement_in_rectangle(lam: Partition, rect: Rectangle) -> Partition:
-    """Complement of lam inside rect, rotated 180 degrees.  A part that is
-    not an int raises NotAnInteger before it reaches the store, and lam is
-    normalized (a negative part or an increase raises ValueError) before
-    it is fitted."""
-    require_parts(lam)
+    """Complement of lam inside rect, rotated 180 degrees.  lam goes through
+    normalize before it is fitted or reaches the store."""
     lam = normalize(lam)
     rows, cols = rect
     if not fits(lam, rect):
@@ -133,8 +139,14 @@ def hook_complement(r: int, n: int) -> Partition:
 
 
 def hook_lengths(lam: Partition) -> list[int]:
-    """Hook lengths of all boxes, row-major order."""
-    conj = conjugate(lam)
+    """Hook lengths of all boxes of lam, row-major order; lam goes through
+    normalize."""
+    return _hook_lengths(normalize(lam))
+
+
+def _hook_lengths(lam: Partition) -> list[int]:
+    """hook_lengths of a partition the library built: nothing is checked."""
+    conj = _conjugate(lam)
     return [
         lam[i] - (j + 1) + conj[j] - i
         for i in range(len(lam))
@@ -144,7 +156,7 @@ def hook_lengths(lam: Partition) -> list[int]:
 
 def _over_hooks(lam: Partition, numerator: int) -> int:
     """numerator / prod(hook lengths of lam), which must be an integer."""
-    hooks = prod(hook_lengths(lam))
+    hooks = prod(_hook_lengths(lam))
     value, rest = divmod(numerator, hooks)
     if rest:
         from fractions import Fraction  # imported on use, not with the package
@@ -154,10 +166,8 @@ def _over_hooks(lam: Partition, numerator: int) -> int:
 
 
 def syt_count(lam: Partition) -> int:
-    """Number of standard Young tableaux of shape lam (hook length formula).
-    A part that is not an int raises NotAnInteger, and a shape that is not
-    a partition raises ValueError, as in normalize."""
-    require_parts(lam)
+    """Number of standard Young tableaux of shape lam (hook length formula);
+    lam goes through normalize."""
     return _syt_count(normalize(lam))
 
 
@@ -170,10 +180,9 @@ def schur_at_ones(lam: Partition, k: int) -> int:
     """Principal specialization s_lam(1^k): semistandard tableaux with entries <= k.
 
     Hook-content product, prod (k + j - i) / prod hooks over the boxes
-    (i, j); exact, returns 0 when lam has more than k rows.  Its input is
-    checked as syt_count's is.
+    (i, j); exact, returns 0 when lam has more than k rows.  lam goes
+    through normalize.
     """
-    require_parts(lam)
     lam = normalize(lam)
     require_int(k, "number of variables")
     if lam and len(lam) > k:
@@ -181,15 +190,19 @@ def schur_at_ones(lam: Partition, k: int) -> int:
     return _over_hooks(lam, prod(k + j - i for i, part in enumerate(lam) for j in range(part)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partitions_in_rectangle(rect: Rectangle, weight: int | None = None) -> tuple[Partition, ...]:
     """All partitions fitting in rect, or only those with |lam| = weight.
 
-    A given weight is generated directly: a branch stops as soon as the
-    boxes left cannot fit in the rows left.
+    A weight that is not an int or None raises NotAnInteger (a bool is not
+    one).  The cache is typed, so True and 1.0 miss the entry of 1 and
+    reach that check.  A given weight is generated directly: a branch stops
+    as soon as the boxes left cannot fit in the rows left.
     """
     rows, cols = rect
     exact = weight is not None
+    if exact:
+        require_int(weight, "weight")
 
     def gen(rows_left, max_part, budget):
         if budget == 0 or not exact:

@@ -6,6 +6,10 @@ replaced: for one triple (mu, nu, lam), fill the cells of lam/mu one by one
 in reverse reading order and count the fillings that are semistandard with
 content nu and whose reverse reading word is a lattice word.  Partitions
 are tuples without trailing zeros; nothing from schubmat is used.
+
+It also holds the Pieri reference: the library multiplies by sigma_(b) as
+an LR product with a one-row content, and pieri_shapes is the rule it
+replaced, adding b boxes at most one per column.
 """
 
 
@@ -85,3 +89,34 @@ def product_terms(a_terms, b_terms, rows, cols):
                 if c:
                     terms[lam] = terms.get(lam, 0) + ca * cb * c
     return {lam: c for lam, c in terms.items() if c}
+
+
+def pieri_shapes(lam, b, rect):
+    """Partitions in rect obtained from lam by adding b boxes, at most one per column."""
+    rows, cols = rect
+    full = lam + (0,) * (rows - len(lam))
+
+    def gen(i, remaining, prev_new, prev_old):
+        if i == rows:
+            if remaining == 0:
+                yield ()
+            return
+        old = full[i]
+        # at most one box per column: row i may grow at most to the previous
+        # row's *old* length; must stay weakly decreasing and inside rect
+        hi = min(prev_old, prev_new, cols, old + remaining)
+        for new in range(old, hi + 1):
+            for rest in gen(i + 1, remaining - (new - old), new, old):
+                yield (new,) + rest
+
+    for shape in gen(0, b, cols, cols):
+        yield _strip(shape)
+
+
+def pieri_terms(terms, b, rect):
+    """A {partition: coeff} map times sigma_(b) in rect, by Pieri's rule."""
+    out = {}
+    for lam, c in terms.items():
+        for mu in pieri_shapes(lam, b, rect):
+            out[mu] = out.get(mu, 0) + c
+    return {mu: c for mu, c in out.items() if c}

@@ -5,8 +5,16 @@ on the matroid core.  The library's volume oracle counts lattice points and
 never lists the vertices.
 """
 
-from schubmat.errors import WrongAffineDimension
+from schubmat.errors import SchubmatError
 from schubmat.matroids import Matroid, classify, matrix_rank
+
+
+class WrongAffineDimension(SchubmatError):
+    """A base polytope's affine dimension is not n - kappa."""
+
+    def __init__(self, dim, expected):
+        self.dim, self.expected = dim, expected
+        super().__init__(f"affine dimension {dim} != n - kappa = {expected}")
 
 
 def polytope_vertices(m: Matroid) -> frozenset:

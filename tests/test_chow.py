@@ -42,7 +42,8 @@ from schubert_helpers import box_shift, degree_pairing
 
 
 def jacobi_trudi_lr(mu, nu, lam):
-    """Independent LR oracle: s_nu = det(h_{nu_i - i + j}), expanded via Pieri.
+    """Independent LR oracle: s_nu = det(h_{nu_i - i + j}), expanded via the
+    Pieri reference in tests/lr_oracle.py.
 
     Works in a rectangle large enough that nothing truncates.
     """
@@ -60,10 +61,10 @@ def jacobi_trudi_lr(mu, nu, lam):
         degrees = [nu[i] - (i + 1) + (perm[i] + 1) for i in range(k)]
         if any(d < 0 for d in degrees):
             continue
-        term = sigma(ambient, mu)
+        term = sigma(ambient, mu).terms
         for d in degrees:
-            term = pieri(term, d)
-        total += sign * term.coefficient(normalize(lam))
+            term = lr_oracle.pieri_terms(term, d, ambient.rect)
+        total += sign * term.get(normalize(lam), 0)
     return total
 
 
@@ -262,11 +263,32 @@ def test_product_golden_example_g49():
 
 
 def test_product_single_terms_and_pieri_agree_exhaustively():
+    """The LR product with a one-row cycle against the Pieri reference."""
     for lam in partitions_in_rectangle(G36.rect):
         for b in range(1, 4):
-            assert pieri(sigma(G36, lam), b).terms == product(
-                sigma(G36, lam), sigma(G36, (b,))
-            ).terms
+            assert product(sigma(G36, lam), sigma(G36, (b,))).terms == lr_oracle.pieri_terms(
+                {lam: 1}, b, G36.rect
+            )
+
+
+def test_pieri_matches_the_reference_exhaustively():
+    """pieri against the Pieri reference for every cycle of every G(r,n)
+    with n <= 7, r = 0 and r = n included, and every row length up to one
+    past the rectangle; and on classes of several terms.  b = 0 returns
+    the class itself."""
+    for n in range(8):
+        for r in range(n + 1):
+            ambient = Ambient(r, n)
+            rect = ambient.rect
+            for lam in partitions_in_rectangle(rect):
+                cls = sigma(ambient, lam, 2)
+                assert pieri(cls, 0) is cls
+                for b in range(1, rect[1] + 2):
+                    assert pieri(cls, b).terms == lr_oracle.pieri_terms({lam: 2}, b, rect), (
+                        ambient, lam, b)
+    for cls in [sc_uniform(3, 7), sc_uniform(2, 6) + sc_minimal(2, 6).scaled(-3)]:
+        for b in range(1, 5):
+            assert pieri(cls, b).terms == lr_oracle.pieri_terms(cls.terms, b, cls.ambient.rect)
 
 
 def test_complementary_dimension_formula_exhaustive():
@@ -304,10 +326,10 @@ def test_product_rejects_ambient_mismatch():
 
 def test_sigma1_powers_count_standard_tableaux():
     for lam in partitions_in_rectangle(G36.rect):
-        power = sigma(G36, ())
+        power = {(): 1}
         for _ in range(size(lam)):
-            power = pieri(power, 1)
-        assert power.coefficient(lam) == syt_count(lam), lam
+            power = lr_oracle.pieri_terms(power, 1, G36.rect)
+        assert power.get(lam, 0) == syt_count(lam), lam
 
 
 def test_degree_pairing():
@@ -329,11 +351,13 @@ def test_sigma1_power_degree_examples():
 
 
 def sigma1_power_degree_by_pieri(c: ChowClass, s: int) -> int:
-    """The former definition: multiply by sigma_(1) s times, read off the rectangle."""
+    """The former definition: multiply by sigma_(1) s times with the Pieri
+    reference, read off the rectangle."""
     rows, cols = c.ambient.rect
+    terms = c.terms
     for _ in range(s):
-        c = pieri(c, 1)
-    return c.coefficient((cols,) * rows)
+        terms = lr_oracle.pieri_terms(terms, 1, (rows, cols))
+    return terms.get((cols,) * rows, 0)
 
 
 FOLDS = [

@@ -19,9 +19,9 @@ from schubmat.errors import (
     InhomogeneousClass,
     NegativeCoefficient,
     NonIntegralCount,
-    WrongAffineDimension,
 )
 import polytope_helpers as polytope
+from polytope_helpers import WrongAffineDimension
 
 
 def negative_klyachko(patch):
@@ -45,12 +45,12 @@ def wrong_affine_dimension(patch):
 
 
 def non_integral_syt_count(patch):
-    patch(partitions, "hook_lengths", lambda lam: [2])
+    patch(partitions, "_hook_lengths", lambda lam: [2])
     partitions.syt_count((1,))
 
 
 def non_integral_schur_value(patch):
-    patch(partitions, "conjugate", lambda lam: (2,))
+    patch(partitions, "_conjugate", lambda lam: (2,))
     partitions.schur_at_ones((1,), 1)
 
 

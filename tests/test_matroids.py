@@ -24,7 +24,7 @@ from schubmat import (
     schubert_matroid,
     uniform,
 )
-from schubmat import matroids, orbit, sc, verify_volume_relation
+from schubmat import matroids, sc, verify_volume_relation
 from schubmat.matroids import lattice_path_matroid
 from schubmat.errors import (
     DependentContraction,
@@ -543,10 +543,11 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
     monkeypatch.setattr(Matroid, "_init", recording_init)
     memoized = {"_exchange_table", "classify", "rank_table", "beta",
                 "_binding_constraints", "_coordinate_order", "_factors"}
-    # sc skips beta on a disconnected matroid and reads its factors' tables
+    # beta of a disconnected matroid is 0 from its factors, and the sum
+    # reads its factors' tables, with no exchange table of its own
     for build, expected in ((lambda: uniform(2, 5), memoized),
                             (lambda: direct_sum(uniform(1, 2), minimal(2, 4)),
-                             memoized - {"beta", "_exchange_table"})):
+                             memoized - {"_exchange_table"})):
         del caches[:]
         m = build()
         verify_volume_relation(m)
@@ -562,14 +563,16 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
 
 
 def test_sc_skips_beta_on_disconnected_matroids(monkeypatch):
+    """sc takes beta of a sum from matroids.beta, which answers 0 from the
+    factors: only the connected factors have their bases counted."""
     seen = []
-    real_beta = orbit.beta
+    real_count = matroids._activity_count
 
     def spy(mat):
         seen.append(mat)
-        return real_beta(mat)
+        return real_count(mat)
 
-    monkeypatch.setattr(orbit, "beta", spy)
+    monkeypatch.setattr(matroids, "_activity_count", spy)
     m = direct_sum(uniform(2, 4), uniform(2, 5))
     assert sc(m).beta_value == 0
     assert seen == [uniform(2, 4), uniform(2, 5)]

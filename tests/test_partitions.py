@@ -6,9 +6,24 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from schubmat import complement_in_rectangle, hook, schur_at_ones, syt_count
+from schubmat import (
+    Ambient,
+    ChowClass,
+    complement_in_rectangle,
+    hook,
+    lr_coefficient,
+    schur_at_ones,
+    sigma,
+    syt_count,
+)
 from schubmat.errors import DoesNotFit, InvalidDimensions, NotAnInteger
-from schubmat.partitions import conjugate, hook_complement, normalize, partitions_in_rectangle
+from schubmat.partitions import (
+    conjugate,
+    hook_complement,
+    hook_lengths,
+    normalize,
+    partitions_in_rectangle,
+)
 from schubert_helpers import jumping_sequence
 
 
@@ -135,6 +150,11 @@ def test_partitions_of_a_weight_are_the_filtered_list():
             assert partitions_in_rectangle(rect, weight) == tuple(
                 lam for lam in every if sum(lam) == weight
             ), (rect, weight)
+    # weight 1 is cached now; True and 1.0 are equal to it but not ints
+    assert partitions_in_rectangle((2, 2), 1) == ((1,),)
+    for weight in (True, 1.0):
+        with pytest.raises(NotAnInteger):
+            partitions_in_rectangle((2, 2), weight)
 
 
 def test_hook_examples():
@@ -219,6 +239,43 @@ def test_complement_involution_random(parts):
     rect = (max(len(lam), 1) + 1, (lam[0] if lam else 1) + 1)
     comp = complement_in_rectangle(lam, rect)
     assert complement_in_rectangle(comp, rect) == lam
+
+
+G25 = Ambient(2, 5)
+ENTRY_POINTS = {
+    "ChowClass": lambda lam: ChowClass(G25, {lam: 1}),
+    "sigma": lambda lam: sigma(G25, lam),
+    "coefficient": lambda lam: sigma(G25, (1,)).coefficient(lam),
+    "from_json_dict": lambda lam: ChowClass.from_json_dict(
+        {"r": 2, "n": 5, "terms": [{"partition": list(lam), "coeff": "1"}]}),
+    "lr_coefficient-mu": lambda lam: lr_coefficient(lam, (1,), (2, 1)),
+    "lr_coefficient-nu": lambda lam: lr_coefficient((1,), lam, (2, 1)),
+    "lr_coefficient-lam": lambda lam: lr_coefficient((1,), (1,), lam),
+    "complement_in_rectangle": lambda lam: complement_in_rectangle(lam, (2, 3)),
+    "syt_count": syt_count,
+    "schur_at_ones": lambda lam: schur_at_ones(lam, 3),
+    "conjugate": conjugate,
+    "hook_lengths": hook_lengths,
+}
+GATE_CASES = [
+    ((1, 0.0), NotAnInteger),
+    ((1, False), NotAnInteger),
+    ((1.0,), NotAnInteger),
+    ((1, 2.0), NotAnInteger),
+    ((1, 2), ValueError),
+    ((1, -1), ValueError),
+]
+
+
+@pytest.mark.parametrize("lam, error", GATE_CASES, ids=[repr(lam) for lam, _ in GATE_CASES])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_partition_entry_point_goes_through_the_gate(entry, lam, error):
+    """Every public function that takes a partition checks it as normalize
+    does, in its order: a part that is not an int (a trailing 0.0 or False
+    included, and also when the parts increase) raises NotAnInteger, and a
+    shape that increases or has a negative part raises ValueError."""
+    with pytest.raises(error):
+        ENTRY_POINTS[entry](lam)
 
 
 def test_normalize_strips_zeros_and_rejects_garbage():
