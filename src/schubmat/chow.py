@@ -42,7 +42,7 @@ when its degree asks for it.
 import re
 from functools import lru_cache
 
-from .errors import AmbientMismatch, DoesNotFit, InvalidDimensions, require_int, require_type
+from .errors import AmbientMismatch, DoesNotFit, require_count, require_int, require_type
 from .partitions import (
     Partition,
     _complements,
@@ -105,26 +105,28 @@ class ChowClass(_ReadOnly):
     """Integer combination of Schubert cycles in a fixed ambient.
 
     terms maps partitions to non-zero int coefficients; the zero class
-    has an empty term map (ChowClass(ambient)).  A partition part or a
-    coefficient that is not an int (a bool is not one) raises NotAnInteger:
-    the kernel's caches are keyed by partitions, and (1.0,) == (1,) would
-    share an entry.  The class is compared by value and, like its term map,
-    is not hashable.
+    has an empty term map (ChowClass(ambient)).  An ambient that is not an
+    Ambient raises WrongShape.  A partition part or a coefficient that is
+    not an int (a bool is not one) raises NotAnInteger: the kernel's caches
+    are keyed by partitions, and (1.0,) == (1,) would share an entry.  Keys
+    that normalize to one partition, such as (1,) and (1, 0), are summed,
+    as from_json_dict sums repeated terms, and a sum of 0 is dropped.  The
+    class is compared by value and, like its term map, is not hashable.
     """
 
     __slots__ = ("ambient", "terms")
 
     def __init__(self, ambient: Ambient, terms: dict[Partition, int] | None = None):
-        clean = {}
+        require_type(ambient, Ambient, "ambient")
+        sums = {}
         for lam, c in (terms or {}).items():
             lam = normalize(lam)
             if not fits(lam, ambient.rect):
                 raise DoesNotFit(f"{lam} does not fit in G({ambient.r},{ambient.n})")
             require_int(c, "coefficient")
-            if c != 0:
-                clean[lam] = c
+            sums[lam] = sums.get(lam, 0) + c
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {lam: c for lam, c in sums.items() if c})
 
     @classmethod
     def _trusted(cls, ambient: Ambient, terms: dict[Partition, int]) -> "ChowClass":
@@ -220,7 +222,7 @@ def pieri(c: ChowClass, b: int) -> ChowClass:
     Pieri's rule is the LR rule with a one-row content, so this is the LR
     product with sigma_(b), and a row that does not fit the rectangle (any
     row when r = 0) gives the zero class."""
-    _require_degree(b, "Pieri degree")
+    require_count(b, "Pieri degree")
     if b == 0:
         return c
     if not fits((b,), c.ambient.rect):
@@ -405,12 +407,6 @@ def fold(a: ChowClass, b: ChowClass) -> ChowClass:
     return ChowClass._trusted(target, {_complements[kappa, rect]: v for kappa, v in sums.items()})
 
 
-def _require_degree(d, what: str) -> None:
-    require_int(d, what)
-    if d < 0:
-        raise InvalidDimensions(f"{what} {d} is negative")
-
-
 def sigma1_power_degree(c: ChowClass, s: int) -> int:
     """deg(c * sigma_(1)^s); s is a non-negative int.
 
@@ -418,7 +414,7 @@ def sigma1_power_degree(c: ChowClass, s: int) -> int:
     the rectangle minus lam, which are counted by the hook-length formula on
     its complement; only terms with |lam| + s = r(n-r) reach the rectangle.
     """
-    _require_degree(s, "sigma_1 power")
+    require_count(s, "sigma_1 power")
     rect = c.ambient.rect
     return sum(
         coeff * _shape_syt(_complements[lam, rect])

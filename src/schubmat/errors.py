@@ -13,7 +13,9 @@ class DoesNotFit(SchubmatError):
 
 class InvalidDimensions(SchubmatError):
     """Rank/ground-set dimensions outside the valid range, or a negative
-    degree given to `pieri` or `sigma1_power_degree`."""
+    count: a degree given to `pieri` or `sigma1_power_degree`, a side of a
+    rectangle, a ground-set size given to `schubert_matroid` or a dilation
+    factor given to `lattice_points`."""
 
 
 class AmbientMismatch(SchubmatError):
@@ -41,8 +43,9 @@ class NotAnInteger(SchubmatError):
     """A ground-set size, rank, basis element, family parameter, Schubert
     index, element of a subset given to a matroid method or `minor`,
     partition part, variable count of `schur_at_ones`, weight given to
-    `partitions_in_rectangle`, Chow-class coefficient or Chow-kernel degree
-    is not an int.
+    `partitions_in_rectangle`, side of a rectangle, Chow-class coefficient,
+    Chow-kernel degree, dilation factor given to `lattice_points` or
+    desk-scale limit is not an int.
 
     Bools, floats and numeric strings are rejected, never coerced.
     """
@@ -54,14 +57,34 @@ def require_int(value, what: str) -> None:
         raise NotAnInteger(f"{what} {value!r} is not an int")
 
 
+def require_count(value, what: str) -> None:
+    """Raise NotAnInteger unless value is an int, then InvalidDimensions if
+    it is negative."""
+    require_int(value, what)
+    if value < 0:
+        raise InvalidDimensions(f"{what} {value} is negative")
+
+
+def require_dimensions(r, n, low: int = 0) -> None:
+    """The one gate for the rank r and ground-set size n of G(r, n) or of a
+    matroid: NotAnInteger for r, then for n, then InvalidDimensions unless
+    low <= r <= n - low (low is 0, or 1 where the hook must exist)."""
+    require_int(r, "rank")
+    require_int(n, "ground-set size")
+    if not low <= r <= n - low:
+        top = f"n-{low}" if low else "n"
+        raise InvalidDimensions(f"need {low} <= r <= {top}, got r={r}, n={n}")
+
+
 class WrongShape(SchubmatError):
     """An input has the wrong JSON type or shape: not an object or list where
-    one belongs, a matrix with no rows, ragged rows or the wrong cols, or a
-    matrix entry that is neither an int nor a "p/q" string."""
+    one belongs, a matrix with no rows, ragged rows or the wrong cols, a
+    matrix entry that is neither an int nor a "p/q" string, or a Chow-class
+    ambient that is not an `Ambient`."""
 
 
 def require_type(value, kind: type, what: str) -> None:
-    """Raise WrongShape unless value is a `kind` (dict or list)."""
+    """Raise WrongShape unless value is a `kind` (dict, list or Ambient)."""
     if not isinstance(value, kind):
         raise WrongShape(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
 

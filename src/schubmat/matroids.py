@@ -54,6 +54,8 @@ from .errors import (
     RankDeficient,
     WrongBasisSize,
     WrongShape,
+    require_count,
+    require_dimensions,
     require_int,
     require_type,
 )
@@ -108,10 +110,7 @@ class Matroid:
         # than r bits.  If any of that fails, `_rescan` goes basis by basis,
         # raises the first fault (its type, then its size, then its range),
         # and takes int subclasses.
-        require_int(n, "ground-set size")
-        require_int(r, "rank")
-        if not 0 <= r <= n:
-            raise InvalidDimensions(f"need 0 <= r <= n, got r={r}, n={n}")
+        require_dimensions(r, n)
         try:
             bases = [tuple(b) for b in bases]
         except TypeError as exc:
@@ -335,50 +334,40 @@ def lattice_path_matroid(upper: str, lower: str) -> Matroid:
 def schubert_matroid(n: int, indices) -> Matroid:
     """SM_I: upper path N^r E^(n-r), lower path with north steps at I.
 
-    I is a set of distinct int indices in [n]; a repeated index is an
-    error, not dropped.
+    n is a non-negative int.  I is a set of distinct int indices in [n],
+    checked by the gate of every element set, `_subset_mask`; a repeated
+    index is an error, not dropped.
     """
-    require_int(n, "ground-set size")
+    require_count(n, "ground-set size")
     indices = list(indices)
-    for i in indices:
-        require_int(i, "Schubert index")
-    indices.sort()
-    if indices and (indices[0] < 1 or indices[-1] > n):
-        raise ElementOutOfRange(f"index set {indices} not inside [{n}]")
-    if len(set(indices)) != len(indices):
-        raise ElementOutOfRange(f"index set {indices} repeats an index")
+    mask = _subset_mask(n, indices)
+    if mask.bit_count() != len(indices):
+        raise ElementOutOfRange(f"index set {sorted(indices)} repeats an index")
     r = len(indices)
     upper = "N" * r + "E" * (n - r)
-    lower = "".join("N" if i in set(indices) else "E" for i in range(1, n + 1))
+    lower = "".join("N" if mask >> i & 1 else "E" for i in range(n))
     return lattice_path_matroid(upper, lower)
 
 
 def uniform(r: int, n: int) -> Matroid:
     """U_{r,n} = SM_{ {n-r+1, ..., n} }, for 0 <= r <= n."""
-    require_int(r, "rank")
-    require_int(n, "ground-set size")
-    if not 0 <= r <= n:
-        raise InvalidDimensions(f"need 0 <= r <= n, got r={r}, n={n}")
+    require_dimensions(r, n)
     return schubert_matroid(n, range(n - r + 1, n + 1))
 
 
 def minimal(r: int, n: int) -> Matroid:
     """T_{r,n} = SM_{ {2, ..., r, n} }: the connected matroid with r(n-r)+1
     bases, for 1 <= r <= n-1."""
-    require_int(r, "rank")
-    require_int(n, "ground-set size")
-    if not 1 <= r <= n - 1:
-        raise InvalidDimensions(f"need 1 <= r <= n-1, got r={r}, n={n}")
+    require_dimensions(r, n, 1)
     return schubert_matroid(n, list(range(2, r + 1)) + [n])
 
 
 def panhandle(r: int, s: int, n: int) -> Matroid:
     """Pan_{r,s,n} = SM_{ {s-r+2, ..., s, n} }, for 1 <= r <= s <= n-1;
     Pan_{r,r,n} = T_{r,n}, Pan_{r,n-1,n} = U_{r,n}."""
-    require_int(r, "rank")
+    require_dimensions(r, n, 1)
     require_int(s, "panhandle size s")
-    require_int(n, "ground-set size")
-    if not 1 <= r <= s <= n - 1:
+    if not r <= s <= n - 1:
         raise InvalidDimensions(f"need 1 <= r <= s <= n-1, got r={r}, s={s}, n={n}")
     return schubert_matroid(n, list(range(s - r + 2, s + 1)) + [n])
 

@@ -16,11 +16,11 @@ from .errors import (
     BetaMismatch,
     EmptyMatroid,
     InhomogeneousClass,
-    InvalidDimensions,
     NegativeCoefficient,
     NotConnected,
     NotSparsePaving,
     UnsupportedMatroid,
+    require_dimensions,
 )
 from .matroids import Classification, Matroid, _factors, beta, classify
 from .partitions import (
@@ -57,11 +57,12 @@ class ScResult(namedtuple("ScResult", [
         return data
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sc_uniform(r: int, n: int) -> ChowClass:
-    """Klyachko's alternating sum for the uniform matroid U_{r,n}."""
-    if r < 1 or r >= n:
-        raise InvalidDimensions(f"need 1 <= r <= n-1, got r={r}, n={n}")
+    """Klyachko's alternating sum for the uniform matroid U_{r,n}, for ints
+    1 <= r <= n-1.  The cache is typed, so 2.0 and True miss the entry of 2
+    and reach the gate."""
+    require_dimensions(r, n, 1)
     ambient = Ambient(r, n)
     weight = (r - 1) * (n - r - 1)
     terms = {}
@@ -117,14 +118,15 @@ def sc_direct_sum(parts: list[ChowClass]) -> ChowClass:
     return acc
 
 
-def _component_class(comp: Matroid) -> tuple[ChowClass, str, int | None]:
+def _component_class(comp: Matroid) -> tuple[ChowClass, str]:
+    """The class of a connected matroid and the method that gave it."""
     if comp.n == 1:
-        return sigma(Ambient(comp.r, 1), ()), METHOD_POINT, None
+        return sigma(Ambient(comp.r, 1), ()), METHOD_POINT
     summary = classify(comp)
-    if summary.is_sparse_paving and summary.kappa == 1:
-        return sc_sparse_paving(comp), METHOD_SPARSE_PAVING, summary.nonbasis_count
+    if summary.is_sparse_paving:
+        return sc_sparse_paving(comp), METHOD_SPARSE_PAVING
     if summary.is_minimal:
-        return sc_minimal(comp.r, comp.n), METHOD_MINIMAL, None
+        return sc_minimal(comp.r, comp.n), METHOD_MINIMAL
     raise UnsupportedMatroid(
         comp,
         f"connected component on {comp.n} elements of rank {comp.r} is neither "
@@ -138,7 +140,7 @@ def sc(m: Matroid) -> ScResult:
         raise EmptyMatroid("the empty matroid has no connected component")
     summary = classify(m)
     comps = [f for _, f in _factors(m)] or [m]
-    parts, methods, ks = zip(*map(_component_class, comps))
+    parts, methods = zip(*map(_component_class, comps))
     combined = sc_direct_sum(list(parts))
     # homogeneity: every term has size r(n-r) - (n - kappa)
     expected = m.r * (m.n - m.r) - (m.n - summary.kappa)
@@ -149,7 +151,7 @@ def sc(m: Matroid) -> ScResult:
         matroid_summary=summary,
         chow_class=combined,
         methods=methods,
-        k_used=ks[0] if summary.kappa == 1 else None,
+        k_used=summary.nonbasis_count if methods == (METHOD_SPARSE_PAVING,) else None,
         beta_value=beta(m),
     )
 

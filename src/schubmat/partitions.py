@@ -5,15 +5,16 @@ with no trailing zeros (normal form).  The empty partition is ``()``.
 A rectangle is the pair ``(rows, cols)``.
 
 normalize is the one gate a partition from outside the library goes
-through: every public function that takes a partition calls it first.  The
-helpers and stores whose names start with an underscore take partitions the
-library built and check nothing.
+through: every public function that takes a partition calls it first.
+_rectangle is the one gate for a rectangle: each side is a non-negative
+int.  The helpers and stores whose names start with an underscore take
+partitions the library built and check nothing.  partitions_in_rectangle is
+not cached: its one library caller, orbit.sc_uniform, is.
 """
 
-from functools import lru_cache
 from math import comb, factorial, prod
 
-from .errors import DoesNotFit, InvalidDimensions, NonIntegralCount, require_int
+from .errors import DoesNotFit, NonIntegralCount, require_count, require_dimensions, require_int
 
 Partition = tuple[int, ...]
 Rectangle = tuple[int, int]
@@ -40,6 +41,15 @@ def normalize(parts) -> Partition:
 
 def size(lam: Partition) -> int:
     return sum(lam)
+
+
+def _rectangle(rect) -> Rectangle:
+    """The one gate for a rectangle from outside the library: each side is
+    an int, else NotAnInteger, and not negative, else InvalidDimensions."""
+    rows, cols = rect
+    require_count(rows, "rectangle rows")
+    require_count(cols, "rectangle columns")
+    return rows, cols
 
 
 def fits(lam: Partition, rect: Rectangle) -> bool:
@@ -116,26 +126,27 @@ _complements = _ComplementStore()
 
 def complement_in_rectangle(lam: Partition, rect: Rectangle) -> Partition:
     """Complement of lam inside rect, rotated 180 degrees.  lam goes through
-    normalize before it is fitted or reaches the store."""
+    normalize and rect through _rectangle before lam is fitted or reaches
+    the store."""
     lam = normalize(lam)
-    rows, cols = rect
+    rect = rows, cols = _rectangle(rect)
     if not fits(lam, rect):
         raise DoesNotFit(f"{lam} does not fit in {rows}x{cols}")
     return _complements[lam, rect]
 
 
 def hook(r: int, n: int) -> Partition:
-    """The hook partition (n-r, 1, ..., 1) with r-1 ones."""
-    require_int(r, "rank")
-    require_int(n, "ground-set size")
-    if r < 1 or r >= n:
-        raise InvalidDimensions(f"need 1 <= r <= n-1, got r={r}, n={n}")
-    return normalize((n - r,) + (1,) * (r - 1))
+    """The hook partition (n-r, 1, ..., 1) with r-1 ones; (r, n) is
+    checked once, and the hook it builds is normal."""
+    require_dimensions(r, n, 1)
+    return (n - r,) + (1,) * (r - 1)
 
 
 def hook_complement(r: int, n: int) -> Partition:
-    """Complement of the hook in the r x (n-r) rectangle: an (r-1) x (n-r-1) rectangle."""
-    return complement_in_rectangle(hook(r, n), (r, n - r))
+    """Complement of the hook in the r x (n-r) rectangle: an (r-1) x (n-r-1)
+    rectangle.  hook checks (r, n), and the hook fits the rectangle, so the
+    store is read without a second check."""
+    return _complements[hook(r, n), (r, n - r)]
 
 
 def hook_lengths(lam: Partition) -> list[int]:
@@ -190,16 +201,15 @@ def schur_at_ones(lam: Partition, k: int) -> int:
     return _over_hooks(lam, prod(k + j - i for i, part in enumerate(lam) for j in range(part)))
 
 
-@lru_cache(maxsize=None, typed=True)
 def partitions_in_rectangle(rect: Rectangle, weight: int | None = None) -> tuple[Partition, ...]:
     """All partitions fitting in rect, or only those with |lam| = weight.
 
-    A weight that is not an int or None raises NotAnInteger (a bool is not
-    one).  The cache is typed, so True and 1.0 miss the entry of 1 and
-    reach that check.  A given weight is generated directly: a branch stops
-    as soon as the boxes left cannot fit in the rows left.
+    rect goes through _rectangle, and a weight that is not an int or None
+    raises NotAnInteger (a bool is not one), before anything is generated.
+    A given weight is generated directly: a branch stops as soon as the
+    boxes left cannot fit in the rows left.  Nothing is cached.
     """
-    rows, cols = rect
+    rows, cols = _rectangle(rect)
     exact = weight is not None
     if exact:
         require_int(weight, "weight")

@@ -29,7 +29,7 @@ from itertools import accumulate
 from math import factorial
 from operator import or_
 
-from .errors import DeskScaleExceeded, NonIntegralVolume
+from .errors import DeskScaleExceeded, NonIntegralVolume, require_count, require_int
 from .matroids import Matroid, _bits, _mask, _memo, classify, rank_table
 
 DESK_SCALE_LIMIT = 8
@@ -47,6 +47,8 @@ class VolumeReport(namedtuple("VolumeReport", [
 
 
 def _check_scale(m: Matroid, limit: int) -> None:
+    """The desk-scale gate: limit is an int, and m has at most limit elements."""
+    require_int(limit, "desk-scale limit")
     if m.n > limit:
         raise DeskScaleExceeded(f"n={m.n} exceeds the desk-scale limit {limit}")
 
@@ -95,7 +97,9 @@ def _coordinate_order(m: Matroid) -> list[int]:
 
 
 def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
-    """Number of lattice points of the t-th dilate of the base polytope."""
+    """Number of lattice points of the t-th dilate of the base polytope; t is
+    a non-negative int."""
+    require_count(t, "dilation factor")
     _check_scale(m, limit)
     if t == 0:
         return 1

@@ -1,4 +1,5 @@
-"""Invariant checks on the sc path raise named errors, also under python -O.
+"""Invariant checks on the sc and volume paths raise named errors, also
+under python -O.
 
 Each trigger breaks one input of a check (by patching a module attribute)
 and runs the code that performs the check.  The same triggers run in a
@@ -14,11 +15,13 @@ from pathlib import Path
 import pytest
 
 from schubmat import Ambient, ChowClass, orbit, partitions, sc, uniform
+from schubmat import polytope as volume_oracle
 from schubmat.errors import (
     BetaMismatch,
     InhomogeneousClass,
     NegativeCoefficient,
     NonIntegralCount,
+    NonIntegralVolume,
 )
 import polytope_helpers as polytope
 from polytope_helpers import WrongAffineDimension
@@ -54,6 +57,18 @@ def non_integral_schur_value(patch):
     partitions.schur_at_ones((1,), 1)
 
 
+def ehrhart_fit_fails(patch):
+    # 2^t agrees with no polynomial of degree dim at t = 0..dim+1
+    patch(volume_oracle, "lattice_points", lambda m, t, limit: 2**t)
+    volume_oracle.ehrhart_report(uniform(2, 4))
+
+
+def zero_volume(patch):
+    # constant counts fit, but give a leading coefficient of 0
+    patch(volume_oracle, "lattice_points", lambda m, t, limit: 1)
+    volume_oracle.ehrhart_report(uniform(2, 4))
+
+
 GATES = [
     (NegativeCoefficient, negative_klyachko),
     (BetaMismatch, wrong_beta),
@@ -61,6 +76,8 @@ GATES = [
     (WrongAffineDimension, wrong_affine_dimension),
     (NonIntegralCount, non_integral_syt_count),
     (NonIntegralCount, non_integral_schur_value),
+    (NonIntegralVolume, ehrhart_fit_fails),
+    (NonIntegralVolume, zero_volume),
 ]
 
 

@@ -26,7 +26,10 @@ from schubmat import (
 )
 from schubmat import matroids, sc, verify_volume_relation
 from schubmat.matroids import lattice_path_matroid
+from schubmat.orbit import sc_uniform
+from schubmat.partitions import hook
 from schubmat.errors import (
+    BadStepString,
     DependentContraction,
     ElementOutOfRange,
     EmptyBases,
@@ -126,6 +129,17 @@ def test_lattice_path_validates_against_path_enumeration():
 def test_lattice_path_rejects_crossing():
     with pytest.raises(PathsCross):
         lattice_path_matroid("EENN", "NNEE")
+
+
+@pytest.mark.parametrize(
+    "upper, lower",
+    [("NX", "NE"), ("NE", "NE "), ("NE", "NEE"), ("NE", "EE"), ("NNE", "NEE")],
+    ids=["bad-upper-step", "bad-lower-step", "lengths-differ", "north-counts-differ",
+         "north-counts-differ-same-length"],
+)
+def test_lattice_path_rejects_bad_step_strings(upper, lower):
+    with pytest.raises(BadStepString):
+        lattice_path_matroid(upper, lower)
 
 
 def test_schubert_matroid_examples():
@@ -649,6 +663,51 @@ def test_json_input_is_not_coerced(text):
 def test_family_constructors_reject_parameters_out_of_range(build, args, error):
     with pytest.raises(error):
         build(*args)
+
+
+# every entry point that takes the pair (r, n) checks it with one gate, in
+# one order: the rank's type, then n's, then the range low <= r <= n - low
+DIMENSION_ENTRIES = [
+    (lambda r, n: Matroid(n, r, [()]), 0),
+    (uniform, 0),
+    (minimal, 1),
+    (lambda r, n: panhandle(r, r, n), 1),
+    (hook, 1),
+    (sc_uniform, 1),
+]
+
+
+def test_every_dimension_entry_point_goes_through_one_gate():
+    """The six entry points raise the same error with the same message on
+    the same faulty pair."""
+    for build, low in DIMENSION_ENTRIES:
+        with pytest.raises(NotAnInteger, match=r"^rank 2\.0 is not an int$"):
+            build(2.0, True)
+        with pytest.raises(NotAnInteger, match=r"^ground-set size '5' is not an int$"):
+            build(2, "5")
+        top = "n-1" if low else "n"
+        for r in (low - 1, 6 - low):
+            with pytest.raises(InvalidDimensions, match=f"^need {low} <= r <= {top}, got r={r}, n=5$"):
+                build(r, 5)
+
+
+def test_faults_are_reported_in_gate_order():
+    """An input with two faults raises the one its gate checks first."""
+    with pytest.raises(InvalidDimensions, match="r=0"):
+        panhandle(0, 2.0, 5)
+    with pytest.raises(ElementOutOfRange, match=r"^element 5 not inside \[4\]$"):
+        schubert_matroid(4, [5, True])
+    with pytest.raises(ElementOutOfRange, match=r"^element 0 not inside \[4\]$"):
+        schubert_matroid(4, [2, 0])
+    with pytest.raises(NotAnInteger, match="^rank True"):
+        Matroid(3.0, True, [(1,)])
+
+
+def test_schubert_matroid_takes_a_count_of_elements():
+    for n, error in [(-1, InvalidDimensions), (-3, InvalidDimensions), (True, NotAnInteger)]:
+        with pytest.raises(error):
+            schubert_matroid(n, [])
+    assert schubert_matroid(0, []) == uniform(0, 0)
 
 
 def test_family_constructors_at_the_ends_of_their_ranges():

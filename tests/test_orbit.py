@@ -26,6 +26,7 @@ from schubmat import (
 from schubmat.errors import (
     EmptyMatroid,
     InvalidDimensions,
+    NotAnInteger,
     NotConnected,
     NotSparsePaving,
     UnsupportedMatroid,
@@ -46,6 +47,15 @@ def test_sc_uniform_rejects_degenerate():
         sc_uniform(0, 3)
     with pytest.raises(InvalidDimensions):
         sc_uniform(3, 3)
+
+
+def test_sc_uniform_checks_types_before_its_cache():
+    """The cache is typed: 2.0 and True equal cached ints, yet reach the gate."""
+    assert sc_uniform(2, 4).terms == {(1,): 2}
+    assert sc_uniform(1, 4).terms == {(): 1}
+    for r, n in [(2.0, 4), (2, 4.0), (True, 4), ("a", 4), (2, None)]:
+        with pytest.raises(NotAnInteger):
+            sc_uniform(r, n)
 
 
 def test_sc_uniform_hook_complement_is_beta():
@@ -139,9 +149,11 @@ def test_dispatcher_degenerate_points():
         result = sc(point)
         assert result.methods == (METHOD_POINT,)
         assert result.chow_class.terms == {(): 1}
+        assert result.k_used is None
     with_loop = direct_sum(uniform(2, 4), loop)
     result = sc(with_loop)
     assert result.methods == (METHOD_SPARSE_PAVING, METHOD_POINT)
+    assert result.k_used is None
     # the loop widens the rectangle: 2 sigma_(1) box-shifts to 2 sigma_(2,1)
     assert result.chow_class.ambient == Ambient(2, 5)
     assert result.chow_class.terms == {(2, 1): 2}
@@ -158,6 +170,9 @@ def test_dispatcher_mixed_components():
     m = direct_sum(minimal(2, 5), uniform(2, 4))
     result = sc(m)
     assert result.methods == (METHOD_MINIMAL, METHOD_SPARSE_PAVING)
+    assert result.k_used is None
+    # k is the sparse paving count: a connected minimal matroid has none
+    assert sc(minimal(2, 5)).methods == (METHOD_MINIMAL,) and sc(minimal(2, 5)).k_used is None
     assert result.chow_class.terms == sc_direct_sum(
         [sc_minimal(2, 5), sc_uniform(2, 4)]
     ).terms

@@ -150,11 +150,44 @@ def test_partitions_of_a_weight_are_the_filtered_list():
             assert partitions_in_rectangle(rect, weight) == tuple(
                 lam for lam in every if sum(lam) == weight
             ), (rect, weight)
-    # weight 1 is cached now; True and 1.0 are equal to it but not ints
+    # weight 1 was just generated; True and 1.0 are equal to it but not ints
     assert partitions_in_rectangle((2, 2), 1) == ((1,),)
     for weight in (True, 1.0):
         with pytest.raises(NotAnInteger):
             partitions_in_rectangle((2, 2), weight)
+
+
+RECTANGLE_CASES = [
+    ((3.0, 2), NotAnInteger),
+    ((2, 3.0), NotAnInteger),
+    ((True, 2), NotAnInteger),
+    ((2, "3"), NotAnInteger),
+    ((-1, 2), InvalidDimensions),
+    ((2, -1), InvalidDimensions),
+]
+
+
+@pytest.mark.parametrize("rect, error", RECTANGLE_CASES, ids=[repr(r) for r, _ in RECTANGLE_CASES])
+def test_rectangle_sides_go_through_the_gate(rect, error):
+    """Each side of a rectangle is an int (a bool is not one), else
+    NotAnInteger, and not negative, else InvalidDimensions, before anything
+    is generated or the complement store is read."""
+    with pytest.raises(error):
+        partitions_in_rectangle(rect)
+    with pytest.raises(error):
+        partitions_in_rectangle(rect, 1)
+    with pytest.raises(error):
+        complement_in_rectangle((), rect)
+
+
+def test_complement_checks_the_rectangle_when_the_store_holds_the_pair():
+    """A float side equals the int side whose pair is stored, yet it is
+    rejected, whether or not the store holds that pair."""
+    assert complement_in_rectangle((1,), (2, 3)) == (3, 2)  # the pair is stored now
+    for rect in [(2.0, 3), (2, 3.0), (3.0, 3), (True, 3)]:
+        with pytest.raises(NotAnInteger):
+            complement_in_rectangle((1,), rect)
+    assert complement_in_rectangle((1,), [2, 3]) == (3, 2)
 
 
 def test_hook_examples():
@@ -162,6 +195,10 @@ def test_hook_examples():
     assert hook(1, 2) == (1,)
     assert hook(2, 4) == (2, 1)
     assert complement_in_rectangle(hook(2, 4), (2, 2)) == (1,)
+    for n in range(2, 9):
+        for r in range(1, n):
+            box = (n - r - 1,) * (r - 1) if n - r > 1 else ()
+            assert hook_complement(r, n) == complement_in_rectangle(hook(r, n), (r, n - r)) == box
 
 
 def test_hook_rejects_bad_dimensions():

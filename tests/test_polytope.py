@@ -17,7 +17,7 @@ from schubmat import (
     panhandle,
     uniform,
 )
-from schubmat.errors import DeskScaleExceeded
+from schubmat.errors import DeskScaleExceeded, InvalidDimensions, NotAnInteger
 from schubmat.matroids import classify, rank_table as _rank_table
 from schubmat.polytope import _binding_constraints
 from conftest import FANO_LINES, VAMOS_CIRCUIT_HYPERPLANES, family_corpus, matroid_from_nonbases
@@ -166,6 +166,30 @@ def test_desk_scale_limit():
         lattice_points(uniform(3, 9), 1)
     # the limit is configurable
     assert lattice_points(uniform(1, 9), 1, limit=9) == 9
+
+
+@pytest.mark.parametrize(
+    "t, error",
+    [(True, NotAnInteger), (2.0, NotAnInteger), ("1", NotAnInteger), (-1, InvalidDimensions)],
+    ids=["bool", "float", "string", "negative"],
+)
+def test_lattice_points_takes_a_dilation_count(t, error):
+    with pytest.raises(error):
+        lattice_points(uniform(2, 4), t)
+
+
+def test_desk_scale_limit_is_an_int():
+    m = uniform(2, 4)
+    for limit in (8.5, 8.0, True):
+        with pytest.raises(NotAnInteger):
+            lattice_points(m, 1, limit)
+        with pytest.raises(NotAnInteger):
+            ehrhart_report(m, limit)
+    with pytest.raises(DeskScaleExceeded):
+        lattice_points(m, 1, -1)
+    with pytest.raises(DeskScaleExceeded):
+        ehrhart_report(m, -1)
+    assert lattice_points(m, 1, 4) == 6
 
 
 def test_no_rank_table_past_the_desk_scale():

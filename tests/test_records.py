@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from schubmat import Ambient, ChowClass, classify, sc, sc_uniform, sigma, uniform
-from schubmat.errors import AmbientMismatch, DoesNotFit, NotAnInteger
+from schubmat.errors import AmbientMismatch, DoesNotFit, NotAnInteger, WrongShape
 from schubmat.matroids import Classification
 from schubmat.orbit import ScResult, verify_volume_relation
 from schubmat.polytope import VolumeReport, ehrhart_report, report_to_json_dict
@@ -91,6 +91,26 @@ def test_chow_class_zero_class_and_validation():
     for lam in [(1.0,), (True,), (1, 0.0)]:
         with pytest.raises(NotAnInteger):
             a.coefficient(lam)
+
+
+def test_chow_class_sums_keys_of_one_partition():
+    """Keys that normalize to one partition are summed, as from_json_dict
+    sums repeated terms, and a sum of 0 leaves no term."""
+    g = Ambient(2, 5)
+    assert ChowClass(g, {(1,): 1, (1, 0): 2}).terms == {(1,): 3}
+    assert ChowClass(g, {(1,): 1, (1, 0): -1}) == ChowClass(g)
+    assert ChowClass(g, {(2,): 1, (1,): 1, (1, 0, 0): -1}).terms == {(2,): 1}
+    data = {"r": 2, "n": 5, "terms": [{"partition": [1], "coeff": "1"},
+                                      {"partition": [1, 0], "coeff": "2"}]}
+    assert ChowClass.from_json_dict(data) == ChowClass(g, {(1,): 1, (1, 0): 2})
+
+
+@pytest.mark.parametrize("ambient", [(2, 5), None, "G(2,5)"], ids=["pair", "none", "string"])
+def test_chow_class_rejects_an_ambient_that_is_not_an_ambient(ambient):
+    with pytest.raises(WrongShape, match="ambient must be a Ambient"):
+        ChowClass(ambient, {})
+    with pytest.raises(WrongShape):
+        sigma(ambient, (1,))
 
 
 def test_chow_class_repr():
