@@ -14,12 +14,12 @@ c^lam_{mu,nu} are built, and shapes that would leave the rectangle are
 pruned during the search.  The search recurses per label, so it takes the
 pair's smaller partition as content and, when that content has more rows
 than columns, searches the conjugate pair in the transposed rectangle and
-conjugates the results back.  Two caches live as long as the process:
-_lr_terms, keyed by the caller's (mu, nu, rectangle), so a warm pair costs
-one lookup; and _strip_search, keyed by the orientation searched, which a
-pair, the swapped pair and the conjugate pair in the transposed rectangle
-share (c^lam_{mu,nu} = c^lam_{nu,mu} = c^lam'_{mu',nu'}), so the folds of
-M and M* share searches.
+conjugates the results back.  One cache, _lr_terms, lives as long as the
+process and holds the terms of both the caller's (mu, nu, rectangle) and
+the orientation searched, which a pair, the swapped pair and the conjugate
+pair in the transposed rectangle share (c^lam_{mu,nu} = c^lam_{nu,mu} =
+c^lam'_{mu',nu'}): a warm pair costs one lookup, and the folds of M and M*
+share searches.
 
 A direct sum folds on the complement side, as in the paper's direct-sum
 formula: the class of M1 + M2 has coefficient sum a_mu b_nu
@@ -32,17 +32,19 @@ share it.
 The degree of c * sigma_1^s needs no products: sigma_lam * sigma_1^s
 meets the point class once for each standard filling of the rectangle
 minus lam, which the hook-length formula counts on the complement of lam.
-That count is cached per shape, so folds into different ambients share the
-counts of their common complements.  Complements and conjugates of
-library-built partitions come from the stores in partitions, which keep
-each pair both ways: the complement of a fold's output is already stored
-when its degree asks for it.
+Complements, conjugates and tableau counts of library-built partitions
+come from the caches in partitions.  The count is keyed by the shape, so
+folds into different ambients share the counts of their common
+complements; complements are stored both ways, so the complement of a
+fold's output is already stored when its degree asks for it.
 """
 
 import re
 from functools import lru_cache
 
-from .errors import AmbientMismatch, DoesNotFit, require_count, require_int, require_type
+from .errors import (
+    AmbientMismatch, DoesNotFit, require_count, require_dimensions, require_int, require_type,
+)
 from .partitions import (
     Partition,
     _complements,
@@ -73,15 +75,13 @@ class _ReadOnly:
 
 
 class Ambient(_ReadOnly):
-    """The Grassmannian G(r,n); Schubert cycles live in the r x (n-r) rectangle."""
+    """The Grassmannian G(r,n); Schubert cycles live in the r x (n-r) rectangle.
+    (r, n) goes through require_dimensions: ints with 0 <= r <= n."""
 
     __slots__ = ("r", "n")
 
     def __init__(self, r: int, n: int):
-        require_int(r, "rank")
-        require_int(n, "ground-set size")
-        if not 0 <= r <= n:
-            raise AmbientMismatch(f"need 0 <= r <= n, got r={r}, n={n}")
+        require_dimensions(r, n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
 
@@ -163,6 +163,8 @@ class ChowClass(_ReadOnly):
         return ChowClass(self.ambient, {lam: factor * c for lam, c in self.terms.items()})
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         if self.ambient != other.ambient:
             raise AmbientMismatch(f"{self.ambient} vs {other.ambient}")
         terms = dict(self.terms)
@@ -234,23 +236,25 @@ def pieri(c: ChowClass, b: int) -> ChowClass:
 def _lr_terms(
     mu: Partition, nu: Partition, rect: tuple[int, int]
 ) -> tuple[tuple[Partition, int], ...]:
-    """The pairs (lam, c^lam_{mu,nu}) with c > 0 and lam inside rect.
+    """The pairs (lam, c^lam_{mu,nu}) with c > 0 and lam inside rect; mu
+    and nu fit in rect.  The one LR cache, for the life of the process.
 
     The key is (mu, nu, rect) as the caller gives it: product passes its
     ambient's rectangle, fold the pair of complements in a fixed order and
     its bounding rectangle, so fold's key depends on the pair only and is
-    shared by folds into different ambients.  A warm pair costs one lookup
-    here.  A cold pair reads the search of the orientation that
-    _search_orientation picks, which _strip_search caches in its own right,
-    so (nu, mu) and (mu', nu') in the transposed rectangle read the same
-    search as (mu, nu); the terms of a search run on the conjugates are
-    conjugated back here, once per key.  The result is shared by every
-    caller, so it is an immutable tuple.
+    shared by folds into different ambients.  A warm pair costs one lookup.
+    A cold key that is its own orientation (_search_orientation) runs the
+    strip search; any other reads the terms of its orientation from this
+    cache, so (nu, mu) and (mu', nu') in the transposed rectangle share the
+    search of (mu, nu), and the terms of a search run on the conjugates are
+    conjugated back, once per key.  The orientation of an orientation is
+    itself, so that recursion is one level deep.  The result is shared by
+    every caller, so it is an immutable tuple.
     """
-    if not (fits(mu, rect) and fits(nu, rect)):
-        return ()
     outer, content, box, transposed = _search_orientation(mu, nu, rect)
-    found = _strip_search(outer, content, box)
+    if (outer, content, box) == (mu, nu, rect):
+        return _strip_search(mu, nu, rect)
+    found = _lr_terms(outer, content, box)
     if transposed:
         return tuple((_conjugates[lam], c) for lam, c in found)
     return found
@@ -277,14 +281,13 @@ def _search_orientation(mu: Partition, nu: Partition, rect: tuple[int, int]):
     return min((len(o[1]), o) for o in orientations if not o[1] or len(o[1]) <= o[1][0])[1]
 
 
-@lru_cache(maxsize=None)
 def _strip_search(
     mu: Partition, nu: Partition, rect: tuple[int, int]
 ) -> tuple[tuple[Partition, int], ...]:
     """The pairs (lam, c^lam_{mu,nu}) for the lam inside rect with c > 0;
-    mu fits in rect.  Cached for the life of the process under the
-    orientation _search_orientation picks; the result is shared, so it is
-    an immutable tuple.
+    mu fits in rect.  Not cached itself: _lr_terms keeps its result under
+    the orientation _search_orientation picks, and shares it, so it is an
+    immutable tuple.
 
     Grows mu by the content nu, one horizontal strip per label, keeping the
     reverse reading word (rows top to bottom, each row right to left) a
@@ -350,20 +353,13 @@ def _strip_search(
     return tuple(terms.items())
 
 
-@lru_cache(maxsize=None)
-def _shape_syt(shape: Partition) -> int:
-    """The standard fillings of a shape the library built, counted once per
-    process: the key is the shape alone, so degrees in different ambients
-    share the counts of their common complements."""
-    return _syt_count(shape)
-
-
 def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
     """The Littlewood-Richardson coefficient c^lam_{mu,nu}, read off the
-    terms of (mu, nu) in lam's bounding rectangle.  Each partition goes
+    terms of (mu, nu) in lam's bounding rectangle, which holds mu and nu
+    when lam contains both (else the coefficient is 0).  Each partition goes
     through normalize before anything is cached."""
     mu, nu, lam = normalize(mu), normalize(nu), normalize(lam)
-    if size(mu) + size(nu) != size(lam) or not contains(lam, mu):
+    if size(mu) + size(nu) != size(lam) or not (contains(lam, mu) and contains(lam, nu)):
         return 0
     rect = (len(lam), lam[0] if lam else 0)
     return dict(_lr_terms(mu, nu, rect)).get(lam, 0)
@@ -417,7 +413,7 @@ def sigma1_power_degree(c: ChowClass, s: int) -> int:
     require_count(s, "sigma_1 power")
     rect = c.ambient.rect
     return sum(
-        coeff * _shape_syt(_complements[lam, rect])
+        coeff * _syt_count(_complements[lam, rect])
         for lam, coeff in c.terms.items()
         if size(lam) + s == rect[0] * rect[1]
     )

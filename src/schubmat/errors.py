@@ -12,14 +12,16 @@ class DoesNotFit(SchubmatError):
 
 
 class InvalidDimensions(SchubmatError):
-    """Rank/ground-set dimensions outside the valid range, or a negative
-    count: a degree given to `pieri` or `sigma1_power_degree`, a side of a
-    rectangle, a ground-set size given to `schubert_matroid` or a dilation
-    factor given to `lattice_points`."""
+    """Rank/ground-set dimensions outside the valid range (of a matroid or
+    of an `Ambient`), or a negative count: a degree given to `pieri` or
+    `sigma1_power_degree`, a side of a rectangle, a ground-set size given to
+    `schubert_matroid`, a row count given to `from_rational_matrix`, a
+    variable count given to `schur_at_ones` or a dilation factor given to
+    `lattice_points`."""
 
 
 class AmbientMismatch(SchubmatError):
-    """Two Chow classes (or a class and a target) live in incompatible ambients."""
+    """Two Chow classes live in different ambients."""
 
 
 # matroid construction errors
@@ -86,7 +88,8 @@ class WrongShape(SchubmatError):
 def require_type(value, kind: type, what: str) -> None:
     """Raise WrongShape unless value is a `kind` (dict, list or Ambient)."""
     if not isinstance(value, kind):
-        raise WrongShape(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise WrongShape(f"{what} must be {article} {kind.__name__}, not {type(value).__name__}")
 
 
 class MalformedBasis(SchubmatError):

@@ -27,10 +27,10 @@ the complement of the hyperplane cl(S).  Every consumer reads it:
   F(B - x) for some x < y of B (Crapo's t_10: internal activity 1,
   external activity 0).
 Circuits are the fundamental circuits of the bases, so no subset of the
-ground set is enumerated.  Derived facts (the factors of a sum, the
-exchange table, the classification, beta, the rank of every subset, and the
-polytope's binding flats and coordinate order) are computed once per
-instance by functions decorated with `_memo`, the one owner of the
+ground set is enumerated.  Derived facts (the `bases` view, the factors of
+a sum, the exchange table, the classification, beta, the rank of every
+subset, and the polytope's binding flats and coordinate order) are computed
+once per instance by functions decorated with `_memo`, the one owner of the
 per-instance cache.
 """
 
@@ -96,12 +96,13 @@ class Matroid:
 
     `bases` is a read-only view (a frozenset of sorted element tuples) of the
     bitmasks the library works on.  `_cache` holds what the `_memo`
-    functions derive from them, once per instance: the exchange table, the
-    classification, beta, the rank table, and the base polytope's binding
-    flats and coordinate order, and the factors of a disconnected matroid.
+    functions derive from them, once per instance: the `bases` view itself,
+    the exchange table, the classification, beta, the rank table, and the
+    base polytope's binding flats and coordinate order, and the factors of
+    a disconnected matroid.
     """
 
-    __slots__ = ("n", "r", "_masks", "_bases", "_cache")
+    __slots__ = ("n", "r", "_masks", "_cache")
 
     def __init__(self, n: int, r: int, bases):
         # one bulk pass over all elements covers the common input: every
@@ -140,14 +141,11 @@ class Matroid:
         self.n = n
         self.r = r
         self._masks = masks
-        self._bases = None
         self._cache = {}
 
     @property
     def bases(self) -> frozenset:
-        if self._bases is None:
-            self._bases = frozenset(map(_elements, self._masks))
-        return self._bases
+        return _element_bases(self)
 
     def __eq__(self, other):
         return (
@@ -206,6 +204,12 @@ def _memo(fn):
         return value
 
     return memoized
+
+
+@_memo
+def _element_bases(m: Matroid) -> frozenset:
+    """The `bases` view: each basis mask as its sorted element tuple."""
+    return frozenset(map(_elements, m._masks))
 
 
 @_memo
@@ -412,7 +416,7 @@ def from_rational_matrix(entries, r: int) -> Matroid:
     entries is a non-empty list of equally long row lists.  Bases are the
     column subsets with non-zero r x r minor.
     """
-    require_int(r, "row count")
+    require_count(r, "row count")
     require_type(entries, list, "matrix entries")
     for row in entries:
         require_type(row, list, "a matrix row")
@@ -458,19 +462,20 @@ def dual(m: Matroid) -> Matroid:
 def minor(m: Matroid, delete=(), contract=()) -> Matroid:
     """Delete and contract, relabelling the remaining ground set to [m] in order.
 
-    Both sets hold int elements of [n].  Loops created by contraction stay
+    Both sets hold int elements of [n]; each element, as given, goes
+    through `_subset_mask` before anything else, so True or 1.0 beside 1
+    raises NotAnInteger in either order.  Loops created by contraction stay
     in the ground set.
     """
-    delete, contract = frozenset(delete), frozenset(contract)
     d, c = _subset_mask(m.n, delete), _subset_mask(m.n, contract)
     if d & c:
-        raise OverlappingSets(f"{sorted(delete & contract)} in both sets")
-    if not m.is_independent(contract):
-        raise DependentContraction(f"{sorted(contract)} is dependent")
+        raise OverlappingSets(f"{list(_elements(d & c))} in both sets")
     keep = m._ground() & ~d & ~c
     # contract: bases containing the contract set, minus it; then delete: the
     # largest distinct traces on the kept elements are the bases of the minor
     traces = {b & keep for b in m._masks if b & c == c}
+    if not traces:  # no basis holds the contract set
+        raise DependentContraction(f"{list(_elements(c))} is dependent")
     new_rank = max(t.bit_count() for t in traces)
     new_bases = _relabel([t for t in traces if t.bit_count() == new_rank], keep)
     return Matroid._from_masks(keep.bit_count(), new_rank, new_bases)

@@ -10,6 +10,7 @@ Connected matroids outside these families raise UnsupportedMatroid.
 
 from collections import namedtuple
 from functools import lru_cache
+from math import comb
 
 from .chow import Ambient, ChowClass, fold, sigma, sigma1_power_degree
 from .errors import (
@@ -24,7 +25,6 @@ from .errors import (
 )
 from .matroids import Classification, Matroid, _factors, beta, classify
 from .partitions import (
-    binomial,
     complement_in_rectangle,
     hook_complement,
     partitions_in_rectangle,
@@ -69,7 +69,7 @@ def sc_uniform(r: int, n: int) -> ChowClass:
     for lam in partitions_in_rectangle(ambient.rect, weight):
         comp = complement_in_rectangle(lam, ambient.rect)
         d = sum(
-            (-1) ** i * binomial(n, i) * schur_at_ones(comp, r - i)
+            (-1) ** i * comb(n, i) * schur_at_ones(comp, r - i)
             for i in range(r + 1)
         )
         if d < 0:
@@ -95,7 +95,7 @@ def sc_sparse_paving(m: Matroid) -> ChowClass:
     r, n = m.r, m.n
     k = summary.nonbasis_count
     hc = hook_complement(r, n)
-    coeff = binomial(n - 2, r - 1) - k
+    coeff = comb(n - 2, r - 1) - k  # 0 <= r-1 <= n-2: hook_complement checked (r, n)
     independent_beta = beta(m)
     if coeff != independent_beta:
         raise BetaMismatch(coeff, independent_beta)

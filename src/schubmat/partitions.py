@@ -8,11 +8,18 @@ normalize is the one gate a partition from outside the library goes
 through: every public function that takes a partition calls it first.
 _rectangle is the one gate for a rectangle: each side is a non-negative
 int.  The helpers and stores whose names start with an underscore take
-partitions the library built and check nothing.  partitions_in_rectangle is
-not cached: its one library caller, orbit.sc_uniform, is.
+partitions the library built and check nothing.
+
+Three facts are cached for the life of the process, each once, here:
+conjugates (_conjugates) and complements (_complements), dicts that keep
+each pair of an involution both ways, and standard-tableau counts
+(_syt_count, keyed by the shape alone); the public functions here and the
+chow kernel read them.  partitions_in_rectangle is not cached: its one
+library caller, orbit.sc_uniform, is.
 """
 
-from math import comb, factorial, prod
+from functools import lru_cache
+from math import factorial, prod
 
 from .errors import DoesNotFit, NonIntegralCount, require_count, require_dimensions, require_int
 
@@ -70,29 +77,25 @@ def padded(lam: Partition, rows: int) -> tuple[int, ...]:
 
 def conjugate(lam: Partition) -> Partition:
     """The transposed diagram of lam, which goes through normalize."""
-    return _conjugate(normalize(lam))
-
-
-def _conjugate(lam: Partition) -> Partition:
-    """conjugate of a partition the library built: nothing is checked.
-    Walks the rows from the bottom: the columns past the ones already
-    counted and inside row i (counted from 1) have height i."""
-    conj: Partition = ()
-    for i in range(len(lam), 0, -1):
-        conj += (i,) * (lam[i - 1] - len(conj))
-    return conj
+    return _conjugates[normalize(lam)]
 
 
 class _ConjugateStore(dict):
     """Conjugates of partitions the library built, stored both ways, since
     conjugation is an involution: the LR kernel conjugates a pair to orient
-    its search and the terms of a transposed search back, and the same few
-    hundred shapes recur.  A hit is one dict lookup, with no Python call."""
+    its search and the terms of a transposed search back, hook lengths read
+    the column heights, and the same few hundred shapes recur.  A hit is one
+    dict lookup, with no Python call."""
 
     __slots__ = ()
 
     def __missing__(self, lam: Partition) -> Partition:
-        conj = self[lam] = _conjugate(lam)
+        # walk the rows from the bottom: the columns past the ones already
+        # counted and inside row i (counted from 1) have height i
+        conj: Partition = ()
+        for i in range(len(lam), 0, -1):
+            conj += (i,) * (lam[i - 1] - len(conj))
+        self[lam] = conj
         self[conj] = lam
         return conj
 
@@ -157,7 +160,7 @@ def hook_lengths(lam: Partition) -> list[int]:
 
 def _hook_lengths(lam: Partition) -> list[int]:
     """hook_lengths of a partition the library built: nothing is checked."""
-    conj = _conjugate(lam)
+    conj = _conjugates[lam]
     return [
         lam[i] - (j + 1) + conj[j] - i
         for i in range(len(lam))
@@ -182,8 +185,12 @@ def syt_count(lam: Partition) -> int:
     return _syt_count(normalize(lam))
 
 
+@lru_cache(maxsize=None)
 def _syt_count(lam: Partition) -> int:
-    """syt_count of a partition the library built: nothing is checked."""
+    """syt_count of a partition the library built: nothing is checked.
+    Cached for the life of the process under the shape alone, so the
+    degrees of classes in different ambients share the counts of their
+    common complements."""
     return _over_hooks(lam, factorial(size(lam)))
 
 
@@ -192,10 +199,10 @@ def schur_at_ones(lam: Partition, k: int) -> int:
 
     Hook-content product, prod (k + j - i) / prod hooks over the boxes
     (i, j); exact, returns 0 when lam has more than k rows.  lam goes
-    through normalize.
+    through normalize, and k is a non-negative int.
     """
     lam = normalize(lam)
-    require_int(k, "number of variables")
+    require_count(k, "number of variables")
     if lam and len(lam) > k:
         return 0
     return _over_hooks(lam, prod(k + j - i for i, part in enumerate(lam) for j in range(part)))
@@ -224,7 +231,3 @@ def partitions_in_rectangle(rect: Rectangle, weight: int | None = None) -> tuple
                 yield (first,) + rest
 
     return tuple(gen(rows, cols, weight if exact else rows * cols))
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0

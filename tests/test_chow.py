@@ -26,9 +26,9 @@ from schubmat import (
     sigma1_power_degree,
     syt_count,
 )
-from schubmat.chow import _shape_syt
 from schubmat.errors import AmbientMismatch, DoesNotFit, InvalidDimensions, NotAnInteger
 from schubmat.partitions import (
+    _syt_count,
     complement_in_rectangle,
     conjugate,
     contains,
@@ -167,29 +167,41 @@ def test_lr_against_jacobi_trudi_random_sample():
     assert nonzero >= 30
 
 
-@pytest.mark.parametrize("rect", [(5, 2), (7, 2), (8, 2), (6, 3), (4, 4), (5, 4)],
-                         ids=lambda r: f"{r[0]}x{r[1]}")
-def test_lr_terms_match_oracle_on_every_pair(monkeypatch, rect):
-    """Every pair of the rectangle, the per-caller cache bypassed; the
-    smaller partition is the content, and a content with more rows than
-    columns is searched in the transposed rectangle, so no search places a
-    content with more rows than columns."""
+def record_strip_searches(patch):
+    """Wrap chow._strip_search, which is not cached itself, and return the
+    list each search appends its (outer, content, rectangle) to.  patch is
+    a pytest MonkeyPatch; every search asserts that the content is the
+    smaller partition and has no more rows than columns."""
     searched = []
     search = chow._strip_search
 
     def recording(mu, nu, rect):
         assert size(nu) <= size(mu) and (not nu or len(nu) <= nu[0]), (mu, nu)
-        searched.append(rect)
+        searched.append((mu, nu, rect))
         return search(mu, nu, rect)
 
-    monkeypatch.setattr(chow, "_strip_search", recording)
+    patch.setattr(chow, "_strip_search", recording)
+    return searched
+
+
+@pytest.mark.parametrize("rect", [(5, 2), (7, 2), (8, 2), (6, 3), (4, 4), (5, 4)],
+                         ids=lambda r: f"{r[0]}x{r[1]}")
+def test_lr_terms_match_oracle_on_every_pair(monkeypatch, rect):
+    """Every pair of the rectangle, each key's own path run past the cache
+    (a key that is not its own orientation still reads its orientation
+    through the cache, cleared first); the smaller partition is the content,
+    and a content with more rows than columns is searched in the transposed
+    rectangle, so no search places a content with more rows than columns."""
+    chow._lr_terms.cache_clear()
+    searched = record_strip_searches(monkeypatch)
     shapes = partitions_in_rectangle(rect)
     for mu in shapes:
         for nu in shapes:
             terms = chow._lr_terms.__wrapped__(mu, nu, rect)
             assert len(dict(terms)) == len(terms)
             assert dict(terms) == lr_oracle.product_terms({mu: 1}, {nu: 1}, *rect), (mu, nu)
-    assert rect in searched and rect[::-1] in searched
+    boxes = {box for _, _, box in searched}
+    assert rect in boxes and rect[::-1] in boxes
 
 
 @st.composite
@@ -207,13 +219,14 @@ def test_conjugate_pair_reads_the_search_of_the_pair(pair):
     two share one strip search."""
     mu, nu, rect = pair
     chow._lr_terms.cache_clear()
-    chow._strip_search.cache_clear()
-    terms = dict(chow._lr_terms(mu, nu, rect))
+    with pytest.MonkeyPatch.context() as patch:
+        searched = record_strip_searches(patch)
+        terms = dict(chow._lr_terms(mu, nu, rect))
+        transposed = chow._lr_terms(conjugate(mu), conjugate(nu), rect[::-1])
     assert terms == lr_oracle.product_terms({mu: 1}, {nu: 1}, *rect), (mu, nu, rect)
-    transposed = chow._lr_terms(conjugate(mu), conjugate(nu), rect[::-1])
     assert dict(transposed) == {conjugate(lam): c for lam, c in terms.items()}
     assert len(dict(transposed)) == len(transposed)
-    assert chow._strip_search.cache_info().misses == 1
+    assert len(searched) == 1
 
 
 def test_product_matches_oracle_on_every_pair_in_small_rectangles():
@@ -476,7 +489,7 @@ def test_box_shifted_products_match_oracle_in_tall_rectangles(left, right):
 def degree_by_hooks(c: ChowClass, s: int) -> int:
     """deg(c * sigma_1^s) by the hook-length formula, with nothing cached."""
     rows, cols = c.ambient.rect
-    return sum(coeff * syt_count(complement_in_rectangle(lam, c.ambient.rect))
+    return sum(coeff * _syt_count.__wrapped__(complement_in_rectangle(lam, c.ambient.rect))
                for lam, coeff in c.terms.items() if size(lam) + s == rows * cols)
 
 
@@ -515,49 +528,46 @@ def test_fold_matches_box_shifted_product_on_tall_folds():
         assert sc_direct_sum([b, a]) == folded_by_box_shift(b, a), (right, left)
 
 
-def test_folds_of_different_ambients_share_lr_searches():
+def test_folds_of_different_ambients_share_lr_searches(monkeypatch):
     """A fold keys its LR terms by the complement pair alone.  The partitions
     of 6 in 3 x 4 and in 4 x 3 (the complements of G(3,7) and G(4,7)) have
     (3,3), (3,2,1) and (2,2,2) in common; each meets the 3 complements of
-    G(2,8), so the second fold finds 9 of its 15 pairs already searched."""
+    G(2,8), so the second fold finds 9 of its 15 pairs already searched and
+    runs 6 searches, and the swapped fold runs none.  The one LR cache then
+    holds 33 keys: the 21 pairs the folds asked for and 12 orientations
+    searched in their place."""
     rng = random.Random(8)
     u = full_support_class(2, 8, rng)
     first, second = full_support_class(3, 7, rng), full_support_class(4, 7, rng)
     chow._lr_terms.cache_clear()
+    searched = record_strip_searches(monkeypatch)
     sc_direct_sum([first, u])
-    info = chow._lr_terms.cache_info()
-    assert (info.misses, info.hits) == (15, 0)
+    assert len(searched) == 15
     sc_direct_sum([second, u])
-    info = chow._lr_terms.cache_info()
-    assert (info.misses, info.hits) == (21, 9)
+    assert len(searched) == 21
     sc_direct_sum([u, second])
-    assert chow._lr_terms.cache_info().misses == 21
+    assert len(searched) == 21
+    assert chow._lr_terms.cache_info().currsize == 33
 
 
-def test_folds_of_dual_ambients_share_strip_searches():
+def test_folds_of_dual_ambients_share_strip_searches(monkeypatch):
     """G(3,5) and G(5,8) are the duals of G(2,5) and G(3,8), so the
     complements of their classes, and the pairs a fold searches, are the
     conjugates of the first fold's.  Conjugate pairs read one search: the
     first fold's 12 pairs run 11 searches, since one of its pairs is the
-    conjugate of another.  Of the dual fold's 12 pairs, 2 are keys the first
-    fold asked for (pairs that are their own conjugates), and the other 10
-    run no strip search.  The dual class is the conjugate of the first
-    fold's (the class of M* is the class of M with every partition
-    conjugated)."""
+    conjugate of another, and the dual fold's 12 pairs run none.  The dual
+    class is the conjugate of the first fold's (the class of M* is the
+    class of M with every partition conjugated)."""
     rng = random.Random(8)
     first = [full_support_class(2, 5, rng), full_support_class(3, 8, rng)]
     dual = [ChowClass(Ambient(c.ambient.n - c.ambient.r, c.ambient.n),
                       {conjugate(lam): v for lam, v in c.terms.items()}) for c in first]
     chow._lr_terms.cache_clear()
-    chow._strip_search.cache_clear()
+    searched = record_strip_searches(monkeypatch)
     folded = sc_direct_sum(first)
-    info = chow._strip_search.cache_info()
-    assert (info.misses, info.hits) == (11, 1)
+    assert len(searched) == len(set(searched)) == 11
     folded_dual = sc_direct_sum(dual)
-    info = chow._strip_search.cache_info()
-    assert (info.misses, info.hits) == (11, 11)
-    info = chow._lr_terms.cache_info()
-    assert (info.misses, info.hits) == (22, 2)
+    assert len(searched) == 11
     assert folded_dual.terms == {conjugate(lam): v for lam, v in folded.terms.items()}
 
 
@@ -589,15 +599,15 @@ def test_folds_of_different_ambients_share_degree_counts():
         rows, cols = folded.ambient.rect
         return sigma1_power_degree(folded, rows * cols - size(next(iter(folded.terms))))
 
-    _shape_syt.cache_clear()
+    _syt_count.cache_clear()
     assert degree(sc_direct_sum([first, u])) > 0
-    info = _shape_syt.cache_info()
+    info = _syt_count.cache_info()
     assert (info.misses, info.hits) == (51, 0)
     assert degree(sc_direct_sum([second, u])) > 0
-    info = _shape_syt.cache_info()
+    info = _syt_count.cache_info()
     assert (info.misses, info.hits) == (61, 46)
     assert degree(sc_direct_sum([u, second])) > 0
-    assert _shape_syt.cache_info().misses == 61
+    assert _syt_count.cache_info().misses == 61
 
 
 def test_fold_degree_is_binomial_convolution():
@@ -613,12 +623,12 @@ def test_fold_degree_is_binomial_convolution():
             for s in range(top - 1, top + 2):
                 expected = sum(comb(s, s1) * degree_by_hooks(acc, s1) * degree_by_hooks(nxt, s - s1)
                                for s1 in range(s + 1))
-                _shape_syt.cache_clear()
+                _syt_count.cache_clear()
                 assert sigma1_power_degree(folded, s) == expected
-                missed = _shape_syt.cache_info()
+                missed = _syt_count.cache_info()
                 assert missed.hits == 0 and missed.misses == (len(folded.terms) if s == top else 0)
                 assert sigma1_power_degree(folded, s) == expected
-                assert _shape_syt.cache_info().hits == missed.misses
+                assert _syt_count.cache_info().hits == missed.misses
             assert expected == 0 and degree_by_hooks(folded, top) > 0
             acc = folded
 

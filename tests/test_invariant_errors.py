@@ -49,11 +49,12 @@ def wrong_affine_dimension(patch):
 
 def non_integral_syt_count(patch):
     patch(partitions, "_hook_lengths", lambda lam: [2])
+    partitions._syt_count.cache_clear()  # a cached count of (1,) would skip the hooks
     partitions.syt_count((1,))
 
 
 def non_integral_schur_value(patch):
-    patch(partitions, "_conjugate", lambda lam: (2,))
+    patch(partitions, "_conjugates", {(1,): (2,)})
     partitions.schur_at_ones((1,), 1)
 
 

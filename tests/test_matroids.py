@@ -179,6 +179,9 @@ def test_from_rational_matrix_free_and_generic():
     validate_exchange(generic)
     with pytest.raises(RankDeficient):
         from_rational_matrix([[1, 2], [2, 4]], 2)
+    # the row count is a count, checked before the matrix is read
+    with pytest.raises(InvalidDimensions, match="row count -1 is negative"):
+        from_rational_matrix([[1, 2]], -1)
 
 
 def test_dual():
@@ -241,6 +244,27 @@ def test_minor_errors():
 def test_minor_and_restriction_check_their_elements(build, error):
     with pytest.raises(error):
         build(uniform(2, 4))
+
+
+@pytest.mark.parametrize("which", ["delete", "contract"])
+@pytest.mark.parametrize("elements", [[1, True], [True, 1], [1, 1.0], [1.0, 1]],
+                         ids=["1-True", "True-1", "1-1.0", "1.0-1"])
+def test_minor_checks_each_element_as_given(which, elements):
+    """Each element goes through the gate before the set is masked, so a
+    bool or float beside the int it equals raises in either order, rather
+    than collapse into it."""
+    with pytest.raises(NotAnInteger):
+        minor(uniform(2, 4), **{which: elements})
+
+
+def test_bases_view_is_memoized():
+    """The bases view is computed once per instance and kept by _memo in
+    the one per-instance cache."""
+    m = uniform(2, 4)
+    assert "_element_bases" not in m._cache
+    view = m.bases
+    assert m.bases is view and m._cache["_element_bases"] is view
+    assert view == frozenset(combinations(range(1, 5), 2))
 
 
 def test_restriction_takes_any_iterable_of_elements():

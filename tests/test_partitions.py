@@ -133,6 +133,13 @@ def test_partition_functions_reject_non_int_arguments(call):
         call()
 
 
+@pytest.mark.parametrize("lam", [(), (1,)], ids=["empty", "one-box"])
+def test_schur_at_ones_rejects_a_negative_variable_count(lam):
+    """The variable count is a count: s_()(1^-1) is not 1, nor s_(1)(1^-1) 0."""
+    with pytest.raises(InvalidDimensions):
+        schur_at_ones(lam, -1)
+
+
 def test_conjugate_counts_the_columns_exhaustive():
     for rows, cols in iproduct(range(7), range(7)):
         for lam in partitions_in_rectangle((rows, cols)):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from schubmat import Ambient, ChowClass, classify, sc, sc_uniform, sigma, uniform
-from schubmat.errors import AmbientMismatch, DoesNotFit, NotAnInteger, WrongShape
+from schubmat.errors import AmbientMismatch, DoesNotFit, InvalidDimensions, NotAnInteger, WrongShape
 from schubmat.matroids import Classification
 from schubmat.orbit import ScResult, verify_volume_relation
 from schubmat.polytope import VolumeReport, ehrhart_report, report_to_json_dict
@@ -38,9 +38,16 @@ def test_ambient_equality_and_hash():
 
 
 def test_ambient_repr_and_validation():
+    """(r, n) goes through the gate every (r, n) entry point shares, so an
+    ambient, a class read from JSON and a matroid raise one error for one
+    fault; AmbientMismatch means only that two ambients disagree."""
     assert repr(Ambient(2, 5)) == "Ambient(r=2, n=5)"
-    with pytest.raises(AmbientMismatch, match=r"need 0 <= r <= n, got r=3, n=2"):
-        Ambient(3, 2)
+    for bad in (lambda: Ambient(3, 2), lambda: uniform(3, 2),
+                lambda: ChowClass.from_json_dict({"r": 3, "n": 2, "terms": []})):
+        with pytest.raises(InvalidDimensions, match=r"need 0 <= r <= n, got r=3, n=2"):
+            bad()
+    with pytest.raises(InvalidDimensions):
+        Ambient(-1, 2)
     with pytest.raises(NotAnInteger):
         Ambient(True, 5)
     with pytest.raises(NotAnInteger):
@@ -107,10 +114,21 @@ def test_chow_class_sums_keys_of_one_partition():
 
 @pytest.mark.parametrize("ambient", [(2, 5), None, "G(2,5)"], ids=["pair", "none", "string"])
 def test_chow_class_rejects_an_ambient_that_is_not_an_ambient(ambient):
-    with pytest.raises(WrongShape, match="ambient must be a Ambient"):
+    with pytest.raises(WrongShape, match="ambient must be an Ambient, not "):
         ChowClass(ambient, {})
     with pytest.raises(WrongShape):
         sigma(ambient, (1,))
+
+
+@pytest.mark.parametrize("other", [1, None, {(1,): 1}], ids=["int", "none", "dict"])
+def test_chow_class_sum_with_a_non_class_is_a_type_error(other):
+    """__add__ returns NotImplemented for anything but a ChowClass, as
+    __eq__ does, so Python raises TypeError."""
+    c = sc_uniform(2, 4)
+    with pytest.raises(TypeError):
+        c + other
+    with pytest.raises(TypeError):
+        other + c
 
 
 def test_chow_class_repr():
