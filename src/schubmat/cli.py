@@ -57,22 +57,26 @@ def _matrix_matroid(data) -> Matroid:
     return m
 
 
+def _schubert(spec: str) -> Matroid:
+    head, _, tail = spec.partition(":")
+    indices = [integer(i) for i in tail.split(",")]
+    return matroids.schubert_matroid(integer(head), indices)
+
+
+# flag: (metavar, the matroid of one value); sources are summed in this order
+_SOURCES = {
+    "uniform": ("R,N", lambda spec: matroids.uniform(*_parse_ints(spec, 2, "--uniform"))),
+    "minimal": ("R,N", lambda spec: matroids.minimal(*_parse_ints(spec, 2, "--minimal"))),
+    "panhandle": ("R,S,N", lambda spec: matroids.panhandle(*_parse_ints(spec, 3, "--panhandle"))),
+    "schubert": ("N:I1,I2,...", _schubert),
+    "matroid": ("FILE", lambda path: _read(path, Matroid.from_json_dict)),
+    "matrix": ("FILE", lambda path: _read(path, _matrix_matroid)),
+}
+
+
 def _load_sources(args) -> list[Matroid]:
-    sources: list[Matroid] = []
-    for flag, build, count in (
-        ("uniform", matroids.uniform, 2),
-        ("minimal", matroids.minimal, 2),
-        ("panhandle", matroids.panhandle, 3),
-    ):
-        for spec in getattr(args, flag) or []:
-            sources.append(build(*_parse_ints(spec, count, f"--{flag}")))
-    for spec in args.schubert or []:
-        head, _, tail = spec.partition(":")
-        indices = [integer(i) for i in tail.split(",")]
-        sources.append(matroids.schubert_matroid(integer(head), indices))
-    sources += [_read(path, Matroid.from_json_dict) for path in args.matroid or []]
-    sources += [_read(path, _matrix_matroid) for path in args.matrix or []]
-    return sources
+    return [build(value)
+            for flag, (_, build) in _SOURCES.items() for value in getattr(args, flag) or []]
 
 
 def _require_matroid(args, parser) -> Matroid:
@@ -83,8 +87,7 @@ def _require_matroid(args, parser) -> Matroid:
 
 
 def _add_source_flags(sub):
-    for flag, metavar in (("uniform", "R,N"), ("minimal", "R,N"), ("panhandle", "R,S,N"),
-                          ("schubert", "N:I1,I2,..."), ("matroid", "FILE"), ("matrix", "FILE")):
+    for flag, (metavar, _) in _SOURCES.items():
         sub.add_argument(f"--{flag}", action="append", metavar=metavar)
     sub.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -147,7 +150,8 @@ def _run_info(args, m: Matroid):
 
 
 def _run_verify(args, m: Matroid):
-    rows = orbit.verify_volume_relation(m, args.limit_n).checks
+    verdict = orbit.verify_volume_relation(m, args.limit_n)
+    rows = verdict.checks
     text = "\n".join(
         f"{name:<14} {'PASS' if ok else 'FAIL'}  lhs={lhs} rhs={rhs}"
         for name, lhs, rhs, ok in rows
@@ -157,7 +161,7 @@ def _run_verify(args, m: Matroid):
         for name, lhs, rhs, ok in rows
     }
     _emit(args, json_dict, text)
-    if not all(ok for *_, ok in rows):
+    if not verdict.ok:
         raise SchubmatError("verification failed")
 
 

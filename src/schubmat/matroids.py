@@ -31,7 +31,9 @@ ground set is enumerated.  Derived facts (the `bases` view, the factors of
 a sum, the exchange table, the classification, beta, the rank of every
 subset, and the polytope's binding flats and coordinate order) are computed
 once per instance by functions decorated with `_memo`, the one owner of the
-per-instance cache.
+per-instance cache.  Every layer reads a sum through its factors, so the
+library builds no exchange table, rank table, flats or coordinate order of
+a sum's own: those exist for connected matroids.
 """
 
 import re
@@ -97,9 +99,10 @@ class Matroid:
     `bases` is a read-only view (a frozenset of sorted element tuples) of the
     bitmasks the library works on.  `_cache` holds what the `_memo`
     functions derive from them, once per instance: the `bases` view itself,
-    the exchange table, the classification, beta, the rank table, and the
-    base polytope's binding flats and coordinate order, and the factors of
-    a disconnected matroid.
+    the classification, beta, and the factors of a disconnected matroid;
+    for a connected matroid also the exchange table, the rank table, and
+    the base polytope's binding flats and coordinate order (a sum is read
+    through its factors, which hold their own).
     """
 
     __slots__ = ("n", "r", "_masks", "_cache")

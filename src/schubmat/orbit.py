@@ -177,8 +177,9 @@ class VolumeVerdict(namedtuple("VolumeVerdict", [
 
     @property
     def ok(self) -> bool:
-        """The degree=volume check."""
-        return self.degree == self.volume
+        """Every check passed, degree=volume and d_hc=beta alike: the rule
+        `schubmat verify` exits by."""
+        return all(passed for *_, passed in self.checks)
 
 
 def verify_volume_relation(m: Matroid, limit: int = DESK_SCALE_LIMIT) -> VolumeVerdict:

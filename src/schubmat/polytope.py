@@ -2,35 +2,35 @@
 
 The base polytope is the convex hull of the basis indicator vectors; a point
 y of the t-th dilate is an integer vector with sum(y) = t*r and
-sum(y[A]) <= t*rank(A) for every subset A.  Only flat constraints with
-rank < |A| can bind, and a flat meeting several connected components adds
-nothing to those of its parts, so the counter checks the flats inside one
-component (read from the shared `classify` result) and caps each coordinate
-at t*rank(e).
+sum(y[A]) <= t*rank(A) for every subset A.  The base polytope of a direct
+sum M1 + M2 is the product P(M1) x P(M2), so the count of a sum is the
+product of its factors' counts (the factors `matroids._factors` splits
+off), and the counter sees one connected matroid at a time.  There only
+flat constraints with rank < min(|A|, r) can bind, and every coordinate
+lies in [0, t]: with two or more elements no element is a loop, and a lone
+loop is held at 0 by sum(y) = 0.
 
 Subsets are bitmasks, as in the matroid core.  The core's `rank_table`
 holds the rank of every subset; it has 2^n entries, so it is read only
-after the desk-scale check.  The flats, the loops and the counter's rank
-bounds read it.
+after the desk-scale check, and only for a connected matroid: a sum builds
+no table of its own.  The flats and the counter's rank bounds read it.
 
 The counter fixes coordinates one at a time in an order read from the
-structure, not the labels: component by component, and inside one, the
-coordinates in more binding flats first (the label breaks ties).  It is
-memoized on the frontier: the position, the running total, and one partial
-sum per distinct prefix of the flats that are open there (with coordinates
-on both sides).  A sum too low for any of its flats to reach its bound is
-raised to a common floor.  A direct sum so costs about as much as its
-components, and relabelling the ground set no longer changes the time by
-orders of magnitude.
+structure, not the labels: the coordinates in more binding flats first
+(the label breaks ties).  It is memoized on the frontier: the position, the
+running total, and one partial sum per distinct prefix of the flats that
+are open there (with coordinates on both sides).  A sum too low for any of
+its flats to reach its bound is raised to a common floor.  Relabelling the
+ground set so no longer changes the time by orders of magnitude.
 """
 
 from collections import namedtuple
 from itertools import accumulate
-from math import factorial
+from math import factorial, prod
 from operator import or_
 
 from .errors import DeskScaleExceeded, NonIntegralVolume, require_count, require_int
-from .matroids import Matroid, _bits, _mask, _memo, classify, rank_table
+from .matroids import Matroid, _bits, _factors, _memo, classify, rank_table
 
 DESK_SCALE_LIMIT = 8
 
@@ -55,60 +55,54 @@ def _check_scale(m: Matroid, limit: int) -> None:
 
 @_memo
 def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
-    """Flats A (as masks) of one connected component C, closed in C, with
-    2 <= |A| and rank(A) < min(|A|, r).
+    """Flats A (as masks) of a connected m with 2 <= |A| and
+    rank(A) < min(|A|, r): every constraint the counter needs.
 
-    These are all the constraints the counter needs.  A flat meeting several
-    components is the union of its parts A & C (and the loops), and its rank
-    is the sum of theirs; each part's constraint is kept here, is a cap
-    y_e <= t*rank(e), is implied by the caps (rank(A & C) = |A & C|), or,
-    when rank(A & C) = r, follows from sum(y) = t*r.
-    Computed once per matroid instance: every dilate shares them.
+    A set that is not closed, some e outside it keeping the rank, gives way
+    to its closure, a tighter constraint.  Computed once per matroid
+    instance: every dilate shares them.
     """
     rank = rank_table(m)
-    out = []
-    for part in classify(m).components:
-        comp = _mask(part)
-        bits = _bits(comp)
-        s = comp
-        while s:  # every non-empty subset of the component, as a submask
-            # a set is not closed in C when some e of C outside it keeps
-            # the rank; its closure then gives a tighter constraint
-            if (2 <= s.bit_count() and rank[s] < min(s.bit_count(), m.r)
-                    and all(rank[s | e] > rank[s] for e in bits if not s & e)):
-                out.append((s, rank[s]))
-            s = (s - 1) & comp
-    return out
+    bits = _bits(m._ground())
+    return [
+        (s, rank[s]) for s in range(1, len(rank))
+        if 2 <= s.bit_count() and rank[s] < min(s.bit_count(), m.r)
+        and all(rank[s | e] > rank[s] for e in bits if not s & e)
+    ]
 
 
 @_memo
 def _coordinate_order(m: Matroid) -> list[int]:
-    """Coordinates (single-bit masks), component by component; inside one,
-    those in more binding flats come first and the label breaks ties.
+    """Coordinates (single-bit masks) of a connected m, those in more binding
+    flats first; the label breaks ties.
 
     Computed once per matroid instance, like the flats.
     """
     flats = _binding_constraints(m)
-    return [
-        e
-        for part in classify(m).components
-        for e in sorted(_bits(_mask(part)), key=lambda e: -sum(1 for s, _ in flats if s & e))
-    ]
+    return sorted(_bits(m._ground()), key=lambda e: -sum(1 for s, _ in flats if s & e))
 
 
 def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
     """Number of lattice points of the t-th dilate of the base polytope; t is
-    a non-negative int."""
+    a non-negative int, and the desk-scale gate reads the whole ground set."""
     require_count(t, "dilation factor")
     _check_scale(m, limit)
+    return _count(m, t)
+
+
+def _count(m: Matroid, t: int) -> int:
+    """lattice_points of a checked m and t: the product of the factors'
+    counts for a sum, the frontier counter for a connected matroid."""
     if t == 0:
         return 1
+    factors = _factors(m)
+    if factors:
+        return prod(_count(f, t) for _, f in factors)
     rank = rank_table(m)
     target = t * m.r
     constraints = _binding_constraints(m)
     order = _coordinate_order(m)
     n = m.n
-    caps = [t if rank[e] else 0 for e in order]  # a loop has rank 0
     # prefix/suffix rank bounds in this coordinate order
     ground = m._ground()
     prefixes = list(accumulate(order, or_, initial=0))
@@ -121,8 +115,8 @@ def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
     below = [(1 << i) - 1 for i in range(n + 1)]
     # the state at i carries one partial sum per distinct prefix (positions
     # before i) of the open flats.  A sum so low that no flat with this
-    # prefix can reach its bound, even with its later coordinates at their
-    # caps, counts the same as any other such sum, so it is raised to the
+    # prefix can reach its bound, even with its later coordinates at t,
+    # counts the same as any other such sum, so it is raised to the
     # highest of them, the prefix's floor, and those states share a key
     floors: list[dict[int, int]] = []
     for i in range(n + 1):
@@ -130,7 +124,7 @@ def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
         for f, bound in flats:
             prefix = f & below[i]
             if prefix and f >> i:
-                floor = bound - sum(caps[j] for j in range(i, n) if f >> j & 1)
+                floor = bound - t * (f >> i).bit_count()
                 at[prefix] = min(at.get(prefix, floor), floor)
         floors.append(at)
     index = [{prefix: k for k, prefix in enumerate(at)} for at in floors]
@@ -158,7 +152,7 @@ def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
         if cached is not None:
             return cached
         lo = max(0, target - total - suf[i + 1])
-        hi = min(caps[i], pref[i + 1] - total, target - total)
+        hi = min(t, pref[i + 1] - total, target - total)
         for k, bound in bounds[i]:
             hi = min(hi, bound - sums[k])
         carried = sums + (0,)

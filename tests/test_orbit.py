@@ -31,6 +31,7 @@ from schubmat.errors import (
     NotSparsePaving,
     UnsupportedMatroid,
 )
+from schubmat import cli, orbit
 from schubmat.orbit import METHOD_MINIMAL, METHOD_POINT, METHOD_SPARSE_PAVING
 from schubmat.partitions import conjugate, hook_complement
 from conftest import family_corpus, matroid_from_nonbases
@@ -211,6 +212,17 @@ def test_verify_volume_relation_examples(fano):
     v = verify_volume_relation(uniform(2, 4))
     assert v.degree == v.volume == 4 and v.ok
     assert verify_volume_relation(fano).ok
+
+
+def test_verdict_fails_on_any_failed_check(monkeypatch, capsys):
+    # a wrong beta fails d_hc=beta while degree=volume holds: the verdict
+    # and `schubmat verify` both fail, by the one rule
+    monkeypatch.setattr(orbit, "beta", lambda m: 2)
+    verdict = verify_volume_relation(minimal(2, 5))
+    assert verdict.checks == (("degree=volume", 3, 3, True), ("d_hc=beta", 1, 2, False))
+    assert verdict.ok is False
+    assert cli.main(["verify", "--minimal", "2,5"]) == 1
+    assert capsys.readouterr().err == "SchubmatError\nverification failed\n"
 
 
 def test_verify_volume_relation_propagates_errors():

@@ -2,7 +2,7 @@
 
 from functools import reduce
 from itertools import combinations, product as iproduct
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +18,7 @@ from schubmat import (
     uniform,
 )
 from schubmat.errors import DeskScaleExceeded, InvalidDimensions, NotAnInteger
-from schubmat.matroids import classify, rank_table as _rank_table
+from schubmat.matroids import _factors, classify, rank_table as _rank_table
 from schubmat.polytope import _binding_constraints
 from conftest import FANO_LINES, VAMOS_CIRCUIT_HYPERPLANES, family_corpus, matroid_from_nonbases
 import lattice_oracle
@@ -226,11 +226,25 @@ def test_counter_matches_oracle_on_corpus():
             assert lattice_points(m, t) == lattice_oracle.lattice_points(m, t), (name, r, n, t)
 
 
-def test_binding_constraints_lie_in_one_component(fano):
-    for m in sums_corpus() + [fano, minimal(3, 6), panhandle(3, 4, 7)]:
-        components = [sum(1 << (e - 1) for e in part) for part in classify(m).components]
-        for s, _ in _binding_constraints(m):
-            assert any(s & ~c == 0 for c in components), (m, s)
+def test_a_sum_is_counted_through_its_factors(fano):
+    for m in sums_corpus():
+        for t in range(4):
+            assert lattice_points(m, t) == prod(lattice_points(f, t) for _, f in _factors(m)), (m, t)
+        ehrhart_report(m)
+        # the sum builds no table of its own: only its factors are counted
+        assert not {"rank_table", "_binding_constraints", "_coordinate_order"} & m._cache.keys()
+    for m in [fano, minimal(3, 6), panhandle(3, 4, 7)]:
+        ground = (1 << m.n) - 1
+        for s, rk in _binding_constraints(m):
+            assert s & ~ground == 0 and s != ground and rk < m.r, (m, s)
+    # the gate reads the whole ground set, not the largest factor
+    pair = direct_sum(uniform(2, 5), uniform(2, 5))
+    with pytest.raises(DeskScaleExceeded):
+        ehrhart_report(pair)
+    with pytest.raises(DeskScaleExceeded):
+        lattice_points(pair, 1)
+    # a product of two 4-dimensional hypersimplices of volume 11
+    assert ehrhart_report(pair, 10).normalized_volume == comb(8, 4) * 11 * 11
 
 
 RELABEL_CORPUS = (
