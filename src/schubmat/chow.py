@@ -1,6 +1,9 @@
 """The Chow ring of the Grassmannian G(r,n) as a free abelian group on
 Schubert cycles, with Littlewood-Richardson products (Pieri's rule is the
-one-row case), sigma_1-power degrees, and the direct-sum fold.
+one-row case), sigma_1-power degrees, and the direct-sum fold: fold for two
+classes, sc_direct_sum for the list of a sum's summands.  Both touch no
+matroid, so a process that only multiplies or folds classes loads no
+matroid module.
 
 A ChowClass is a finite integer combination of Schubert cycles sigma_lam,
 with every lam inside the r x (n-r) rectangle.  Cycles that would leave
@@ -43,7 +46,8 @@ import re
 from functools import lru_cache
 
 from .errors import (
-    AmbientMismatch, DoesNotFit, require_count, require_dimensions, require_int, require_type,
+    AmbientMismatch, DoesNotFit, EmptyMatroid, require_count, require_dimensions, require_int,
+    require_type,
 )
 from .partitions import (
     Partition,
@@ -401,6 +405,17 @@ def fold(a: ChowClass, b: ChowClass) -> ChowClass:
             for kappa, c in _lr_terms(x, y, (len(x) + len(y), sum(x[:1] + y[:1]))):
                 sums[kappa] = sums.get(kappa, 0) + ca * cb * c
     return ChowClass._trusted(target, {_complements[kappa, rect]: v for kappa, v in sums.items()})
+
+
+def sc_direct_sum(parts: list[ChowClass]) -> ChowClass:
+    """Fold the classes of direct summands, left to right, into the joint
+    ambient (fold: the paper's direct-sum formula on the complement side)."""
+    if not parts:
+        raise EmptyMatroid("a direct sum needs at least one part")
+    acc = parts[0]
+    for nxt in parts[1:]:
+        acc = fold(acc, nxt)
+    return acc
 
 
 def sigma1_power_degree(c: ChowClass, s: int) -> int:

@@ -3,7 +3,11 @@
 Verbs: class, beta, volume, circuits, info, verify, product.  Matroids come
 from --uniform/--minimal/--panhandle/--schubert parameters or from JSON
 files (--matroid, --matrix); giving several sources forms their direct sum.
---limit-n, the volume oracle's ground-set bound, belongs to volume and verify.
+--limit-n, the volume oracle's ground-set bound, belongs to volume and verify;
+its default, polytope.DESK_SCALE_LIMIT, is read when one of them runs.
+Each verb imports the modules it runs when it runs, so a process compiles
+only those: product the Chow kernel, beta/info/circuits the matroid core,
+class the engine, volume the volume oracle, and verify all of them.
 Integers in flags are decimal (-?[0-9]+), never coerced.
 Exit status: 0 success, 1 domain error (error name on stderr), 2 usage error.
 """
@@ -12,12 +16,9 @@ import argparse
 import json
 import re
 import sys
-from functools import reduce
+from functools import partial, reduce
 
-from . import matroids, orbit, polytope
-from .chow import ChowClass, product
 from .errors import SchubmatError, WrongShape, require_int, require_type
-from .matroids import Matroid
 
 
 def integer(text: str) -> int:
@@ -47,7 +48,7 @@ def _read(path: str, build):
         raise ValueError(f"missing key {exc} in {path}") from None
 
 
-def _matrix_matroid(data) -> Matroid:
+def _matrix_matroid(matroids, data):
     require_type(data, dict, "a matrix file")
     m = matroids.from_rational_matrix(data["entries"], data["rows"])
     if "cols" in data:
@@ -57,30 +58,32 @@ def _matrix_matroid(data) -> Matroid:
     return m
 
 
-def _schubert(spec: str) -> Matroid:
+def _schubert(matroids, spec: str):
     head, _, tail = spec.partition(":")
     indices = [integer(i) for i in tail.split(",")]
     return matroids.schubert_matroid(integer(head), indices)
 
 
-# flag: (metavar, the matroid of one value); sources are summed in this order
+# flag: (metavar, the matroid of one value, built by the matroids module);
+# sources are summed in this order
 _SOURCES = {
-    "uniform": ("R,N", lambda spec: matroids.uniform(*_parse_ints(spec, 2, "--uniform"))),
-    "minimal": ("R,N", lambda spec: matroids.minimal(*_parse_ints(spec, 2, "--minimal"))),
-    "panhandle": ("R,S,N", lambda spec: matroids.panhandle(*_parse_ints(spec, 3, "--panhandle"))),
+    "uniform": ("R,N", lambda matroids, spec: matroids.uniform(*_parse_ints(spec, 2, "--uniform"))),
+    "minimal": ("R,N", lambda matroids, spec: matroids.minimal(*_parse_ints(spec, 2, "--minimal"))),
+    "panhandle": ("R,S,N", lambda matroids, spec: matroids.panhandle(
+        *_parse_ints(spec, 3, "--panhandle"))),
     "schubert": ("N:I1,I2,...", _schubert),
-    "matroid": ("FILE", lambda path: _read(path, Matroid.from_json_dict)),
-    "matrix": ("FILE", lambda path: _read(path, _matrix_matroid)),
+    "matroid": ("FILE", lambda matroids, path: _read(path, matroids.Matroid.from_json_dict)),
+    "matrix": ("FILE", lambda matroids, path: _read(path, partial(_matrix_matroid, matroids))),
 }
 
 
-def _load_sources(args) -> list[Matroid]:
-    return [build(value)
-            for flag, (_, build) in _SOURCES.items() for value in getattr(args, flag) or []]
+def _require_matroid(args, parser):
+    """The direct sum of the matroid sources given; only the matroid verbs
+    import the matroids module."""
+    from . import matroids
 
-
-def _require_matroid(args, parser) -> Matroid:
-    sources = _load_sources(args)
+    sources = [build(matroids, value)
+               for flag, (_, build) in _SOURCES.items() for value in getattr(args, flag) or []]
     if not sources:
         parser.error("no matroid source given")
     return reduce(matroids.direct_sum, sources)
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(verb)
         _add_source_flags(sub)
         if verb in ("volume", "verify"):  # the verbs that count lattice points
-            sub.add_argument("--limit-n", type=integer, default=polytope.DESK_SCALE_LIMIT,
+            sub.add_argument("--limit-n", type=integer,
                              help="override the polytope desk-scale bound (at your own risk)")
     prod = subs.add_parser("product")
     prod.add_argument("lhs", metavar="CLASS_JSON")
@@ -115,32 +118,49 @@ def _emit(args, json_dict: dict, text: str) -> None:
         print(text)
 
 
-def _run_class(args, m: Matroid):
-    result = orbit.sc(m)
+def _limit_n(args) -> int:
+    """--limit-n, or the volume oracle's desk-scale bound when it is not given."""
+    from .polytope import DESK_SCALE_LIMIT
+
+    return DESK_SCALE_LIMIT if args.limit_n is None else args.limit_n
+
+
+def _run_class(args, m):
+    from .orbit import sc
+
+    result = sc(m)
     _emit(args, result.to_json_dict(), result.chow_class.text())
 
 
-def _run_beta(args, m: Matroid):
-    value = matroids.beta(m)
+def _run_beta(args, m):
+    from .matroids import beta
+
+    value = beta(m)
     _emit(args, {"beta": str(value)}, str(value))
 
 
-def _run_volume(args, m: Matroid):
-    report = polytope.ehrhart_report(m, args.limit_n)
+def _run_volume(args, m):
+    from .polytope import ehrhart_report, report_to_json_dict
+
+    report = ehrhart_report(m, _limit_n(args))
     text = (
         f"dim {report.dim}; counts {list(report.counts)}; "
         f"volume {report.normalized_volume}"
     )
-    _emit(args, polytope.report_to_json_dict(report), text)
+    _emit(args, report_to_json_dict(report), text)
 
 
-def _run_circuits(args, m: Matroid):
-    circs = sorted(sorted(c) for c in matroids.circuits(m))
+def _run_circuits(args, m):
+    from .matroids import circuits
+
+    circs = sorted(sorted(c) for c in circuits(m))
     _emit(args, {"circuits": circs}, "\n".join(str(c) for c in circs) or "(none)")
 
 
-def _run_info(args, m: Matroid):
-    c = matroids.classify(m)
+def _run_info(args, m):
+    from .matroids import classify
+
+    c = classify(m)
     # the Classification fields in order, with its tuples and sets as lists
     info = {"n": m.n, "r": m.r, "bases": len(m.bases), **c._asdict(),
             "components": [list(part) for part in c.components],
@@ -149,8 +169,10 @@ def _run_info(args, m: Matroid):
     _emit(args, info, text)
 
 
-def _run_verify(args, m: Matroid):
-    verdict = orbit.verify_volume_relation(m, args.limit_n)
+def _run_verify(args, m):
+    from .polytope import verify_volume_relation
+
+    verdict = verify_volume_relation(m, _limit_n(args))
     rows = verdict.checks
     text = "\n".join(
         f"{name:<14} {'PASS' if ok else 'FAIL'}  lhs={lhs} rhs={rhs}"
@@ -166,6 +188,8 @@ def _run_verify(args, m: Matroid):
 
 
 def _run_product(args):
+    from .chow import ChowClass, product
+
     c = product(_read(args.lhs, ChowClass.from_json_dict), _read(args.rhs, ChowClass.from_json_dict))
     _emit(args, c.to_json_dict(), c.text())
 

@@ -4,15 +4,18 @@ The class of a connected sparse paving matroid agrees with the uniform one
 except at the hook complement, where the coefficient drops to the beta
 invariant; minimal matroids contribute a single hook-complement cycle;
 direct sums fold the factors' classes on the complement side, in the joint
-ambient.
+ambient (chow.sc_direct_sum).
 Connected matroids outside these families raise UnsupportedMatroid.
+
+The engine does not import the volume oracle: verify_volume_relation, which
+checks its classes against the polytope volume, lives in polytope.
 """
 
 from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .chow import Ambient, ChowClass, fold, sigma, sigma1_power_degree
+from .chow import Ambient, ChowClass, sc_direct_sum, sigma
 from .errors import (
     BetaMismatch,
     EmptyMatroid,
@@ -30,7 +33,6 @@ from .partitions import (
     partitions_in_rectangle,
     schur_at_ones,
 )
-from .polytope import DESK_SCALE_LIMIT, VolumeReport, ehrhart_report
 
 METHOD_MINIMAL = "Minimal-Lemma"
 METHOD_SPARSE_PAVING = "SparsePaving-Theorem1"
@@ -107,17 +109,6 @@ def sc_sparse_paving(m: Matroid) -> ChowClass:
     return ChowClass._trusted(uniform_class.ambient, terms)
 
 
-def sc_direct_sum(parts: list[ChowClass]) -> ChowClass:
-    """Fold the classes of direct summands, left to right, into the joint
-    ambient (chow.fold: the paper's direct-sum formula on the complement side)."""
-    if not parts:
-        raise EmptyMatroid("a direct sum needs at least one part")
-    acc = parts[0]
-    for nxt in parts[1:]:
-        acc = fold(acc, nxt)
-    return acc
-
-
 def _component_class(comp: Matroid) -> tuple[ChowClass, str]:
     """The class of a connected matroid and the method that gave it."""
     if comp.n == 1:
@@ -154,42 +145,3 @@ def sc(m: Matroid) -> ScResult:
         k_used=summary.nonbasis_count if methods == (METHOD_SPARSE_PAVING,) else None,
         beta_value=beta(m),
     )
-
-
-class VolumeVerdict(namedtuple("VolumeVerdict", [
-    "sc_result",  # ScResult
-    "volume_report",  # VolumeReport
-    "degree",  # int
-    "volume",  # int
-    "checks",  # tuple[tuple[str, int, int, bool], ...]
-])):
-    """The checks of `schubmat verify` on one computed class.
-
-    checks holds (name, lhs, rhs, passed) for degree=volume, deg(Sc(M) *
-    sigma_1^s) against the polytope volume, and for d_hc=beta, the
-    hook-complement coefficient against beta(M).  A disconnected class sits
-    in another degree, where both sides of d_hc=beta are 0.  G(r,n) with
-    r = 0 or r = n is a point and has no hook complement, so that row is
-    left out there.
-    """
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        """Every check passed, degree=volume and d_hc=beta alike: the rule
-        `schubmat verify` exits by."""
-        return all(passed for *_, passed in self.checks)
-
-
-def verify_volume_relation(m: Matroid, limit: int = DESK_SCALE_LIMIT) -> VolumeVerdict:
-    """Both checks on the class of m, with s = n - kappa; both sides exact."""
-    result = sc(m)
-    degree = sigma1_power_degree(result.chow_class, m.n - result.matroid_summary.kappa)
-    report = ehrhart_report(m, limit)
-    volume = report.normalized_volume
-    checks = [("degree=volume", degree, volume, degree == volume)]
-    if 0 < m.r < m.n:
-        hc = result.chow_class.coefficient(hook_complement(m.r, m.n))
-        checks.append(("d_hc=beta", hc, result.beta_value, hc == result.beta_value))
-    return VolumeVerdict(result, report, degree, volume, checks=tuple(checks))

@@ -22,6 +22,10 @@ running total, and one partial sum per distinct prefix of the flats that
 are open there (with coordinates on both sides).  A sum too low for any of
 its flats to reach its bound is raised to a common floor.  Relabelling the
 ground set so no longer changes the time by orders of magnitude.
+
+verify_volume_relation audits the orbit engine against this oracle and
+returns a VolumeVerdict.  It imports the engine when it runs, so the
+volume oracle alone (`schubmat volume`) loads neither orbit nor chow.
 """
 
 from collections import namedtuple
@@ -44,6 +48,32 @@ class VolumeReport(namedtuple("VolumeReport", [
     """Ehrhart data for a base polytope and the resulting normalized volume."""
 
     __slots__ = ()
+
+
+class VolumeVerdict(namedtuple("VolumeVerdict", [
+    "sc_result",  # ScResult
+    "volume_report",  # VolumeReport
+    "degree",  # int
+    "volume",  # int
+    "checks",  # tuple[tuple[str, int, int, bool], ...]
+])):
+    """The checks of `schubmat verify` on one computed class.
+
+    checks holds (name, lhs, rhs, passed) for degree=volume, deg(Sc(M) *
+    sigma_1^s) against the polytope volume, and for d_hc=beta, the
+    hook-complement coefficient against beta(M).  A disconnected class sits
+    in another degree, where both sides of d_hc=beta are 0.  G(r,n) with
+    r = 0 or r = n is a point and has no hook complement, so that row is
+    left out there.
+    """
+
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        """Every check passed, degree=volume and d_hc=beta alike: the rule
+        `schubmat verify` exits by."""
+        return all(passed for *_, passed in self.checks)
 
 
 def _check_scale(m: Matroid, limit: int) -> None:
@@ -213,6 +243,24 @@ def ehrhart_report(m: Matroid, limit: int = DESK_SCALE_LIMIT) -> VolumeReport:
 
 def normalized_volume(m: Matroid, limit: int = DESK_SCALE_LIMIT) -> int:
     return ehrhart_report(m, limit).normalized_volume
+
+
+def verify_volume_relation(m: Matroid, limit: int = DESK_SCALE_LIMIT) -> VolumeVerdict:
+    """Both checks on the class of m, with s = n - kappa; both sides exact."""
+    # imported on use, so neither the engine nor the volume verb loads the other
+    from .chow import sigma1_power_degree
+    from .orbit import sc
+    from .partitions import hook_complement
+
+    result = sc(m)
+    degree = sigma1_power_degree(result.chow_class, m.n - result.matroid_summary.kappa)
+    report = ehrhart_report(m, limit)
+    volume = report.normalized_volume
+    checks = [("degree=volume", degree, volume, degree == volume)]
+    if 0 < m.r < m.n:
+        hc = result.chow_class.coefficient(hook_complement(m.r, m.n))
+        checks.append(("d_hc=beta", hc, result.beta_value, hc == result.beta_value))
+    return VolumeVerdict(result, report, degree, volume, checks=tuple(checks))
 
 
 def report_to_json_dict(report: VolumeReport) -> dict:

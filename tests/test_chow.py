@@ -707,7 +707,7 @@ def test_classes_built_by_the_library_are_in_validated_form(monkeypatch, fano, v
     re-validating the terms; every class they return on the fold and product
     corpus of this file and on sc of the family corpus is in validated form."""
     seen = {"product": 0, "fold": 0, "sc_sparse_paving": 0}
-    spied = {"product": chow, "fold": orbit, "sc_sparse_paving": orbit}
+    spied = {"product": chow, "fold": chow, "sc_sparse_paving": orbit}
 
     def recording(name, fn):
         def wrapped(*args):

@@ -13,8 +13,8 @@ import pytest
 from schubmat import Ambient, ChowClass, classify, sc, sc_uniform, sigma, uniform
 from schubmat.errors import AmbientMismatch, DoesNotFit, InvalidDimensions, NotAnInteger, WrongShape
 from schubmat.matroids import Classification
-from schubmat.orbit import ScResult, verify_volume_relation
-from schubmat.polytope import VolumeReport, ehrhart_report, report_to_json_dict
+from schubmat.orbit import ScResult
+from schubmat.polytope import VolumeReport, ehrhart_report, report_to_json_dict, verify_volume_relation
 
 CLASSIFICATION_FIELDS = [
     "components", "kappa", "loops", "coloops", "is_paving", "is_sparse_paving",
