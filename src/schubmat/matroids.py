@@ -26,14 +26,17 @@ the complement of the hyperplane cl(S).  Every consumer reads it:
   x has an element below it in F(B - x) and every y outside B lies in
   F(B - x) for some x < y of B (Crapo's t_10: internal activity 1,
   external activity 0).
-Circuits are the fundamental circuits of the bases, so no subset of the
-ground set is enumerated.  Derived facts (the `bases` view, the factors of
-a sum, the exchange table, the classification, beta, the rank of every
-subset, and the polytope's binding flats and coordinate order) are computed
-once per instance by functions decorated with `_memo`, the one owner of the
-per-instance cache.  Every layer reads a sum through its factors, so the
-library builds no exchange table, rank table, flats or coordinate order of
-a sum's own: those exist for connected matroids.
+- flats: every flat is an intersection of hyperplanes, so the polytope
+  takes its flats from the table too, each ranked by `_rank`.
+Circuits are the fundamental circuits of the bases, and the rank of a set
+is its largest meet with a basis, so no table over the subsets of the
+ground set is built.  Derived facts (the `bases` view, the factors of a
+sum, the exchange table, the classification, beta, and the polytope's
+binding flats and coordinate order) are computed once per instance by
+functions decorated with `_memo`, the one owner of the per-instance cache.
+Every layer reads a sum through its factors, so the library builds no
+exchange table, flats or coordinate order of a sum's own: those exist for
+connected matroids.
 """
 
 import re
@@ -100,9 +103,9 @@ class Matroid:
     bitmasks the library works on.  `_cache` holds what the `_memo`
     functions derive from them, once per instance: the `bases` view itself,
     the classification, beta, and the factors of a disconnected matroid;
-    for a connected matroid also the exchange table, the rank table, and
-    the base polytope's binding flats and coordinate order (a sum is read
-    through its factors, which hold their own).
+    for a connected matroid also the exchange table and the base polytope's
+    binding flats and coordinate order (a sum is read through its factors,
+    which hold their own).
     """
 
     __slots__ = ("n", "r", "_masks", "_cache")
@@ -172,8 +175,7 @@ class Matroid:
         return any(s & b == s for b in self._masks)
 
     def rank_of(self, subset) -> int:
-        s = _subset_mask(self.n, subset)
-        return max((s & b).bit_count() for b in self._masks)
+        return _rank(self, _subset_mask(self.n, subset))
 
     def loops(self) -> frozenset:
         return frozenset(_elements(self._ground() & ~reduce(or_, self._masks)))
@@ -207,6 +209,11 @@ def _memo(fn):
         return value
 
     return memoized
+
+
+def _rank(m: Matroid, s: int) -> int:
+    """rank(S) of the mask s: the most elements of S that one basis holds."""
+    return max((s & b).bit_count() for b in m._masks)
 
 
 @_memo
@@ -622,28 +629,6 @@ def classify(m: Matroid) -> Classification:
         is_minimal=(kappa == 1 and len(bases) == r * (n - r) + 1),
         is_uniform=(nonbasis_count == 0),
     )
-
-
-@_memo
-def rank_table(m: Matroid) -> list[int]:
-    """rank(S) for every subset S of [n], indexed by its mask.
-
-    Going down from the bases, the subsets of independent sets are
-    independent (rank = size); going up, a dependent set has the largest
-    rank among its subsets one element smaller.  It has 2^n entries, so a
-    caller bounds n first.  Computed once per instance.
-    """
-    table = [0] * (1 << m.n)
-    for b in m._masks:
-        table[b] = m.r
-    for s in range(len(table) - 1, 0, -1):
-        if table[s] == s.bit_count():
-            for e in _bits(s):
-                table[s ^ e] = table[s] - 1
-    for s in range(1, len(table)):
-        if table[s] != s.bit_count():
-            table[s] = max(table[s ^ e] for e in _bits(s))
-    return table
 
 
 @_memo

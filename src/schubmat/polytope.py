@@ -10,10 +10,13 @@ flat constraints with rank < min(|A|, r) can bind, and every coordinate
 lies in [0, t]: with two or more elements no element is a loop, and a lone
 loop is held at 0 by sum(y) = 0.
 
-Subsets are bitmasks, as in the matroid core.  The core's `rank_table`
-holds the rank of every subset; it has 2^n entries, so it is read only
-after the desk-scale check, and only for a connected matroid: a sum builds
-no table of its own.  The flats and the counter's rank bounds read it.
+Subsets are bitmasks, as in the matroid core.  The flats of a connected
+matroid come from its exchange table: the hyperplanes are the sets E - F(S),
+and every flat is an intersection of hyperplanes.  Each flat, and each
+prefix and suffix of the counter's coordinate order, is ranked by its
+largest meet with a basis (`matroids._rank`), so no structure over the 2^n
+subsets is built.  Both are derived after the desk-scale check, once per
+connected matroid: a sum derives none of its own.
 
 The counter fixes coordinates one at a time in an order read from the
 structure, not the labels: the coordinates in more binding flats first
@@ -34,7 +37,7 @@ from math import factorial, prod
 from operator import or_
 
 from .errors import DeskScaleExceeded, NonIntegralVolume, require_count, require_int
-from .matroids import Matroid, _bits, _factors, _memo, classify, rank_table
+from .matroids import Matroid, _bits, _exchange_table, _factors, _memo, _rank, classify
 
 DESK_SCALE_LIMIT = 8
 
@@ -85,31 +88,39 @@ def _check_scale(m: Matroid, limit: int) -> None:
 
 @_memo
 def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
-    """Flats A (as masks) of a connected m with 2 <= |A| and
-    rank(A) < min(|A|, r): every constraint the counter needs.
+    """(A, rank(A)) for the flats A (as masks, ascending) of a connected m
+    with 2 <= |A| and rank(A) < min(|A|, r): every constraint the counter
+    needs.
 
     A set that is not closed, some e outside it keeping the rank, gives way
-    to its closure, a tighter constraint.  Computed once per matroid
-    instance: every dilate shares them.
+    to its closure, a tighter constraint.  The hyperplanes are the distinct
+    E - F(S) of the exchange table, and every flat is an intersection of
+    hyperplanes (E the empty intersection), so the flats are {E} closed
+    under intersection with each hyperplane.  Computed once per matroid instance:
+    every dilate shares them.
     """
-    rank = rank_table(m)
-    bits = _bits(m._ground())
-    return [
-        (s, rank[s]) for s in range(1, len(rank))
-        if 2 <= s.bit_count() and rank[s] < min(s.bit_count(), m.r)
-        and all(rank[s | e] > rank[s] for e in bits if not s & e)
-    ]
+    ground = m._ground()
+    flats = {ground}
+    for hyperplane in {ground ^ fs for fs in _exchange_table(m).values()}:
+        flats |= {a & hyperplane for a in flats}
+    ranked = ((a, _rank(m, a)) for a in sorted(flats) if a.bit_count() >= 2)
+    return [(a, rk) for a, rk in ranked if rk < min(a.bit_count(), m.r)]
 
 
 @_memo
-def _coordinate_order(m: Matroid) -> list[int]:
+def _coordinate_order(m: Matroid) -> tuple[list[int], list[int], list[int]]:
     """Coordinates (single-bit masks) of a connected m, those in more binding
-    flats first; the label breaks ties.
+    flats first, the label breaking ties; then the rank of the first i
+    coordinates and of the rest of the ground set, for i = 0..n.
 
-    Computed once per matroid instance, like the flats.
+    Computed once per matroid instance, like the flats: every dilate scales
+    the same ranks by t.
     """
     flats = _binding_constraints(m)
-    return sorted(_bits(m._ground()), key=lambda e: -sum(1 for s, _ in flats if s & e))
+    ground = m._ground()
+    order = sorted(_bits(ground), key=lambda e: -sum(1 for s, _ in flats if s & e))
+    prefixes = list(accumulate(order, or_, initial=0))
+    return order, [_rank(m, p) for p in prefixes], [_rank(m, ground ^ p) for p in prefixes]
 
 
 def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
@@ -128,16 +139,13 @@ def _count(m: Matroid, t: int) -> int:
     factors = _factors(m)
     if factors:
         return prod(_count(f, t) for _, f in factors)
-    rank = rank_table(m)
     target = t * m.r
     constraints = _binding_constraints(m)
-    order = _coordinate_order(m)
+    order, prefix_ranks, suffix_ranks = _coordinate_order(m)
     n = m.n
     # prefix/suffix rank bounds in this coordinate order
-    ground = m._ground()
-    prefixes = list(accumulate(order, or_, initial=0))
-    pref = [t * rank[p] for p in prefixes]
-    suf = [t * rank[ground ^ p] for p in prefixes]
+    pref = [t * rk for rk in prefix_ranks]
+    suf = [t * rk for rk in suffix_ranks]
     # flats as masks of positions in the order; a flat is open at i when it
     # has positions before i and at or after i
     pos = {e: i for i, e in enumerate(order)}
@@ -223,14 +231,15 @@ def ehrhart_report(m: Matroid, limit: int = DESK_SCALE_LIMIT) -> VolumeReport:
     """Counts at t = 0..dim, the interpolated polynomial, and the normalized volume.
 
     The fit is verified against a directly computed count at t = dim + 1.
+    The scale is checked once; every dilate is then counted directly.
     """
     _check_scale(m, limit)
     dim = m.n - classify(m).kappa
-    counts = tuple(lattice_points(m, t, limit) for t in range(dim + 1))
+    counts = tuple(_count(m, t) for t in range(dim + 1))
     coeffs = _interpolate(counts)
     check_t = dim + 1
     predicted = sum(c * check_t**k for k, c in enumerate(coeffs))
-    actual = lattice_points(m, check_t, limit)
+    actual = _count(m, check_t)
     if predicted != actual:
         raise NonIntegralVolume(
             f"Ehrhart fit fails at t={check_t}: predicted {predicted}, counted {actual}"

@@ -579,11 +579,11 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
         caches.append(self._cache)
 
     monkeypatch.setattr(Matroid, "_init", recording_init)
-    memoized = {"_exchange_table", "classify", "rank_table", "beta",
+    memoized = {"_exchange_table", "classify", "beta",
                 "_binding_constraints", "_coordinate_order", "_factors"}
     # beta of a disconnected matroid is 0 from its factors, and the sum
-    # reads its factors' tables, with no exchange table, rank table, flats
-    # or coordinate order of its own
+    # reads its factors' tables, with no exchange table, flats or
+    # coordinate order of its own
     for build, expected in ((lambda: uniform(2, 5), memoized),
                             (lambda: direct_sum(uniform(1, 2), minimal(2, 4)),
                              {"classify", "beta", "_factors"})):

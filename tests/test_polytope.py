@@ -1,5 +1,6 @@
 """Volume oracle tests: vertices, lattice point counts, Ehrhart interpolation."""
 
+import random
 from functools import reduce
 from itertools import combinations, product as iproduct
 from math import comb, prod
@@ -11,14 +12,15 @@ from schubmat import (
     direct_sum,
     ehrhart_report,
     from_bases,
+    from_rational_matrix,
     lattice_points,
     minimal,
     normalized_volume,
     panhandle,
     uniform,
 )
-from schubmat.errors import DeskScaleExceeded, InvalidDimensions, NotAnInteger
-from schubmat.matroids import _factors, classify, rank_table as _rank_table
+from schubmat.errors import DeskScaleExceeded, InvalidDimensions, NotAnInteger, RankDeficient
+from schubmat.matroids import _factors, classify
 from schubmat.polytope import _binding_constraints
 from conftest import FANO_LINES, VAMOS_CIRCUIT_HYPERPLANES, family_corpus, matroid_from_nonbases
 import lattice_oracle
@@ -90,16 +92,38 @@ def test_lattice_points_against_brute_force():
             assert lattice_points(m, t) == brute_lattice_points(m, t), (m, t)
 
 
-def test_rank_table_matches_rank_of(fano):
+def connected_rational_matroids(count, seed=0):
+    """count connected matroids of small integer matrices, n = 6..9 and
+    r = 2..4; the zero entries make many of them not paving."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n, r = rng.randint(6, 9), rng.randint(2, 4)
+        entries = [[rng.choice([-1, 0, 0, 1, 2]) for _ in range(n)] for _ in range(r)]
+        try:
+            m = from_rational_matrix(entries, r)
+        except RankDeficient:
+            continue
+        if classify(m).kappa == 1:
+            found.append(m)
+    return found
+
+
+def test_binding_flats_match_the_oracle(fano, vamos):
+    """The flats from the exchange table's hyperplanes against the
+    brute-force rank table's closed sets."""
     with_loop = direct_sum(uniform(2, 4), from_bases(1, 0, [()]))
-    cases = [m for *_, m in family_corpus(6)] + [fano, with_loop, uniform(0, 3), uniform(3, 3)]
+    cases = ([m for *_, m in family_corpus(6)]
+             + [fano, vamos, with_loop, uniform(0, 3), uniform(3, 3), minimal(3, 6),
+                panhandle(3, 4, 7)]
+             + connected_rational_matroids(50))
     for m in cases:
-        table = _rank_table(m)
-        assert len(table) == 2**m.n
-        for k in range(m.n + 1):
-            for subset in combinations(range(1, m.n + 1), k):
-                mask = sum(1 << (e - 1) for e in subset)
-                assert table[mask] == m.rank_of(subset), (m, subset)
+        flats = _binding_constraints(m)
+        assert set(flats) == set(lattice_oracle.binding_flats(m, lattice_oracle.rank_table(m))), m
+        ground = (1 << m.n) - 1
+        for s, rk in flats:
+            assert s & ~ground == 0 and s != ground and rk < m.r, (m, s)
+            assert rk == m.rank_of([e for e in range(1, m.n + 1) if s >> (e - 1) & 1]), (m, s)
 
 
 def test_volume_examples():
@@ -192,15 +216,15 @@ def test_desk_scale_limit_is_an_int():
     assert lattice_points(m, 1, 4) == 6
 
 
-def test_no_rank_table_past_the_desk_scale():
+def test_no_flats_past_the_desk_scale():
     m = uniform(3, 9)
     with pytest.raises(DeskScaleExceeded):
         lattice_points(m, 1)
     with pytest.raises(DeskScaleExceeded):
         ehrhart_report(m)
-    assert "rank_table" not in m._cache
+    assert "_binding_constraints" not in m._cache
     lattice_points(m, 1, limit=9)
-    assert len(m._cache["rank_table"]) == 2**9
+    assert "_binding_constraints" in m._cache
 
 
 def sums_corpus():
@@ -226,17 +250,13 @@ def test_counter_matches_oracle_on_corpus():
             assert lattice_points(m, t) == lattice_oracle.lattice_points(m, t), (name, r, n, t)
 
 
-def test_a_sum_is_counted_through_its_factors(fano):
+def test_a_sum_is_counted_through_its_factors():
     for m in sums_corpus():
         for t in range(4):
             assert lattice_points(m, t) == prod(lattice_points(f, t) for _, f in _factors(m)), (m, t)
         ehrhart_report(m)
         # the sum builds no table of its own: only its factors are counted
-        assert not {"rank_table", "_binding_constraints", "_coordinate_order"} & m._cache.keys()
-    for m in [fano, minimal(3, 6), panhandle(3, 4, 7)]:
-        ground = (1 << m.n) - 1
-        for s, rk in _binding_constraints(m):
-            assert s & ~ground == 0 and s != ground and rk < m.r, (m, s)
+        assert not {"_binding_constraints", "_coordinate_order"} & m._cache.keys()
     # the gate reads the whole ground set, not the largest factor
     pair = direct_sum(uniform(2, 5), uniform(2, 5))
     with pytest.raises(DeskScaleExceeded):
