@@ -14,10 +14,15 @@ LR terms are computed per pair of cycles (mu, nu): the LR tableaux of
 content nu on mu are generated directly, one horizontal strip per label
 under the lattice-word condition, so only the non-zero coefficients
 c^lam_{mu,nu} are built, and shapes that would leave the rectangle are
-pruned during the search.  The search recurses per label, so it takes the
-pair's smaller partition as content and, when that content has more rows
-than columns, searches the conjugate pair in the transposed rectangle and
-conjugates the results back.  One cache, _lr_terms, lives as long as the
+pruned during the search.  Each label's strip starts on the row after the
+previous label's first row, since the lattice word allows no cell above.
+The search recurses per label, so it takes the pair's smaller partition as
+content and, when that content has more rows than columns, searches the
+conjugate pair in the transposed rectangle and conjugates the results
+back.  A key whose smaller partition is strictly smaller and has fewer
+rows than columns has one orientation and reads no conjugate; only the
+other keys (a tie in size, a square or empty content, a tall one) read
+the conjugates to choose.  One cache, _lr_terms, lives as long as the
 process and holds the terms of both the caller's (mu, nu, rectangle) and
 the orientation searched, which a pair, the swapped pair and the conjugate
 pair in the transposed rectangle share (c^lam_{mu,nu} = c^lam_{nu,mu} =
@@ -43,6 +48,7 @@ fold's output is already stored when its degree asks for it.
 """
 
 import re
+from collections.abc import Iterable
 from functools import lru_cache
 
 from .errors import (
@@ -133,13 +139,16 @@ class ChowClass(_ReadOnly):
         object.__setattr__(self, "terms", {lam: c for lam, c in sums.items() if c})
 
     @classmethod
-    def _trusted(cls, ambient: Ambient, terms: dict[Partition, int]) -> "ChowClass":
-        """A class from terms the library built itself: the keys are normal
-        and inside the rectangle and the coefficients are ints, so only the
-        zero coefficients are dropped."""
+    def _trusted(cls, ambient: Ambient, terms: Iterable[tuple[Partition, int]]) -> "ChowClass":
+        """A class from (partition, coefficient) pairs the library built
+        itself: the partitions are normal, distinct and inside the rectangle
+        and the coefficients are ints, so only the zero coefficients are
+        dropped.  Pairs rather than a dict, so a caller that maps its keys
+        on the way in (fold complements each kappa) builds the term map
+        once."""
         c = cls.__new__(cls)
         object.__setattr__(c, "ambient", ambient)
-        object.__setattr__(c, "terms", {lam: v for lam, v in terms.items() if v})
+        object.__setattr__(c, "terms", {lam: v for lam, v in terms if v})
         return c
 
     def __eq__(self, other):
@@ -275,12 +284,25 @@ def _search_orientation(mu: Partition, nu: Partition, rect: tuple[int, int]):
     partition and has no more rows than columns; among the orientations
     that allow, the one with the fewest labels and then the least tuple is
     searched, so every orientation of a pair picks the same one.
+
+    When one partition is strictly smaller and has fewer rows than
+    columns, the pair with it as content is the only orientation allowed
+    (its conjugate has more rows than columns), so it is returned without
+    reading a conjugate.  Conjugates are read only otherwise: for a tie in
+    size, a content with as many rows as columns or the empty content,
+    where the rule above decides among the orientations, and for a content
+    with more rows than columns, which only the conjugates allow.
     """
+    mu_size, nu_size = sum(mu), sum(nu)
+    if nu_size < mu_size and nu and len(nu) < nu[0]:
+        return mu, nu, rect, False
+    if mu_size < nu_size and mu and len(mu) < mu[0]:
+        return nu, mu, rect, False
     mu_t, nu_t, rect_t = _conjugates[mu], _conjugates[nu], (rect[1], rect[0])
     orientations = []
-    if size(nu) <= size(mu):
+    if nu_size <= mu_size:
         orientations += [(mu, nu, rect, False), (mu_t, nu_t, rect_t, True)]
-    if size(mu) <= size(nu):
+    if mu_size <= nu_size:
         orientations += [(nu, mu, rect, False), (nu_t, mu_t, rect_t, True)]
     return min((len(o[1]), o) for o in orientations if not o[1] or len(o[1]) <= o[1][0])[1]
 
@@ -296,16 +318,20 @@ def _strip_search(
     Grows mu by the content nu, one horizontal strip per label, keeping the
     reverse reading word (rows top to bottom, each row right to left) a
     lattice word; each completed filling is one LR tableau of shape lam/mu.
-    Shapes that leave rect are never built.  Within a label, a row that
-    gets no cell is stepped over in a loop (j, prev_old and cum_prev
-    advance), so only a row that gets cells recurses.  Capacity prune: a
-    horizontal strip puts at most prev_old - shape[j] cells in row j and at
-    most shape[k-1] - shape[k] in each later row k (lengths before the
-    label); that sum telescopes to prev_old - shape[-1], and a branch ends
-    as soon as it is less than the cells left.  A label is finished in the
-    frame that places its last cells: the last label records the tableau
-    and any other starts the next label there, so no call is made for a
-    label with no cells left.  An empty content gives ((mu, 1),).
+    Shapes that leave rect are never built.  Label 1 starts at row 0, and
+    label i+1 on the row after label i's first row: in that row and above
+    no label i precedes it in the reading word, so the lattice word allows
+    no cell there, and the search does not walk those rows.  Within a
+    label, a row that gets no cell is stepped over in a loop (j, prev_old
+    and cum_prev advance), so only a row that gets cells recurses.
+    Capacity prune: a horizontal strip puts at most prev_old - shape[j]
+    cells in row j and at most shape[k-1] - shape[k] in each later row k
+    (lengths before the label); that sum telescopes to prev_old - shape[-1],
+    and a branch ends as soon as it is less than the cells left.  A label
+    is finished in the frame that places its last cells: the last label
+    records the tableau and any other starts the next label from there, so
+    no call is made for a label with no cells left.  An empty content gives
+    ((mu, 1),).
     """
     if not nu:
         return ((mu, 1),)
@@ -316,13 +342,14 @@ def _strip_search(
     placed = [[0] * rows for _ in range(labels + 1)]
     terms: dict[Partition, int] = {}
 
-    def fill(i, j, left, prev_old, cum, cum_prev):
+    def fill(i, j, left, prev_old, cum, cum_prev, top):
         """Place the `left` remaining cells labelled i in rows j, j+1, ...;
         left > 0.
 
         prev_old is row j-1's length before label i was added (cols for
         j = 0); cum counts the cells labelled i in rows < j, cum_prev those
-        labelled i-1 in rows < j.
+        labelled i-1 in rows < j; top is the first row with a cell labelled
+        i when cum > 0 (unused while cum is 0).
         """
         mine, before = placed[i], placed[i - 1]
         while j < rows:
@@ -341,9 +368,10 @@ def _strip_search(
                 shape[j] = old + add
                 mine[j] = add
                 if add < left:
-                    fill(i, j + 1, left - add, old, cum + add, next_prev)
-                elif i < labels:  # label i is placed: start the next one here
-                    fill(i + 1, 0, nu[i], cols, 0, 0)
+                    fill(i, j + 1, left - add, old, cum + add, next_prev, top if cum else j)
+                elif i < labels:  # label i is placed: start the next one below its first row
+                    first = top if cum else j
+                    fill(i + 1, first + 1, nu[i], shape[first], 0, mine[first], 0)
                 else:
                     lam = tuple(filter(None, shape))
                     terms[lam] = terms.get(lam, 0) + 1
@@ -353,7 +381,7 @@ def _strip_search(
             j, prev_old, cum_prev = j + 1, old, next_prev
 
     # label 1 has no lattice bound: give it one no count can reach
-    fill(1, 0, nu[0], cols, 0, size(nu))
+    fill(1, 0, nu[0], cols, 0, sum(nu), 0)
     return tuple(terms.items())
 
 
@@ -379,7 +407,7 @@ def product(a: ChowClass, b: ChowClass) -> ChowClass:
         for nu, cb in b.terms.items():
             for lam, c in _lr_terms(mu, nu, rect):
                 terms[lam] = terms.get(lam, 0) + ca * cb * c
-    return ChowClass._trusted(a.ambient, terms)
+    return ChowClass._trusted(a.ambient, terms.items())
 
 
 def fold(a: ChowClass, b: ChowClass) -> ChowClass:
@@ -402,9 +430,12 @@ def fold(a: ChowClass, b: ChowClass) -> ChowClass:
         left = _complements[mu, rect_a]
         for right, cb in rights:
             x, y = (left, right) if left >= right else (right, left)
-            for kappa, c in _lr_terms(x, y, (len(x) + len(y), sum(x[:1] + y[:1]))):
-                sums[kappa] = sums.get(kappa, 0) + ca * cb * c
-    return ChowClass._trusted(target, {_complements[kappa, rect]: v for kappa, v in sums.items()})
+            # x >= y, so y is empty when x is: the box is x[0] + y[0] wide
+            box = (len(x) + len(y), x[0] + (y[0] if y else 0) if x else 0)
+            coeff = ca * cb
+            for kappa, c in _lr_terms(x, y, box):
+                sums[kappa] = sums.get(kappa, 0) + coeff * c
+    return ChowClass._trusted(target, ((_complements[kappa, rect], v) for kappa, v in sums.items()))
 
 
 def sc_direct_sum(parts: list[ChowClass]) -> ChowClass:
@@ -427,8 +458,9 @@ def sigma1_power_degree(c: ChowClass, s: int) -> int:
     """
     require_count(s, "sigma_1 power")
     rect = c.ambient.rect
+    weight = rect[0] * rect[1] - s
     return sum(
         coeff * _syt_count(_complements[lam, rect])
         for lam, coeff in c.terms.items()
-        if size(lam) + s == rect[0] * rect[1]
+        if sum(lam) == weight
     )

@@ -106,7 +106,7 @@ def sc_sparse_paving(m: Matroid) -> ChowClass:
     uniform_class = sc_uniform(r, n)
     terms = dict(uniform_class.terms)
     terms[hc] = coeff
-    return ChowClass._trusted(uniform_class.ambient, terms)
+    return ChowClass._trusted(uniform_class.ambient, terms.items())
 
 
 def _component_class(comp: Matroid) -> tuple[ChowClass, str]:

@@ -116,10 +116,9 @@ class _ComplementStore(dict):
     def __missing__(self, key: tuple[Partition, Rectangle]) -> Partition:
         lam, rect = key
         rows, cols = rect
-        comp = [cols] * (rows - len(lam)) + [cols - p for p in reversed(lam)]
-        while comp and not comp[-1]:
-            comp.pop()
-        comp = self[key] = tuple(comp)
+        # the rows of lam from the bottom, the empty ones first; a full row
+        # leaves nothing, and full rows are the top ones, so no zero is kept
+        comp = self[key] = tuple([cols - p for p in padded(lam, rows)[::-1] if p < cols])
         self[comp, rect] = lam
         return comp
 

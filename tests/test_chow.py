@@ -229,6 +229,69 @@ def test_conjugate_pair_reads_the_search_of_the_pair(pair):
     assert len(searched) == 1
 
 
+def reference_orientation(mu, nu, rect):
+    """The documented rule, on all four orientations: the content is no
+    larger than the outer partition and has no more rows than columns, then
+    the fewest labels, then the least (outer, content, rectangle,
+    transposed) tuple."""
+    flipped = rect[::-1]
+    candidates = [(mu, nu, rect, False), (nu, mu, rect, False),
+                  (conjugate(mu), conjugate(nu), flipped, True),
+                  (conjugate(nu), conjugate(mu), flipped, True)]
+    valid = [o for o in candidates
+             if size(o[1]) <= size(o[0]) and len(o[1]) <= (o[1][0] if o[1] else 0)]
+    return min(valid, key=lambda o: (len(o[1]), o))
+
+
+def test_search_orientation_follows_the_four_candidate_rule():
+    """Every pair in every rectangle up to 4 x 4, empty partitions and
+    rectangles included: the orientation is the reference's, and the four
+    orientations of a pair search one key.  Both sides of the shortcut are
+    reached: pairs with a strictly smaller content with fewer rows than
+    columns, and ties (equal sizes, an empty or a square content such as
+    (2, 2)) that the full rule decides."""
+    shortcut = ties = 0
+    for rows in range(5):
+        for cols in range(5):
+            rect = (rows, cols)
+            shapes = partitions_in_rectangle(rect)
+            for mu in shapes:
+                for nu in shapes:
+                    got = chow._search_orientation(mu, nu, rect)
+                    assert got == reference_orientation(mu, nu, rect), (mu, nu, rect)
+                    mu_t, nu_t = conjugate(mu), conjugate(nu)
+                    keys = {chow._search_orientation(*o)[:3] for o in
+                            [(mu, nu, rect), (nu, mu, rect),
+                             (mu_t, nu_t, rect[::-1]), (nu_t, mu_t, rect[::-1])]}
+                    assert keys == {got[:3]}, (mu, nu, rect)
+                    content = got[1]
+                    if size(content) < size(got[0]) and content and len(content) < content[0]:
+                        shortcut += 1
+                    elif size(mu) == size(nu) or len(content) == (content[0] if content else 0):
+                        ties += 1
+    assert shortcut > 0 and ties > 0
+    # a square content: the conjugate pair (2, 2, 1), (2, 2) is the least tuple
+    assert chow._search_orientation((3, 2), (2, 2), (4, 4)) == ((2, 2, 1), (2, 2), (4, 4), True)
+    # equal sizes: (3,) has one label, (2, 1) two
+    assert chow._search_orientation((2, 1), (3,), (3, 3)) == ((2, 1), (3,), (3, 3), False)
+    assert chow._search_orientation((3,), (2, 1), (3, 3)) == ((2, 1), (3,), (3, 3), False)
+
+
+def test_search_orientation_reads_conjugates_only_for_a_tie():
+    """A strictly smaller content with fewer rows than columns is the only
+    orientation allowed, and is returned with no conjugate read; a square
+    content or equal sizes read the conjugates to apply the full rule."""
+    partitions._conjugates.clear()
+    assert chow._search_orientation((3, 1), (2,), (2, 3)) == ((3, 1), (2,), (2, 3), False)
+    assert chow._search_orientation((2,), (3, 2), (2, 3)) == ((3, 2), (2,), (2, 3), False)
+    assert not partitions._conjugates
+    chow._search_orientation((3, 2), (2, 2), (4, 4))
+    assert partitions._conjugates[(2, 2)] == (2, 2)
+    partitions._conjugates.clear()
+    chow._search_orientation((2, 1), (3,), (3, 3))
+    assert partitions._conjugates[(3,)] == (1, 1, 1)
+
+
 def test_product_matches_oracle_on_every_pair_in_small_rectangles():
     for rows in range(1, 5):
         for cols in range(1, 5):
@@ -526,6 +589,17 @@ def test_fold_matches_box_shifted_product_on_tall_folds():
         a, b = full_support_class(*left, rng), full_support_class(*right, rng)
         assert sc_direct_sum([a, b]) == folded_by_box_shift(a, b), (left, right)
         assert sc_direct_sum([b, a]) == folded_by_box_shift(b, a), (right, left)
+
+
+def test_a_fold_that_cancels_keeps_no_zero_term():
+    """Each term of a meets sigma_(1) of G(1,3) in a (4, 3, 2) term, with
+    coefficients +1 and -1, so the fold's sum at (4, 3, 2) is 0 and the
+    class built from the pairs holds no such term."""
+    b = sigma(Ambient(1, 3), (1,))
+    assert chow.fold(sigma(Ambient(2, 4), (2,)), b).terms[(4, 3, 2)] == 1
+    assert chow.fold(sigma(Ambient(2, 4), (1, 1)), b).terms[(4, 3, 2)] == 1
+    folded = chow.fold(ChowClass(Ambient(2, 4), {(2,): 1, (1, 1): -1}), b)
+    assert folded.terms == {(4, 4, 1): 1, (3, 3, 3): -1}
 
 
 def test_folds_of_different_ambients_share_lr_searches(monkeypatch):
