@@ -8,7 +8,8 @@ its default, polytope.DESK_SCALE_LIMIT, is read when one of them runs.
 Each verb imports the modules it runs when it runs, so a process compiles
 only those: product the Chow kernel, beta/info/circuits the matroid core,
 class the engine, volume the volume oracle, and verify all of them.
-Integers in flags are decimal (-?[0-9]+), never coerced.
+Integers in flags are decimal (-?[0-9]+), never coerced; integers of any
+length are read and printed exactly.
 Exit status: 0 success, 1 domain error (error name on stderr), 2 usage error.
 """
 
@@ -205,6 +206,21 @@ _MATROID_VERBS = {
 
 
 def main(argv=None) -> int:
+    """Run one verb; the exit status.  Integers of any length are read and
+    printed exactly: the interpreter's int/str digit limit, where it has
+    one, is lifted while main runs and restored on return."""
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(old_limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

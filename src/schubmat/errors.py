@@ -111,7 +111,9 @@ class BadStepString(SchubmatError):
 
 
 class PathsCross(SchubmatError):
-    """Upper lattice path dips below the lower one."""
+    """Upper lattice path dips below the lower one: the i-th north step of
+    the lower path comes before the i-th north step of the upper one
+    (q_i < p_i) for some i."""
 
 
 class RankDeficient(SchubmatError):

@@ -4,6 +4,14 @@ Constructors (uniform, minimal, Schubert, lattice-path, panhandle, rational
 matrix realization), structural queries (dual, minors, circuits, rank,
 connectivity), the beta invariant, paving classification, and direct sums.
 
+The uniform, minimal, panhandle and Schubert matroids are lattice path
+matroids (Bonin and de Mier, "Lattice path matroids: structural
+properties", Eur. J. Combin. 27, 2006): their bases are the r-sets
+b_1 < ... < b_r with p_i <= b_i <= q_i.  Each family gives its bounds to
+one enumeration, `_path_matroid`, which builds through `from_bases`, so
+every family passes the exchange check; `lattice_path_matroid` reads the
+bounds off two N/E step strings.
+
 Bases are stored as int bitmasks, element e being bit e - 1.  A direct sum
 is split before any table of the whole sum is built: the fundamental graph of one
 basis b0, which joins x in b0 and y outside it when b0 - x + y is a basis,
@@ -28,15 +36,16 @@ the complement of the hyperplane cl(S).  Every consumer reads it:
   external activity 0).
 - flats: every flat is an intersection of hyperplanes, so the polytope
   takes its flats from the table too, each ranked by `_rank`.
-Circuits are the fundamental circuits of the bases, and the rank of a set
-is its largest meet with a basis, so no table over the subsets of the
-ground set is built.  Derived facts (the `bases` view, the factors of a
-sum, the exchange table, the classification, beta, and the polytope's
-binding flats and coordinate order) are computed once per instance by
-functions decorated with `_memo`, the one owner of the per-instance cache.
-Every layer reads a sum through its factors, so the library builds no
-exchange table, flats or coordinate order of a sum's own: those exist for
-connected matroids.
+Circuits are the fundamental circuits of the bases, from the one routine
+`_fundamental_circuits` that the split of a sum reads too, and the rank of
+a set is its largest meet with a basis (`_rank`, which `is_independent`
+reads), so no table over the subsets of the ground set is built.  Derived
+facts (the `bases` view, the factors of a sum, the exchange table, the
+classification, beta, and the polytope's binding flats and coordinate
+order) are computed once per instance by functions decorated with `_memo`,
+the one owner of the per-instance cache.  Every layer reads a sum through
+its factors, so the library builds no exchange table, flats or coordinate
+order of a sum's own: those exist for connected matroids.
 """
 
 import re
@@ -172,7 +181,7 @@ class Matroid:
 
     def is_independent(self, subset) -> bool:
         s = _subset_mask(self.n, subset)
-        return any(s & b == s for b in self._masks)
+        return _rank(self, s) == s.bit_count()
 
     def rank_of(self, subset) -> int:
         return _rank(self, _subset_mask(self.n, subset))
@@ -316,37 +325,39 @@ def _rescan(n: int, r: int, bases: list[tuple]) -> set[int]:
 # constructors
 
 
+def _path_matroid(n: int, p: list, q) -> Matroid:
+    """The lattice path matroid on [n] with bounds p <= q: its bases are the
+    sets {b_1 < ... < b_r} with p_i <= b_i <= q_i, checked by `from_bases`."""
+    r = len(p)
+    return from_bases(n, r, [
+        b for b in combinations(range(1, n + 1), r) if all(p[i] <= b[i] <= q[i] for i in range(r))
+    ])
+
+
 def lattice_path_matroid(upper: str, lower: str) -> Matroid:
     """Lattice path matroid M[P,Q] for step strings over {N,E}.
 
     Bases are the sets {b_1 < ... < b_r} with p_i <= b_i <= q_i where p_i, q_i
     are the positions of the i-th north step of the upper and lower path.
+    The upper path dips below the lower one exactly when some q_i < p_i,
+    first at the least such step q_i.
     """
     for path in (upper, lower):
         if set(path) - {"N", "E"}:
             raise BadStepString(f"steps must be N or E: {path!r}")
     if len(upper) != len(lower) or upper.count("N") != lower.count("N"):
         raise BadStepString("paths must share endpoints")
-    n = len(upper)
-    r = upper.count("N")
-    ups, lows = 0, 0
-    for i in range(n):
-        ups += upper[i] == "N"
-        lows += lower[i] == "N"
-        if ups < lows:
-            raise PathsCross(f"upper path dips below lower path at step {i + 1}")
     p = [i + 1 for i, s in enumerate(upper) if s == "N"]
     q = [i + 1 for i, s in enumerate(lower) if s == "N"]
-    bases = [
-        b
-        for b in combinations(range(1, n + 1), r)
-        if all(p[i] <= b[i] <= q[i] for i in range(r))
-    ]
-    return from_bases(n, r, bases)
+    for lo, hi in zip(p, q):
+        if hi < lo:
+            raise PathsCross(f"upper path dips below lower path at step {hi}")
+    return _path_matroid(len(upper), p, q)
 
 
 def schubert_matroid(n: int, indices) -> Matroid:
-    """SM_I: upper path N^r E^(n-r), lower path with north steps at I.
+    """SM_I: upper path N^r E^(n-r), lower path with north steps at I, so
+    the bounds are p = (1, ..., r) and q = I in order.
 
     n is a non-negative int.  I is a set of distinct int indices in [n],
     checked by the gate of every element set, `_subset_mask`; a repeated
@@ -357,23 +368,20 @@ def schubert_matroid(n: int, indices) -> Matroid:
     mask = _subset_mask(n, indices)
     if mask.bit_count() != len(indices):
         raise ElementOutOfRange(f"index set {sorted(indices)} repeats an index")
-    r = len(indices)
-    upper = "N" * r + "E" * (n - r)
-    lower = "".join("N" if mask >> i & 1 else "E" for i in range(n))
-    return lattice_path_matroid(upper, lower)
+    return _path_matroid(n, [*range(1, len(indices) + 1)], _elements(mask))
 
 
 def uniform(r: int, n: int) -> Matroid:
     """U_{r,n} = SM_{ {n-r+1, ..., n} }, for 0 <= r <= n."""
     require_dimensions(r, n)
-    return schubert_matroid(n, range(n - r + 1, n + 1))
+    return _path_matroid(n, [*range(1, r + 1)], [*range(n - r + 1, n + 1)])
 
 
 def minimal(r: int, n: int) -> Matroid:
     """T_{r,n} = SM_{ {2, ..., r, n} }: the connected matroid with r(n-r)+1
     bases, for 1 <= r <= n-1."""
     require_dimensions(r, n, 1)
-    return schubert_matroid(n, list(range(2, r + 1)) + [n])
+    return _path_matroid(n, [*range(1, r + 1)], [*range(2, r + 1), n])
 
 
 def panhandle(r: int, s: int, n: int) -> Matroid:
@@ -383,7 +391,7 @@ def panhandle(r: int, s: int, n: int) -> Matroid:
     require_int(s, "panhandle size s")
     if not r <= s <= n - 1:
         raise InvalidDimensions(f"need 1 <= r <= s <= n-1, got r={r}, s={s}, n={n}")
-    return schubert_matroid(n, list(range(s - r + 2, s + 1)) + [n])
+    return _path_matroid(n, [*range(1, r + 1)], [*range(s - r + 2, s + 1), n])
 
 
 def matrix_rank(entries) -> int:
@@ -511,20 +519,28 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
     )
 
 
+def _fundamental_circuits(m: Matroid, b: int) -> list[int]:
+    """C(b, y) for each y outside the basis b, lowest y first: the one
+    circuit inside b + y, which is y with the x of b for which b - x + y is
+    a basis."""
+    masks = m._masks
+    inside = _bits(b)
+    found = []
+    for y in _bits(m._ground() & ~b):
+        c = y
+        for x in inside:
+            if b ^ x | y in masks:
+                c |= x
+        found.append(c)
+    return found
+
+
 def circuits(m: Matroid) -> frozenset:
     """All minimal dependent sets, as the fundamental circuits of the bases.
 
-    For a basis B and y outside it, the one circuit inside B + y is y with
-    the x in B for which B - x + y is a basis.  Every circuit C arises so:
-    extend C - y to a basis, which then avoids y.
+    Every circuit C arises so: extend C - y to a basis, which then avoids y.
     """
-    bases = m._masks
-    ground = m._ground()
-    found = set()
-    for b in bases:
-        inside = _bits(b)
-        for y in _bits(ground & ~b):
-            found.add(reduce(or_, (x for x in inside if (b ^ x) | y in bases), y))
+    found = {c for b in m._masks for c in _fundamental_circuits(m, b)}
     return frozenset(frozenset(_elements(c)) for c in found)
 
 
@@ -551,15 +567,8 @@ def _split(m: Matroid) -> list[int]:
     fundamental circuit.  For a matroid the parts are the connected
     components, at r(n - r) lookups; loops and coloops stay singletons.
     """
-    masks = m._masks
-    b0 = next(iter(masks))
-    inside = _bits(b0)
     parts: list[int] = []
-    for y in _bits(m._ground() & ~b0):
-        merged = y
-        for x in inside:
-            if b0 ^ x | y in masks:
-                merged |= x
+    for merged in _fundamental_circuits(m, next(iter(m._masks))):
         rest = []
         for part in parts:
             if part & merged:

@@ -23,8 +23,7 @@ structure, not the labels: the coordinates in more binding flats first
 (the label breaks ties).  It is memoized on the frontier: the position, the
 running total, and one partial sum per distinct prefix of the flats that
 are open there (with coordinates on both sides).  A sum too low for any of
-its flats to reach its bound is raised to a common floor.  Relabelling the
-ground set so no longer changes the time by orders of magnitude.
+its flats to reach its bound is raised to a common floor.
 
 verify_volume_relation audits the orbit engine against this oracle and
 returns a VolumeVerdict.  It imports the engine when it runs, so the

@@ -1,6 +1,7 @@
 """CLI behaviour: verbs, formats, exit codes, JSON round-trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -351,3 +352,50 @@ def test_family_parameters_out_of_range_exit_1(capsys, argv, error):
 def test_uniform_at_the_ends_of_its_range_exit_0(capsys, spec):
     code, out, _ = run(capsys, "class", "--uniform", spec)
     assert code == 0 and out.strip() == "1 s[]"
+
+
+def digit_limit():
+    """The interpreter's int/str digit limit, or None where it has none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+# decimal strings built digit by digit: str() and int() of more than 4300
+# digits raise outside `main` where the interpreter limits them
+NINES = "9" * 3000  # 10^3000 - 1
+NINES_SQUARED = "9" * 2999 + "8" + "0" * 2999 + "1"  # (10^3000 - 1)^2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_product_prints_coefficients_of_any_length_exactly(capsys, tmp_path, fmt):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"r": 2, "n": 4, "terms": [{"partition": [1], "coeff": NINES}]}))
+    limit = digit_limit()
+    code, out, err = run(capsys, "product", str(path), str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert digit_limit() == limit
+    if fmt == "text":
+        assert out == f"{NINES_SQUARED} s[2] + {NINES_SQUARED} s[1,1]\n"
+    else:
+        assert json.loads(out)["terms"] == [
+            {"partition": [1, 1], "coeff": NINES_SQUARED},
+            {"partition": [2], "coeff": NINES_SQUARED},
+        ]
+
+
+def test_coefficient_of_5000_digits_reads_back_through_the_unit(capsys, tmp_path):
+    big = "7" + "0" * 4998 + "1"
+    path, unit = tmp_path / "big.json", tmp_path / "unit.json"
+    path.write_text(json.dumps({"r": 2, "n": 5, "terms": [{"partition": [2, 1], "coeff": big}]}))
+    unit.write_text(json.dumps({"r": 2, "n": 5, "terms": [{"partition": [], "coeff": "1"}]}))
+    limit = digit_limit()
+    code, out, _ = run(capsys, "product", str(path), str(unit), "--format", "json")
+    assert code == 0 and digit_limit() == limit
+    assert json.loads(out)["terms"] == [{"partition": [2, 1], "coeff": big}]
+
+
+def test_digit_limit_is_restored_after_an_error(capsys):
+    limit = digit_limit()
+    assert run(capsys, "class", "--uniform", "6,5")[0] == 1
+    with pytest.raises(SystemExit):
+        main(["no-such-verb"])
+    assert digit_limit() == limit

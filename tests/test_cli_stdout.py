@@ -1,5 +1,5 @@
-"""Byte-for-byte stdout of `schubmat info|class|verify|volume|beta`, in text
-and JSON, on a fixed corpus, against `cli_stdout.json`.
+"""Byte-for-byte stdout of `schubmat info|class|verify|volume|beta|circuits`,
+in text and JSON, on a fixed corpus, against `cli_stdout.json`.
 
 The expected file was recorded when the records were still dataclasses and
 `fractions` was imported at module level; any change to it is a change of
@@ -19,7 +19,7 @@ import pytest
 from schubmat.cli import main
 
 EXPECTED = Path(__file__).with_name("cli_stdout.json")
-VERBS = ("info", "class", "verify", "volume", "beta")
+VERBS = ("info", "class", "verify", "volume", "beta", "circuits")
 FORMATS = ("text", "json")
 # a rank-3 sparse paving matroid on [6] with the two non-bases 123 and 345
 SPARSE_PAVING = {
@@ -41,11 +41,17 @@ SUMS = {
     "U(1,2)+U(1,1)": ["--uniform", "1,2", "--uniform", "1,1"],
     "U(2,4)+T(2,4)+U(1,1)": ["--uniform", "2,4", "--minimal", "2,4", "--uniform", "1,1"],
 }
-CORPUS.update(SUMS)
-CASES = [f"{verb} {name} {fmt}" for verb in VERBS for name in CORPUS for fmt in FORMATS
-         if name not in SUMS]
+# Schubert matroids from their index sets, pinned in `info` and `class`
+SCHUBERT = {
+    "SM(5:3,5)": ["--schubert", "5:3,5"],
+    "SM(6:2,4,6)": ["--schubert", "6:2,4,6"],
+}
+CASES = [f"{verb} {name} {fmt}" for verb in VERBS for name in CORPUS for fmt in FORMATS]
 CASES += [f"{case} {name} {fmt}" for name in SUMS
           for case, fmt in (("info", "json"), ("class", "text"), ("class", "json"))]
+CASES += [f"{verb} {name} {fmt}" for verb in ("info", "class") for name in SCHUBERT
+          for fmt in FORMATS]
+CORPUS.update(SUMS, **SCHUBERT)
 
 
 def run_case(case: str, directory: Path) -> dict:

@@ -126,6 +126,33 @@ def test_lattice_path_validates_against_path_enumeration():
         assert m.bases == frozenset(expected)
 
 
+def test_lattice_path_matches_path_enumeration_on_every_pair_up_to_7():
+    # every pair of N/E strings of one length n <= 7 with one north count:
+    # PathsCross exactly when some prefix of the lower path has more N steps
+    # than the same prefix of the upper path, else the bases are the north
+    # labels of the paths between the two
+    def heights(path):
+        return [path[: i + 1].count("N") for i in range(len(path))]
+
+    for n in range(8):
+        for r in range(n + 1):
+            paths = ["".join("N" if i in ups else "E" for i in range(n))
+                     for ups in combinations(range(n), r)]
+            for upper in paths:
+                for lower in paths:
+                    hu, hl = heights(upper), heights(lower)
+                    if any(u < l for u, l in zip(hu, hl)):
+                        with pytest.raises(PathsCross):
+                            lattice_path_matroid(upper, lower)
+                        continue
+                    expected = {
+                        tuple(i + 1 for i in range(n) if path[i] == "N")
+                        for path in paths
+                        if all(u >= h >= l for u, h, l in zip(hu, heights(path), hl))
+                    }
+                    assert lattice_path_matroid(upper, lower).bases == frozenset(expected)
+
+
 def test_lattice_path_rejects_crossing():
     with pytest.raises(PathsCross):
         lattice_path_matroid("EENN", "NNEE")
