@@ -113,7 +113,7 @@ class Matroid:
     functions derive from them, once per instance: the `bases` view itself,
     the classification, beta, and the factors of a disconnected matroid;
     for a connected matroid also the exchange table and the base polytope's
-    binding flats and coordinate order (a sum is read through its factors,
+    binding flats and counter plan (a sum is read through its factors,
     which hold their own).
     """
 
@@ -265,16 +265,10 @@ def validate_exchange(m: Matroid) -> None:
     r, bases = m.r, m._masks
     ground = m._ground()
     table = _exchange_table(m)
-    scanned = set()
-    for fs in table.values():
-        if (ground ^ fs).bit_count() <= r or fs in scanned:
-            continue
-        scanned.add(fs)
-        if any(not b & fs for b in bases):
-            break
-    else:
+    f_sets = set(table.values())
+    if not any((ground ^ fs).bit_count() > r and any(not b & fs for b in bases) for fs in f_sets):
         return
-    least = {fs: min((b for b in bases if not b & fs), default=None) for fs in set(table.values())}
+    least = {fs: min((b for b in bases if not b & fs), default=None) for fs in f_sets}
     b1, b2, x = min(
         (s | x, least[fs], x) for s, fs in table.items() if least[fs] is not None for x in _bits(fs)
     )
@@ -327,11 +321,16 @@ def _rescan(n: int, r: int, bases: list[tuple]) -> set[int]:
 
 def _path_matroid(n: int, p: list, q) -> Matroid:
     """The lattice path matroid on [n] with bounds p <= q: its bases are the
-    sets {b_1 < ... < b_r} with p_i <= b_i <= q_i, checked by `from_bases`."""
-    r = len(p)
-    return from_bases(n, r, [
-        b for b in combinations(range(1, n + 1), r) if all(p[i] <= b[i] <= q[i] for i in range(r))
-    ])
+    sets {b_1 < ... < b_r} with p_i <= b_i <= q_i, checked by `from_bases`.
+
+    Each b_i is chosen in [max(p_i, b_(i-1) + 1), q_i], so the work grows
+    with the number of bases, not with C(n, r); the bases come in
+    lexicographic order.
+    """
+    bases = [()]
+    for lo, hi in zip(p, q):
+        bases = [b + (x,) for b in bases for x in range(max(lo, b[-1] + 1 if b else lo), hi + 1)]
+    return from_bases(n, len(p), bases)
 
 
 def lattice_path_matroid(upper: str, lower: str) -> Matroid:

@@ -13,17 +13,24 @@ loop is held at 0 by sum(y) = 0.
 Subsets are bitmasks, as in the matroid core.  The flats of a connected
 matroid come from its exchange table: the hyperplanes are the sets E - F(S),
 and every flat is an intersection of hyperplanes.  Each flat, and each
-prefix and suffix of the counter's coordinate order, is ranked by its
-largest meet with a basis (`matroids._rank`), so no structure over the 2^n
-subsets is built.  Both are derived after the desk-scale check, once per
-connected matroid: a sum derives none of its own.
+suffix of the counter's coordinate order, is ranked by its largest meet
+with a basis (`matroids._rank`), so no structure over the 2^n subsets is
+built.
 
 The counter fixes coordinates one at a time in an order read from the
 structure, not the labels: the coordinates in more binding flats first
 (the label breaks ties).  It is memoized on the frontier: the position, the
 running total, and one partial sum per distinct prefix of the flats that
 are open there (with coordinates on both sides).  A sum too low for any of
-its flats to reach its bound is raised to a common floor.
+its flats to reach its bound is raised to a common floor.  Every bound it
+reads (the target, the suffix ranks, the flat bounds and the floors) is
+linear in t, so one plan (`_plan`), derived at t = 1 after the desk-scale
+check, once per connected matroid, serves every dilate scaled by t; a sum
+derives none of its own.
+
+The Ehrhart polynomial comes from the counts at t = 0..dim + 1 through
+their forward differences at 0: the last must be 0 for the fit, and the
+one before it is the normalized volume, an int.
 
 verify_volume_relation audits the orbit engine against this oracle and
 returns a VolumeVerdict.  It imports the engine when it runs, so the
@@ -31,6 +38,7 @@ volume oracle alone (`schubmat volume`) loads neither orbit nor chow.
 """
 
 from collections import namedtuple
+from functools import cache
 from itertools import accumulate
 from math import factorial, prod
 from operator import or_
@@ -107,19 +115,62 @@ def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
 
 
 @_memo
-def _coordinate_order(m: Matroid) -> tuple[list[int], list[int], list[int]]:
-    """Coordinates (single-bit masks) of a connected m, those in more binding
-    flats first, the label breaking ties; then the rank of the first i
-    coordinates and of the rest of the ground set, for i = 0..n.
+def _plan(m: Matroid) -> tuple[list[int], list[list[tuple]], list[list[tuple]]]:
+    """The frontier counter's tables for a connected m at t = 1: every bound
+    in them is linear in t, so a dilate scales them by t.
 
-    Computed once per matroid instance, like the flats: every dilate scales
-    the same ranks by t.
+    The coordinates are ordered from the structure, not the labels: those in
+    more binding flats first, the label breaking ties.  Returned: suffix[i],
+    the rank of the coordinates from position i on, for i = 0..n; and for
+    i = 0..n-1, steps[i], one (k, held, floor) per partial sum carried past
+    i, and bounds[i], one (k, rank) per flat holding i with positions
+    before it, k indexing the partial sums at i.  Computed once per matroid
+    instance.
+
+    No prefix rank caps y[i]: the closure F of the first i + 1 coordinates
+    is either a binding flat, whose cap here reads t*rank(F) less a partial
+    sum at least the running total, or has rank |F| or r, and then y[i] <= t
+    or the target is as tight.
     """
-    flats = _binding_constraints(m)
+    constraints = _binding_constraints(m)
     ground = m._ground()
-    order = sorted(_bits(ground), key=lambda e: -sum(1 for s, _ in flats if s & e))
-    prefixes = list(accumulate(order, or_, initial=0))
-    return order, [_rank(m, p) for p in prefixes], [_rank(m, ground ^ p) for p in prefixes]
+    order = sorted(_bits(ground), key=lambda e: -sum(1 for s, _ in constraints if s & e))
+    suffix = [_rank(m, ground ^ p) for p in accumulate(order, or_, initial=0)]
+    # flats as masks of positions in the order; a flat is open at i when it
+    # has positions before i and at or after i
+    pos = {e: i for i, e in enumerate(order)}
+    flats = [(sum(1 << pos[e] for e in _bits(s)), rk) for s, rk in constraints]
+    below = [(1 << i) - 1 for i in range(m.n + 1)]
+    # the state at i carries one partial sum per distinct prefix (positions
+    # before i) of the open flats.  A sum so low that no flat with this
+    # prefix can reach its bound, even with its later coordinates at t,
+    # counts the same as any other such sum, so it is raised to the
+    # highest of them, the prefix's floor, and those states share a key
+    floors: list[dict[int, int]] = []
+    for i in range(m.n + 1):
+        at: dict[int, int] = {}
+        for f, rk in flats:
+            prefix = f & below[i]
+            if prefix and f >> i:
+                floor = rk - (f >> i).bit_count()
+                at[prefix] = min(at.get(prefix, floor), floor)
+        floors.append(at)
+    index = [{prefix: k for k, prefix in enumerate(at)} for at in floors]
+    # moving past i, each prefix open at i + 1 extends one open at i (index
+    # -1 reads the 0 appended to the sums: a flat that starts at i) and adds
+    # y[i] when it holds i
+    steps = [
+        [(index[i].get(prefix & below[i], -1), prefix >> i & 1, floor)
+         for prefix, floor in floors[i + 1].items()]
+        for i in range(m.n)
+    ]
+    # a flat holding i, with positions before it, bounds y[i] by its bound
+    # less its partial sum; at the flat's last position this is its check
+    bounds = [
+        [(index[i][f & below[i]], rk) for f, rk in flats if f >> i & 1 and f & below[i]]
+        for i in range(m.n)
+    ]
+    return suffix, steps, bounds
 
 
 def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
@@ -132,66 +183,26 @@ def lattice_points(m: Matroid, t: int, limit: int = DESK_SCALE_LIMIT) -> int:
 
 def _count(m: Matroid, t: int) -> int:
     """lattice_points of a checked m and t: the product of the factors'
-    counts for a sum, the frontier counter for a connected matroid."""
+    counts for a sum, the frontier counter on the scaled plan for a
+    connected matroid."""
     if t == 0:
         return 1
     factors = _factors(m)
     if factors:
         return prod(_count(f, t) for _, f in factors)
     target = t * m.r
-    constraints = _binding_constraints(m)
-    order, prefix_ranks, suffix_ranks = _coordinate_order(m)
+    suffix, steps, bounds = _plan(m)
+    steps = [[(k, held, t * floor) for k, held, floor in step] for step in steps]
     n = m.n
-    # prefix/suffix rank bounds in this coordinate order
-    pref = [t * rk for rk in prefix_ranks]
-    suf = [t * rk for rk in suffix_ranks]
-    # flats as masks of positions in the order; a flat is open at i when it
-    # has positions before i and at or after i
-    pos = {e: i for i, e in enumerate(order)}
-    flats = [(sum(1 << pos[e] for e in _bits(s)), t * rk) for s, rk in constraints]
-    below = [(1 << i) - 1 for i in range(n + 1)]
-    # the state at i carries one partial sum per distinct prefix (positions
-    # before i) of the open flats.  A sum so low that no flat with this
-    # prefix can reach its bound, even with its later coordinates at t,
-    # counts the same as any other such sum, so it is raised to the
-    # highest of them, the prefix's floor, and those states share a key
-    floors: list[dict[int, int]] = []
-    for i in range(n + 1):
-        at: dict[int, int] = {}
-        for f, bound in flats:
-            prefix = f & below[i]
-            if prefix and f >> i:
-                floor = bound - t * (f >> i).bit_count()
-                at[prefix] = min(at.get(prefix, floor), floor)
-        floors.append(at)
-    index = [{prefix: k for k, prefix in enumerate(at)} for at in floors]
-    # moving past i, each prefix open at i + 1 extends one open at i (index
-    # -1 reads the 0 appended to the sums: a flat that starts at i) and adds
-    # y[i] when it holds i
-    steps = [
-        [(index[i].get(prefix & below[i], -1), prefix >> i & 1, floor)
-         for prefix, floor in floors[i + 1].items()]
-        for i in range(n)
-    ]
-    # a flat holding i, with positions before it, bounds y[i] by its bound
-    # less its partial sum; at the flat's last position this is its check
-    bounds = [
-        [(index[i][f & below[i]], bound) for f, bound in flats if f >> i & 1 and f & below[i]]
-        for i in range(n)
-    ]
-    memo: dict[tuple[int, int, tuple[int, ...]], int] = {}
 
+    @cache
     def count_from(i: int, total: int, sums: tuple[int, ...]) -> int:
         if i == n:
             return 1 if total == target else 0
-        key = (i, total, sums)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        lo = max(0, target - total - suf[i + 1])
-        hi = min(t, pref[i + 1] - total, target - total)
-        for k, bound in bounds[i]:
-            hi = min(hi, bound - sums[k])
+        lo = max(0, target - total - t * suffix[i + 1])
+        hi = min(t, target - total)
+        for k, rk in bounds[i]:
+            hi = min(hi, t * rk - sums[k])
         carried = sums + (0,)
         step = steps[i]
         result = 0
@@ -199,26 +210,20 @@ def _count(m: Matroid, t: int) -> int:
             result += count_from(
                 i + 1, total + v, tuple(max(carried[k] + v * held, floor) for k, held, floor in step)
             )
-        memo[key] = result
         return result
 
     return count_from(0, 0, ())
 
 
-def _interpolate(counts: tuple[int, ...]) -> tuple:
-    """Fraction coefficients, in ascending degree, of the polynomial through
-    (t, counts[t]).
+def _interpolate(diffs: list[int]) -> tuple:
+    """Fraction coefficients, in ascending degree, of the polynomial whose
+    forward differences at t = 0 are diffs.
 
     Newton's form at t = 0, 1, ..., d, expanded by Horner's rule: p = a_d,
-    then p = p * (t - k) + a_k for k = d-1, ..., 0, where a_k is the k-th
-    forward difference of the counts at 0 over k!.
+    then p = p * (t - k) + a_k for k = d-1, ..., 0, where a_k = diffs[k] / k!.
     """
     from fractions import Fraction  # imported on use, not with the package
 
-    diffs, row = [], list(counts)
-    while row:
-        diffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
     coeffs = []
     for k in reversed(range(len(diffs))):
         coeffs = [s - k * c for s, c in zip([0] + coeffs, coeffs + [0])]
@@ -229,24 +234,28 @@ def _interpolate(counts: tuple[int, ...]) -> tuple:
 def ehrhart_report(m: Matroid, limit: int = DESK_SCALE_LIMIT) -> VolumeReport:
     """Counts at t = 0..dim, the interpolated polynomial, and the normalized volume.
 
-    The fit is verified against a directly computed count at t = dim + 1.
-    The scale is checked once; every dilate is then counted directly.
+    The scale is checked once; every dilate, t = 0..dim + 1, is then counted
+    directly, and the forward differences at t = 0 are taken once.  The
+    polynomial through the counts at 0..dim fits the count at dim + 1 exactly
+    when the (dim + 1)-th difference is 0, and the normalized volume, dim!
+    times the leading coefficient, is the dim-th difference.
     """
     _check_scale(m, limit)
     dim = m.n - classify(m).kappa
-    counts = tuple(_count(m, t) for t in range(dim + 1))
-    coeffs = _interpolate(counts)
-    check_t = dim + 1
-    predicted = sum(c * check_t**k for k, c in enumerate(coeffs))
-    actual = _count(m, check_t)
-    if predicted != actual:
+    counts = tuple(_count(m, t) for t in range(dim + 2))
+    diffs, row = [], list(counts)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    if diffs[-1]:
+        predicted = counts[-1] - diffs[-1]
         raise NonIntegralVolume(
-            f"Ehrhart fit fails at t={check_t}: predicted {predicted}, counted {actual}"
+            f"Ehrhart fit fails at t={dim + 1}: predicted {predicted}, counted {counts[-1]}"
         )
-    volume = coeffs[dim] * factorial(dim)
-    if volume.denominator != 1 or volume <= 0:
+    volume = diffs[dim]
+    if volume <= 0:
         raise NonIntegralVolume(f"leading coefficient gives volume {volume}")
-    return VolumeReport(dim=dim, counts=counts, ehrhart=coeffs, normalized_volume=volume.numerator)
+    return VolumeReport(dim, counts[:-1], _interpolate(diffs[:-1]), volume)
 
 
 def normalized_volume(m: Matroid, limit: int = DESK_SCALE_LIMIT) -> int:

@@ -1,7 +1,10 @@
 """CLI behaviour: verbs, formats, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +177,37 @@ def test_unknown_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["class", "beta", "volume", "circuits", "info", "verify"])
+def test_matroid_verb_without_a_source_exits_2(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "schubmat: error: no matroid source given"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, last_line",
+    [
+        (["class", "--uniform", "2,4"], 0, "stdout", "2 s[1]"),
+        (["verify", "--uniform", "3,9"], 1, "stderr", "n=9 exceeds the desk-scale limit 8"),
+        (["class"], 2, "stderr", "schubmat: error: no matroid source given"),
+        (["class", "--uniform", "2"], 2, "stderr",
+         "usage error: --uniform expects 2 comma-separated integers"),
+    ],
+    ids=["ok", "domain-error", "argparse-error", "usage-error"],
+)
+def test_module_entry_point_exit_status(argv, code, stream, last_line):
+    """`python -m schubmat.cli` passes main's status to the process, an
+    argparse error included."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "schubmat.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, (proc.stdout, proc.stderr)
+    assert getattr(proc, stream).splitlines()[-1] == last_line
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,18 @@ def test_lattice_path_matches_path_enumeration_on_every_pair_up_to_7():
                     assert lattice_path_matroid(upper, lower).bases == frozenset(expected)
 
 
+def test_path_families_count_their_bases_past_7():
+    # past the exhaustive bound above: T_{r,n} has r(n-r)+1 bases, U_{r,n}
+    # C(n, r), and Pan_{r,s,n} C(s, r) + (n-s) C(s, r-1), the bases inside
+    # [s] and those with their largest element past s
+    for r, n in ((8, 20), (1, 9), (3, 12), (6, 14), (11, 12)):
+        assert len(minimal(r, n).bases) == r * (n - r) + 1, (r, n)
+    for r, n in ((0, 9), (2, 9), (4, 12), (5, 11), (12, 12)):
+        assert len(uniform(r, n).bases) == comb(n, r), (r, n)
+    for r, s, n in ((3, 5, 10), (4, 7, 12), (2, 8, 9)):
+        assert len(panhandle(r, s, n).bases) == comb(s, r) + (n - s) * comb(s, r - 1), (r, s, n)
+
+
 def test_lattice_path_rejects_crossing():
     with pytest.raises(PathsCross):
         lattice_path_matroid("EENN", "NNEE")
@@ -178,6 +190,16 @@ def test_schubert_matroid_examples():
 def test_panhandle_degenerate_cases():
     assert panhandle(3, 3, 7) == minimal(3, 7)
     assert panhandle(3, 6, 7) == uniform(3, 7)
+
+
+def test_is_independent_means_inside_some_basis(fano):
+    loop = from_bases(1, 0, [()])
+    sums = [direct_sum(uniform(2, 4), minimal(2, 4)), direct_sum(loop, uniform(1, 2))]
+    for m in [m for *_, m in family_corpus(7)] + [fano] + sums:
+        bases = [set(b) for b in m.bases]
+        for k in range(m.n + 1):
+            for s in combinations(range(1, m.n + 1), k):
+                assert m.is_independent(s) == any(set(s) <= b for b in bases), (m, s)
 
 
 def test_from_rational_matrix_minimal_realization():
@@ -607,10 +629,10 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(Matroid, "_init", recording_init)
     memoized = {"_exchange_table", "classify", "beta",
-                "_binding_constraints", "_coordinate_order", "_factors"}
+                "_binding_constraints", "_plan", "_factors"}
     # beta of a disconnected matroid is 0 from its factors, and the sum
     # reads its factors' tables, with no exchange table, flats or
-    # coordinate order of its own
+    # counter plan of its own
     for build, expected in ((lambda: uniform(2, 5), memoized),
                             (lambda: direct_sum(uniform(1, 2), minimal(2, 4)),
                              {"classify", "beta", "_factors"})):

@@ -256,7 +256,7 @@ def test_a_sum_is_counted_through_its_factors():
             assert lattice_points(m, t) == prod(lattice_points(f, t) for _, f in _factors(m)), (m, t)
         ehrhart_report(m)
         # the sum builds no table of its own: only its factors are counted
-        assert not {"_binding_constraints", "_coordinate_order"} & m._cache.keys()
+        assert not {"_binding_constraints", "_plan"} & m._cache.keys()
     # the gate reads the whole ground set, not the largest factor
     pair = direct_sum(uniform(2, 5), uniform(2, 5))
     with pytest.raises(DeskScaleExceeded):
