@@ -78,15 +78,16 @@ _SOURCES = {
 }
 
 
-def _require_matroid(args, parser):
+def _require_matroid(args):
     """The direct sum of the matroid sources given; only the matroid verbs
-    import the matroids module."""
+    import the matroids module.  With none given, the verb's own parser
+    reports the usage error, so the usage line shows its source flags."""
     from . import matroids
 
     sources = [build(matroids, value)
                for flag, (_, build) in _SOURCES.items() for value in getattr(args, flag) or []]
     if not sources:
-        parser.error("no matroid source given")
+        args.verb_parser.error("no matroid source given")
     return reduce(matroids.direct_sum, sources)
 
 
@@ -101,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="verb", required=True)
     for verb in _MATROID_VERBS:
         sub = subs.add_parser(verb)
+        sub.set_defaults(verb_parser=sub)
         _add_source_flags(sub)
         if verb in ("volume", "verify"):  # the verbs that count lattice points
             sub.add_argument("--limit-n", type=integer,
@@ -227,7 +229,7 @@ def _run(argv) -> int:
         if args.verb == "product":
             _run_product(args)
         else:
-            _MATROID_VERBS[args.verb](args, _require_matroid(args, parser))
+            _MATROID_VERBS[args.verb](args, _require_matroid(args))
     except SchubmatError as exc:
         print(type(exc).__name__, file=sys.stderr)
         print(str(exc), file=sys.stderr)

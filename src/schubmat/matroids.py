@@ -21,9 +21,12 @@ for bases in matroids", Discrete Math. 19, 1977; Oxley, Matroid Theory,
 exactly when it is the product of its projections onto the parts and each
 projection is a matroid, so the checked constructor validates the factors
 alone, and the sum's classification is read off theirs.
-One exchange table per connected matroid, built in one pass of |B| * r
-updates, maps each (r-1)-set S = B - x to F(S) = {e : S + e is a basis},
-the complement of the hyperplane cl(S).  Every consumer reads it:
+One exchange table per connected matroid maps each (r-1)-set S = B - x to
+F(S) = {e : S + e is a basis}, the complement of the hyperplane cl(S).  It
+is built in r updates per r-set of the smaller side: from the bases, or,
+when they outnumber the non-bases, from U(r, n)'s table less the non-bases,
+so a near-uniform matroid such as a sparse paving one pays for its few
+non-bases, not for its |B| * r basis exchanges.  Every consumer reads it:
 - validation: B1 = S + x has no exchange into B2 exactly when B2 lies in
   cl(S), and only a hyperplane of more than r elements can hold a basis;
 - paving: every (r-1)-set is a key; dual paving: every hyperplane has at
@@ -35,7 +38,8 @@ the complement of the hyperplane cl(S).  Every consumer reads it:
   F(B - x) for some x < y of B (Crapo's t_10: internal activity 1,
   external activity 0).
 - flats: every flat is an intersection of hyperplanes, so the polytope
-  takes its flats from the table too, each ranked by `_rank`.
+  takes its binding flats from the table's hyperplanes of at least r
+  elements, each flat ranked by `_rank`.
 Circuits are the fundamental circuits of the bases, from the one routine
 `_fundamental_circuits` that the split of a sum reads too, and the rank of
 a set is its largest meet with a basis (`_rank`, which `is_independent`
@@ -235,18 +239,33 @@ def _element_bases(m: Matroid) -> frozenset:
 def _exchange_table(m: Matroid) -> dict[int, int]:
     """F(S) = {e : S + e is a basis} for every (r-1)-set S = B - x.
 
-    One pass of |B| * r updates.  S is independent, F(S) holds the x of
-    every basis S + x, and its complement is the hyperplane cl(S).
+    S is independent, F(S) holds the x of every basis S + x, and its
+    complement is the hyperplane cl(S).  The table is built from the smaller
+    side of the r-sets, at r updates per set.  When the bases do not
+    outnumber the non-bases (or r = 0), it starts empty and each basis S + x
+    puts x into F(S).  Otherwise it starts as U(r, n)'s table, F(S) = E - S
+    for every (r-1)-set S, and each non-basis S + x takes x out of F(S);
+    the S left with an empty F(S) lie in no basis, and are dropped, so the
+    keys are the independent (r-1)-sets on either side.
     """
-    table = {}
+    n, r, masks = m.n, m.r, m._masks
+    if r and 2 * len(masks) > comb(n, r):
+        ground = m._ground()
+        bits = _bits(ground)
+        table = {s: ground ^ s for s in map(sum, combinations(bits, r - 1))}
+        flips = set(map(sum, combinations(bits, r))) - masks
+    else:
+        table, flips = {}, masks
     get = table.get
-    for b in m._masks:
+    for b in flips:
         rest = b
         while rest:
             x = rest & -rest
             rest ^= x
-            table[b ^ x] = get(b ^ x, 0) | x
-    return table
+            table[b ^ x] = get(b ^ x, 0) ^ x
+    if flips is masks or not flips:  # no F(S) was emptied
+        return table
+    return {s: fs for s, fs in table.items() if fs}
 
 
 def validate_exchange(m: Matroid) -> None:

@@ -12,10 +12,11 @@ loop is held at 0 by sum(y) = 0.
 
 Subsets are bitmasks, as in the matroid core.  The flats of a connected
 matroid come from its exchange table: the hyperplanes are the sets E - F(S),
-and every flat is an intersection of hyperplanes.  Each flat, and each
-suffix of the counter's coordinate order, is ranked by its largest meet
-with a basis (`matroids._rank`), so no structure over the 2^n subsets is
-built.
+every flat is an intersection of hyperplanes, and a binding flat lies only
+in hyperplanes of at least r elements, the only ones intersected.  Each
+flat, and each suffix of the counter's coordinate order, is ranked by its
+largest meet with a basis (`matroids._rank`), so no structure over the 2^n
+subsets is built.
 
 The counter fixes coordinates one at a time in an order read from the
 structure, not the labels: the coordinates in more binding flats first
@@ -101,15 +102,19 @@ def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
 
     A set that is not closed, some e outside it keeping the rank, gives way
     to its closure, a tighter constraint.  The hyperplanes are the distinct
-    E - F(S) of the exchange table, and every flat is an intersection of
-    hyperplanes (E the empty intersection), so the flats are {E} closed
-    under intersection with each hyperplane.  Computed once per matroid instance:
-    every dilate shares them.
+    E - F(S) of the exchange table, and every flat is the intersection of
+    the hyperplanes that hold it (E the empty intersection).  A kept flat
+    is dependent with rank < r, and a hyperplane that holds a dependent set
+    is dependent, so it has at least r elements: the kept flats are among
+    {E} closed under intersection with the hyperplanes of at least r
+    elements, and the smaller hyperplanes are never intersected.  Computed
+    once per matroid instance: every dilate shares them.
     """
     ground = m._ground()
     flats = {ground}
     for hyperplane in {ground ^ fs for fs in _exchange_table(m).values()}:
-        flats |= {a & hyperplane for a in flats}
+        if hyperplane.bit_count() >= m.r:
+            flats |= {a & hyperplane for a in flats}
     ranked = ((a, _rank(m, a)) for a in sorted(flats) if a.bit_count() >= 2)
     return [(a, rk) for a, rk in ranked if rk < min(a.bit_count(), m.r)]
 

@@ -184,7 +184,10 @@ def test_matroid_verb_without_a_source_exits_2(capsys, verb):
     with pytest.raises(SystemExit) as exc:
         main([verb])
     assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == "schubmat: error: no matroid source given"
+    err = capsys.readouterr().err.splitlines()
+    # the verb's own usage, with its source flags, not the top-level one
+    assert err[0].startswith(f"usage: schubmat {verb} [-h] [--uniform R,N]")
+    assert err[-1] == f"schubmat {verb}: error: no matroid source given"
 
 
 @pytest.mark.parametrize(
@@ -192,7 +195,7 @@ def test_matroid_verb_without_a_source_exits_2(capsys, verb):
     [
         (["class", "--uniform", "2,4"], 0, "stdout", "2 s[1]"),
         (["verify", "--uniform", "3,9"], 1, "stderr", "n=9 exceeds the desk-scale limit 8"),
-        (["class"], 2, "stderr", "schubmat: error: no matroid source given"),
+        (["class"], 2, "stderr", "schubmat class: error: no matroid source given"),
         (["class", "--uniform", "2"], 2, "stderr",
          "usage error: --uniform expects 2 comma-separated integers"),
     ],

@@ -525,6 +525,18 @@ def test_matroid_layer_matches_oracle_on_corpus(fano, non_pappus, vamos):
             assert_matches_oracle(m.n, m.r, bases)
 
 
+def assert_table_matches_oracle(n, r, bases):
+    """The exchange table of the family, as {S: cl(S)}, is the oracle's; returned."""
+    closures = oracle.hyperplanes(n, r, bases)
+    table = matroids._exchange_table(Matroid._from_masks(n, r, map(matroids._mask, bases)))
+    ground = (1 << n) - 1
+    assert closures == {
+        frozenset(matroids._elements(s)): frozenset(matroids._elements(ground ^ fs))
+        for s, fs in table.items()
+    }
+    return closures
+
+
 def test_exchange_table_hyperplanes_on_near_valid_families():
     """The table's hyperplanes match their definition, no family member lies
     in one of at most r elements, and each size class (below, at and above r)
@@ -534,14 +546,7 @@ def test_exchange_table_hyperplanes_on_near_valid_families():
         for bases in near_valid_families(m):
             assert_matches_oracle(m.n, m.r, bases)
             members = {frozenset(b) for b in bases}
-            closures = oracle.hyperplanes(m.n, m.r, bases)
-            table = matroids._exchange_table(
-                Matroid._from_masks(m.n, m.r, map(matroids._mask, bases)))
-            ground = (1 << m.n) - 1
-            assert closures == {
-                frozenset(matroids._elements(s)): frozenset(matroids._elements(ground ^ fs))
-                for s, fs in table.items()
-            }
+            closures = assert_table_matches_oracle(m.n, m.r, bases)
             valid = oracle.exchange_witness(bases) is None
             for hyperplane in closures.values():
                 size = (len(hyperplane) > m.r) - (len(hyperplane) < m.r)
@@ -549,6 +554,41 @@ def test_exchange_table_hyperplanes_on_near_valid_families():
                 if size <= 0:
                     assert not any(b <= hyperplane for b in members)
     assert seen == {(size, valid) for size in (-1, 0, 1) for valid in (False, True)}
+
+
+def test_exchange_table_from_either_side_matches_the_oracle():
+    """The table starts empty and takes the bases when they do not outnumber
+    the non-bases, else starts from U(r, n)'s table and gives up the
+    non-bases.  Families of just below, at and just above C(n, r) / 2
+    members, valid and invalid, give the oracle's table on both sides, as do
+    r = 0, r = n and n = 0; a dependent (r-1)-set is never a key, so a
+    non-paving matroid built from its non-bases is classified as such."""
+    rng = random.Random(26)
+    families = [(0, 0, [()]), (3, 0, [()]), (1, 1, [(1,)]), (3, 3, [(1, 2, 3)])]
+    for n, r in [(4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4), (7, 2), (7, 3)]:
+        every = list(combinations(range(1, n + 1), r))
+        sizes = [k for k in range(1, len(every) + 1) if abs(2 * k - len(every)) <= 2]
+        steps = ["".join("N" if i in north else "E" for i in range(n))
+                 for north in combinations(range(n), r)]
+        for upper in steps:
+            for lower in steps:
+                try:
+                    m = lattice_path_matroid(upper, lower)
+                except PathsCross:
+                    continue
+                if len(m.bases) in sizes:
+                    perm = rng.sample(range(1, n + 1), n)
+                    families.append((n, r, [tuple(sorted(perm[e - 1] for e in b)) for b in m.bases]))
+        families += [(n, r, rng.sample(every, k)) for k in sizes for _ in range(3)]
+    pan = panhandle(3, 5, 8)  # 40 of the 56 3-sets, and not paving
+    families.append((8, 3, sorted(pan.bases)))
+    seen = set()
+    for n, r, bases in families:
+        assert_table_matches_oracle(n, r, bases)
+        assert_matches_oracle(n, r, bases)
+        seen.add((r > 0 and 2 * len(bases) > comb(n, r), oracle.exchange_witness(bases) is None))
+    assert seen == {(side, valid) for side in (False, True) for valid in (False, True)}
+    assert 2 * len(pan.bases) > comb(8, 3) and not classify(pan).is_paving
 
 
 @st.composite

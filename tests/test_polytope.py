@@ -113,9 +113,11 @@ def test_binding_flats_match_the_oracle(fano, vamos):
     """The flats from the exchange table's hyperplanes against the
     brute-force rank table's closed sets."""
     with_loop = direct_sum(uniform(2, 4), from_bases(1, 0, [()]))
+    # sparse paving, rank 4: four circuit-hyperplanes, each two meeting in at most 2
+    sparse = matroid_from_nonbases(8, 4, [{1, 2, 3, 4}, {5, 6, 7, 8}, {1, 2, 5, 6}, {3, 4, 7, 8}])
     cases = ([m for *_, m in family_corpus(6)]
              + [fano, vamos, with_loop, uniform(0, 3), uniform(3, 3), minimal(3, 6),
-                panhandle(3, 4, 7)]
+                panhandle(3, 4, 7), uniform(4, 8), sparse]
              + connected_rational_matroids(50))
     for m in cases:
         flats = _binding_constraints(m)
