@@ -12,15 +12,26 @@ one enumeration, `_path_matroid`, which builds through `from_bases`, so
 every family passes the exchange check; `lattice_path_matroid` reads the
 bounds off two N/E step strings.
 
-Bases are stored as int bitmasks, element e being bit e - 1.  A direct sum
-is split before any table of the whole sum is built: the fundamental graph of one
-basis b0, which joins x in b0 and y outside it when b0 - x + y is a basis,
-has the connected components as its parts (Krogdahl, "The dependence graph
-for bases in matroids", Discrete Math. 19, 1977; Oxley, Matroid Theory,
-4.3), at r(n - r) lookups.  With several parts, a basis family is a matroid
-exactly when it is the product of its projections onto the parts and each
-projection is a matroid, so the checked constructor validates the factors
-alone, and the sum's classification is read off theirs.
+Bases are stored as int bitmasks, element e being bit e - 1.  The checked
+constructor reads a basis list in one bulk pass of C-level maps: each
+element is looked up in a table of the bits of [n] (of no more entries
+than elements given), and each run of r bits is summed into a mask.  An
+element outside the table fails the lookup (a KeyError, so no shift is
+taken of it) and a repeated element carries in the sum (a mask of fewer
+than r bits); either sends the list to a basis-by-basis rescan that raises
+the first fault.
+
+A direct sum is split before any table of the whole sum is built: the
+fundamental graph of one basis b0, which joins x in b0 and y outside it
+when b0 - x + y is a basis, has the connected components as its parts
+(Krogdahl, "The dependence graph for bases in matroids", Discrete Math.
+19, 1977; Oxley, Matroid Theory, 4.3), at r(n - r) lookups.  With several
+parts, a basis family is a matroid exactly when it is the product of its
+projections onto the parts and each projection is a matroid, so the
+checked constructor validates the factors alone, and the sum's
+classification is read off theirs.  Each factor is recorded as connected,
+so it is never split again, and the sum's loops and coloops are its
+one-element factors.
 One exchange table per connected matroid maps each (r-1)-set S = B - x to
 F(S) = {e : S + e is a basis}, the complement of the hyperplane cl(S).  It
 is built in r updates per r-set of the smaller side: from the bases, or,
@@ -30,7 +41,8 @@ non-bases, not for its |B| * r basis exchanges.  Every consumer reads it:
 - validation: B1 = S + x has no exchange into B2 exactly when B2 lies in
   cl(S), and only a hyperplane of more than r elements can hold a basis;
 - paving: every (r-1)-set is a key; dual paving: every hyperplane has at
-  most r elements, so every cocircuit at least n - r;
+  most r elements, so every cocircuit at least n - r, which is also
+  validation's quick exit: one scan of the F-sets;
 - beta: F(B - x) is the fundamental cocircuit of x in B, and x lies in
   the fundamental circuit of B + y exactly when y is in F(B - x).  With
   1 < ... < n, beta counts the bases B that hold 1 in which every other
@@ -47,9 +59,11 @@ reads), so no table over the subsets of the ground set is built.  Derived
 facts (the `bases` view, the factors of a sum, the exchange table, the
 classification, beta, and the polytope's binding flats and coordinate
 order) are computed once per instance by functions decorated with `_memo`,
-the one owner of the per-instance cache.  Every layer reads a sum through
-its factors, so the library builds no exchange table, flats or coordinate
-order of a sum's own: those exist for connected matroids.
+the one owner of the per-instance cache; the one other write is
+`_factors` recording each factor's own, empty, factors.  Every layer
+reads a sum through its factors, so the library builds no exchange table,
+flats or coordinate order of a sum's own: those exist for connected
+matroids.
 """
 
 import re
@@ -77,13 +91,6 @@ from .errors import (
     require_int,
     require_type,
 )
-
-
-def _mask(elements) -> int:
-    mask = 0
-    for e in elements:
-        mask |= 1 << (e - 1)
-    return mask
 
 
 def _elements(mask: int) -> tuple[int, ...]:
@@ -124,25 +131,27 @@ class Matroid:
     __slots__ = ("n", "r", "_masks", "_cache")
 
     def __init__(self, n: int, r: int, bases):
-        # one bulk pass over all elements covers the common input: every
-        # element is exactly an int, every basis has r of them, and all lie
-        # in [n]; a basis that repeats an element then has a mask of fewer
-        # than r bits.  If any of that fails, `_rescan` goes basis by basis,
-        # raises the first fault (its type, then its size, then its range),
-        # and takes int subclasses.
+        # the common input, every basis r elements that are exactly ints,
+        # takes one bulk pass (r = 0 takes the lengths: {0}, or none).  An
+        # element outside [n] (a KeyError from `bit`) or a repeated one (a
+        # sum of fewer than r bits) sends the list to `_rescan`, which goes
+        # basis by basis, raises the first fault (its type, then its size,
+        # then its range), and takes int subclasses.  `bit` has no more
+        # entries than elements were given, so a huge n costs no table: an
+        # element above that count also goes to `_rescan`.
         require_dimensions(r, n)
         try:
-            bases = [tuple(b) for b in bases]
+            bases = list(map(tuple, bases))
         except TypeError as exc:
             raise MalformedBasis(f"bases must be collections of elements: {exc}") from None
-        flat = list(chain.from_iterable(bases))
-        masks = None
-        if (
-            set(map(len, bases)) <= {r}
-            and set(map(type, flat)) <= {int}
-            and (not flat or 1 <= min(flat) and max(flat) <= n)
-        ):
-            masks = set(map(_mask, bases))
+        lengths, masks = set(map(len, bases)), None
+        if lengths <= {r} and set(map(type, chain.from_iterable(bases))) <= {int}:
+            bit = {e: 1 << (e - 1) for e in range(1, min(n, r * len(bases)) + 1)}
+            elements = map(bit.__getitem__, chain.from_iterable(bases))
+            try:
+                masks = set(map(sum, zip(*[elements] * r))) if r else lengths
+            except KeyError:
+                pass
         if masks is None or not set(map(int.bit_count, masks)) <= {r}:
             masks = _rescan(n, r, bases)
         if not masks:
@@ -246,14 +255,15 @@ def _exchange_table(m: Matroid) -> dict[int, int]:
     puts x into F(S).  Otherwise it starts as U(r, n)'s table, F(S) = E - S
     for every (r-1)-set S, and each non-basis S + x takes x out of F(S);
     the S left with an empty F(S) lie in no basis, and are dropped, so the
-    keys are the independent (r-1)-sets on either side.
+    keys are the independent (r-1)-sets on either side.  U(r, n) itself has
+    no non-bases, so its r-sets are not enumerated.
     """
     n, r, masks = m.n, m.r, m._masks
     if r and 2 * len(masks) > comb(n, r):
         ground = m._ground()
         bits = _bits(ground)
         table = {s: ground ^ s for s in map(sum, combinations(bits, r - 1))}
-        flips = set(map(sum, combinations(bits, r))) - masks
+        flips = set(map(sum, combinations(bits, r))) - masks if len(masks) < comb(n, r) else ()
     else:
         table, flips = {}, masks
     get = table.get
@@ -274,18 +284,20 @@ def validate_exchange(m: Matroid) -> None:
     B1 = S + x exchanges against B2 exactly when some y of B2 makes S + y a
     basis, so it fails exactly when B2 lies inside cl(S) = E - F(S).  A
     hyperplane of at most r elements holds no basis: cl(S) = S + z has z
-    outside F(S).  Only each larger hyperplane needs one scan of the bases.
+    outside F(S).  So a dual-paving family, every F(S) of at least n - r
+    elements, passes on one scan of the F-sets, and otherwise only each
+    larger hyperplane needs one scan of the bases.
 
     The witness is the least violation: the smallest B1 = S + x, then the
     smallest B2, then the smallest x, comparing sets as bitmasks.  It so
     depends on the family alone, not on the order its bases came in; it is
     searched for only once some violation is found.
     """
-    r, bases = m.r, m._masks
-    ground = m._ground()
+    n, r, bases = m.n, m.r, m._masks
     table = _exchange_table(m)
     f_sets = set(table.values())
-    if not any((ground ^ fs).bit_count() > r and any(not b & fs for b in bases) for fs in f_sets):
+    if min(map(int.bit_count, f_sets), default=n) >= n - r or not any(
+            n - fs.bit_count() > r and any(not b & fs for b in bases) for fs in f_sets):
         return
     least = {fs: min((b for b in bases if not b & fs), default=None) for fs in f_sets}
     b1, b2, x = min(
@@ -330,7 +342,7 @@ def _rescan(n: int, r: int, bases: list[tuple]) -> set[int]:
             raise WrongBasisSize(f"basis {b} is not a set of {r} elements")
         if b and (min(b) < 1 or max(b) > n):
             raise ElementOutOfRange(f"basis {tuple(sorted(b))} not inside [{n}]")
-        masks.add(_mask(b))
+        masks.add(sum(1 << (e - 1) for e in b))
     return masks
 
 
@@ -604,17 +616,20 @@ def _factors(m: Matroid) -> tuple:
     """(part, factor) for each part of `_split(m)`, the factor being the
     projections of the bases onto the part, relabelled to [|part|]; empty
     when there is at most one part, so that a connected matroid does not
-    hold itself.  For a matroid these are its components, and m their sum.
+    hold itself.  For a matroid these are its components, and m their sum;
+    each factor is so recorded as connected, with no factors of its own.
     """
     parts = _split(m)
     if len(parts) < 2:
         return ()
     b0 = next(iter(m._masks))
-    return tuple(
+    factors = tuple(
         (c, Matroid._from_masks(
             c.bit_count(), (b0 & c).bit_count(), _relabel({b & c for b in m._masks}, c)))
-        for c in parts
-    )
+        for c in parts)
+    for _, f in factors:  # a component is connected: it is not split again
+        f._cache["_factors"] = ()
+    return factors
 
 
 @_memo
@@ -627,7 +642,9 @@ def classify(m: Matroid) -> Classification:
     least n - r.  A sum is read off its factors: it is paving when every
     circuit has at least r elements, and a factor's smallest circuit has
     r_i + 1 elements if it is uniform, r_i if it is paving and fewer
-    otherwise (a coloop has none); cocircuits likewise, with n - r.
+    otherwise (a coloop has none); cocircuits likewise, with n - r.  The
+    loops and coloops are the one-element factors of rank 0 and 1, so no
+    basis is read: a connected matroid on two or more elements has neither.
     """
     n, r, bases = m.n, m.r, m._masks
     factors = _factors(m)
@@ -642,14 +659,15 @@ def classify(m: Matroid) -> Classification:
         table = _exchange_table(m)
         components = (_elements(m._ground()),) if n else ()
         is_paving = r == 0 or len(table) == comb(n, r - 1)
-        dual_paving = all(fs.bit_count() >= n - r for fs in table.values())
+        dual_paving = min(map(int.bit_count, table.values()), default=n) >= n - r
+    own = factors or [(m._ground(), m)]  # a connected m is its own one factor
     kappa = len(components)
     nonbasis_count = comb(n, r) - len(bases)
     return Classification(
         components=components,
         kappa=kappa,
-        loops=m.loops(),
-        coloops=m.coloops(),
+        loops=frozenset(c.bit_length() for c, f in own if f.n == 1 and not f.r),
+        coloops=frozenset(c.bit_length() for c, f in own if f.n == f.r == 1),
         is_paving=is_paving,
         is_sparse_paving=is_paving and dual_paving,
         nonbasis_count=nonbasis_count,

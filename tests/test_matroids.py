@@ -2,9 +2,11 @@
 
 import json
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -500,7 +502,7 @@ def no_exchange_connected() -> Matroid:
     the fundamental graph of each of its members is connected."""
     gone = {(1, 2, 4), (1, 2, 5), (1, 3, 6), (3, 4, 5), (3, 5, 6)}
     return Matroid._from_masks(
-        6, 3, [matroids._mask(b) for b in combinations(range(1, 7), 3) if b not in gone])
+        6, 3, [matroids._subset_mask(6, b) for b in combinations(range(1, 7), 3) if b not in gone])
 
 
 def test_matroid_layer_matches_oracle_on_corpus(fano, non_pappus, vamos):
@@ -528,7 +530,8 @@ def test_matroid_layer_matches_oracle_on_corpus(fano, non_pappus, vamos):
 def assert_table_matches_oracle(n, r, bases):
     """The exchange table of the family, as {S: cl(S)}, is the oracle's; returned."""
     closures = oracle.hyperplanes(n, r, bases)
-    table = matroids._exchange_table(Matroid._from_masks(n, r, map(matroids._mask, bases)))
+    masks = [matroids._subset_mask(n, b) for b in bases]
+    table = matroids._exchange_table(Matroid._from_masks(n, r, masks))
     ground = (1 << n) - 1
     assert closures == {
         frozenset(matroids._elements(s)): frozenset(matroids._elements(ground ^ fs))
@@ -719,13 +722,78 @@ def test_sc_skips_beta_on_disconnected_matroids(monkeypatch):
         (3, True, [(1,)], NotAnInteger),
         (3, 1, [5], MalformedBasis),
         (3, 1, 5, MalformedBasis),
+        (3, 1, [(1,), (0,)], ElementOutOfRange),
+        (3, 2, [(1, 2), (2, 4)], ElementOutOfRange),
+        (3, 2, [(1, 2), (-1, 3)], ElementOutOfRange),
+        (3, 1, [(1,), (10**30,)], ElementOutOfRange),
+        (10**12, 1, [(1,), (0,)], ElementOutOfRange),
+        (3, 2, [(1, 2), (3, 3)], WrongBasisSize),
+        (3, 2, [(1, 2), (1, 2, 3)], WrongBasisSize),
+        (3, 1, [(1,), (True,)], NotAnInteger),
     ],
     ids=["n<0", "r<0", "r>n", "bool-element", "float-element", "str-element",
-         "float-n", "bool-r", "number-basis", "number-basis-list"],
+         "float-n", "bool-r", "number-basis", "number-basis-list", "element-0",
+         "element-n+1", "negative-element", "huge-element", "huge-n", "repeated-element",
+         "long-basis", "bool-after-valid-basis"],
 )
 def test_from_bases_rejects_malformed_input(n, r, bases, error):
+    # a huge element raises ElementOutOfRange, not the OverflowError of
+    # taking its shift, and a huge n builds no table of its bits
     with pytest.raises(error):
         from_bases(n, r, bases)
+
+
+class Element(IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+    FOUR = 4
+
+
+def test_from_bases_takes_int_subclasses():
+    bases = [(Element.ONE, Element.TWO), (1, Element.THREE), (2, 3), (Element.ONE, 4), (2, 4)]
+    m = from_bases(4, 2, bases)
+    assert m == from_bases(4, 2, [tuple(map(int, b)) for b in bases])
+    assert m._masks == {0b0011, 0b0101, 0b0110, 0b1001, 0b1010}
+
+
+def intake_outcome(build):
+    """The masks that build() returns, or the type and message of its error."""
+    try:
+        return build()
+    except SchubmatError as exc:
+        return type(exc), str(exc)
+
+
+ELEMENTS = st.one_of(
+    st.integers(-1, 7), st.sampled_from([True, False, 1.0, "2", 10**30, *Element]))
+
+
+@st.composite
+def basis_lists(draw):
+    """(n, r, bases): r-sets of [n], one malformed basis put in every other time."""
+    n = draw(st.integers(0, 6))
+    r = draw(st.integers(0, n))
+    r_sets = st.sets(st.integers(1, max(n, 1)), min_size=r, max_size=r).map(tuple)
+    bases = draw(st.lists(r_sets, max_size=8))
+    if draw(st.booleans()):
+        faulty = draw(st.lists(ELEMENTS, max_size=n + 1).map(tuple))
+        bases.insert(draw(st.integers(0, len(bases))), faulty)
+    return n, r, bases
+
+
+@settings(max_examples=300, deadline=None)
+@given(basis_lists())
+def test_bulk_intake_matches_the_rescan(case):
+    """The constructor's masks, or its error, are `_rescan`'s basis-by-basis
+    ones, on valid and malformed basis lists (the exchange check is left out)."""
+    n, r, bases = case
+    with patch.object(matroids, "_validate", lambda m: None):
+        bulk = intake_outcome(lambda: Matroid(n, r, bases)._masks)
+    rescan = intake_outcome(lambda: frozenset(matroids._rescan(n, r, bases)))
+    if rescan == frozenset():
+        rescan = EmptyBases, "a matroid needs at least one basis"
+    assert bulk == rescan
 
 
 @pytest.mark.parametrize(
@@ -891,7 +959,7 @@ def per_basis_from_bases(n, r, bases):
         sets.add(tuple(sorted(b)))
     if not sets:
         raise EmptyBases("a matroid needs at least one basis")
-    m = Matroid._from_masks(n, r, map(matroids._mask, sets))
+    m = Matroid._from_masks(n, r, (matroids._subset_mask(n, b) for b in sets))
     validate_exchange(m)
     return m
 
@@ -1007,7 +1075,7 @@ def test_exchange_witness_is_the_least_violation():
         r = rng.randint(1, n - 1)
         sets = {frozenset(b) for b in rng.sample(list(combinations(range(1, n + 1), r)),
                                                  rng.randint(2, min(6, comb(n, r))))}
-        violations = [(matroids._mask(b1), matroids._mask(b2), x)
+        violations = [(matroids._subset_mask(n, b1), matroids._subset_mask(n, b2), x)
                       for b1 in sets for b2 in sets for x in b1 - b2
                       if not any(b1 - {x} | {y} in sets for y in b2 - b1)]
         if not violations:

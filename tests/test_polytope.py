@@ -20,7 +20,7 @@ from schubmat import (
     uniform,
 )
 from schubmat.errors import DeskScaleExceeded, InvalidDimensions, NotAnInteger, RankDeficient
-from schubmat.matroids import _factors, classify
+from schubmat.matroids import Matroid, _factors, _split, classify
 from schubmat.polytope import _binding_constraints
 from conftest import FANO_LINES, VAMOS_CIRCUIT_HYPERPLANES, family_corpus, matroid_from_nonbases
 import lattice_oracle
@@ -267,6 +267,22 @@ def test_a_sum_is_counted_through_its_factors():
         lattice_points(pair, 1)
     # a product of two 4-dimensional hypersimplices of volume 11
     assert ehrhart_report(pair, 10).normalized_volume == comb(8, 4) * 11 * 11
+
+
+def test_a_sum_reads_its_loops_and_coloops_off_its_factors():
+    """classify's loops and coloops, read off the one-element factors, are
+    the ones the bases give; every factor is recorded as connected, as a
+    fresh copy of it splits into one part."""
+    more = [direct_sum(LOOP, LOOP), direct_sum(COLOOP, COLOOP), direct_sum(LOOP, COLOOP),
+            reduce(direct_sum, [uniform(1, 3), COLOOP, COLOOP, LOOP]),
+            direct_sum(minimal(3, 6), COLOOP), direct_sum(LOOP, uniform(2, 5))]
+    for m in sums_corpus() + more + [LOOP, COLOOP, uniform(0, 0), uniform(2, 4)]:
+        facts = classify(m)
+        assert (facts.loops, facts.coloops) == (m.loops(), m.coloops()), m
+        for _, f in _factors(m):
+            fresh = Matroid._from_masks(f.n, f.r, f._masks)
+            assert f._cache["_factors"] == _factors(fresh) == ()
+            assert _split(fresh) == [fresh._ground()]
 
 
 RELABEL_CORPUS = (
