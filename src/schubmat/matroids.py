@@ -25,10 +25,13 @@ A direct sum is split before any table of the whole sum is built: the
 fundamental graph of one basis b0, which joins x in b0 and y outside it
 when b0 - x + y is a basis, has the connected components as its parts
 (Krogdahl, "The dependence graph for bases in matroids", Discrete Math.
-19, 1977; Oxley, Matroid Theory, 4.3), at r(n - r) lookups.  With several
-parts, a basis family is a matroid exactly when it is the product of its
-projections onto the parts and each projection is a matroid, so the
-checked constructor validates the factors alone, and the sum's
+19, 1977; Oxley, Matroid Theory, 4.3), at r(n - r) lookups.  A loop is a
+part of its own without a merge, and every other fundamental circuit
+holds an element of b0, so at most r parts are open and the merge costs
+r(n - r) as well.  With several parts, a basis family is a matroid
+exactly when it is the product of its projections onto the parts and
+each projection is a matroid, so `validate_exchange`, which the checked
+constructor calls, checks the factors alone, and the sum's
 classification is read off theirs.  Each factor is recorded as connected,
 so it is never split again, and the sum's loops and coloops are its
 one-element factors.
@@ -38,8 +41,10 @@ is built in r updates per r-set of the smaller side: from the bases, or,
 when they outnumber the non-bases, from U(r, n)'s table less the non-bases,
 so a near-uniform matroid such as a sparse paving one pays for its few
 non-bases, not for its |B| * r basis exchanges.  Every consumer reads it:
-- validation: B1 = S + x has no exchange into B2 exactly when B2 lies in
-  cl(S), and only a hyperplane of more than r elements can hold a basis;
+- validation (of a connected family, or of one that is not the product
+  of its factors' bases): B1 = S + x has no exchange into B2 exactly when
+  B2 lies in cl(S), and only a hyperplane of more than r elements can
+  hold a basis;
 - paving: every (r-1)-set is a key; dual paving: every hyperplane has at
   most r elements, so every cocircuit at least n - r, which is also
   validation's quick exit: one scan of the F-sets;
@@ -49,9 +54,11 @@ non-bases, not for its |B| * r basis exchanges.  Every consumer reads it:
   x has an element below it in F(B - x) and every y outside B lies in
   F(B - x) for some x < y of B (Crapo's t_10: internal activity 1,
   external activity 0).
-- flats: every flat is an intersection of hyperplanes, so the polytope
-  takes its binding flats from the table's hyperplanes of at least r
-  elements, each flat ranked by `_rank`.
+- flats: every flat is an intersection of hyperplanes, so
+  `_binding_constraints` derives the polytope's binding flats from the
+  table's hyperplanes of at least r elements, each flat ranked by
+  `_rank`; the volume oracle reads the flats, not the table, so no other
+  module knows the table's format.
 Circuits are the fundamental circuits of the bases, from the one routine
 `_fundamental_circuits` that the split of a sum reads too, and the rank of
 a set is its largest meet with a basis (`_rank`, which `is_independent`
@@ -114,7 +121,7 @@ class Matroid:
     from outside the library: n and r are ints with 0 <= r <= n, every basis
     is r distinct int elements of [n], there is at least one basis, and the
     bases satisfy the exchange axiom; the first fault raises its named
-    error; a direct sum is checked factor by factor (`_validate`).
+    error; a direct sum is checked factor by factor (`validate_exchange`).
     `Matroid._from_masks(n, r, masks)` trusts its bitmasks and checks
     nothing; it builds what is derived from a valid matroid (`dual`,
     `minor`, `direct_sum`), and tests use it for deliberate non-matroids.
@@ -157,7 +164,7 @@ class Matroid:
         if not masks:
             raise EmptyBases("a matroid needs at least one basis")
         self._init(n, r, frozenset(masks))
-        _validate(self)
+        validate_exchange(self)
 
     @classmethod
     def _from_masks(cls, n: int, r: int, masks) -> "Matroid":
@@ -278,8 +285,40 @@ def _exchange_table(m: Matroid) -> dict[int, int]:
     return {s: fs for s, fs in table.items() if fs}
 
 
+@_memo
+def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
+    """(A, rank(A)) for the flats A (as masks, ascending) of a connected m
+    with 2 <= |A| and rank(A) < min(|A|, r): every constraint the base
+    polytope's lattice-point counter needs.
+
+    A set that is not closed, some e outside it keeping the rank, gives way
+    to its closure, a tighter constraint.  The hyperplanes are the distinct
+    E - F(S) of the exchange table, and every flat is the intersection of
+    the hyperplanes that hold it (E the empty intersection).  A kept flat
+    is dependent with rank < r, and a hyperplane that holds a dependent set
+    is dependent, so it has at least r elements: the kept flats are among
+    {E} closed under intersection with the hyperplanes of at least r
+    elements, and the smaller hyperplanes are never intersected.  Computed
+    once per matroid instance: every dilate shares them.
+    """
+    ground = m._ground()
+    flats = {ground}
+    for hyperplane in {ground ^ fs for fs in _exchange_table(m).values()}:
+        if hyperplane.bit_count() >= m.r:
+            flats |= {a & hyperplane for a in flats}
+    ranked = ((a, _rank(m, a)) for a in sorted(flats) if a.bit_count() >= 2)
+    return [(a, rk) for a, rk in ranked if rk < min(a.bit_count(), m.r)]
+
+
 def validate_exchange(m: Matroid) -> None:
     """Exhaustively check the basis-exchange axiom; raise with a witness on failure.
+
+    A family that `_factors` splits, and that is the product of its
+    projections (their basis counts multiply to |B|), is a matroid exactly
+    when each projection is one, so each factor is checked alone.  Only if
+    a factor fails, or the counts differ, is the whole family's table built
+    and checked, which then raises with the witness it gives: a matroid is
+    the direct sum of its components, so it always passes the factor check.
 
     B1 = S + x exchanges against B2 exactly when some y of B2 makes S + y a
     basis, so it fails exactly when B2 lies inside cl(S) = E - F(S).  A
@@ -293,6 +332,14 @@ def validate_exchange(m: Matroid) -> None:
     depends on the family alone, not on the order its bases came in; it is
     searched for only once some violation is found.
     """
+    factors = _factors(m)
+    if factors and prod(len(f._masks) for _, f in factors) == len(m._masks):
+        try:
+            for _, f in factors:
+                validate_exchange(f)
+            return
+        except ExchangeAxiomViolated:
+            pass
     n, r, bases = m.n, m.r, m._masks
     table = _exchange_table(m)
     f_sets = set(table.values())
@@ -304,25 +351,6 @@ def validate_exchange(m: Matroid) -> None:
         (s | x, least[fs], x) for s, fs in table.items() if least[fs] is not None for x in _bits(fs)
     )
     raise ExchangeAxiomViolated(frozenset(_elements(b1)), frozenset(_elements(b2)), x.bit_length())
-
-
-def _validate(m: Matroid) -> None:
-    """The exchange check of the checked constructor.
-
-    A disconnected m is checked as the product of its factors, each by its
-    own `validate_exchange`.  Only if that fails is the whole family
-    checked, which then raises with the witness it gives: a matroid is the
-    direct sum of its components, so it always passes the factor check.
-    """
-    factors = _factors(m)
-    if factors and prod(len(f._masks) for _, f in factors) == len(m._masks):
-        try:
-            for _, f in factors:
-                validate_exchange(f)
-            return
-        except ExchangeAxiomViolated:
-            pass
-    validate_exchange(m)
 
 
 def from_bases(n: int, r: int, bases) -> Matroid:
@@ -595,10 +623,16 @@ def _split(m: Matroid) -> list[int]:
 
     y outside b0 is joined to the x of b0 with b0 - x + y a basis: its
     fundamental circuit.  For a matroid the parts are the connected
-    components, at r(n - r) lookups; loops and coloops stay singletons.
+    components, at r(n - r) lookups.  A loop, a one-element circuit, meets
+    no other circuit, so it is left out of the merge and becomes a
+    singleton at the end, with the coloops.  Every other circuit holds an
+    element of b0, so at most r parts are open and the merge also costs
+    r(n - r).
     """
     parts: list[int] = []
     for merged in _fundamental_circuits(m, next(iter(m._masks))):
+        if not merged & merged - 1:  # a loop
+            continue
         rest = []
         for part in parts:
             if part & merged:
@@ -693,15 +727,17 @@ def _activity_count(m: Matroid) -> int:
     Element 1 is active wherever it lies, so B holds it.  Every other x in
     B is internally passive: its fundamental cocircuit F(B - x) has an
     element below x.  Every y outside B is externally passive: some x < y
-    in B has y in F(B - x).  The basis bits are walked in ascending order,
-    keeping the union of F(B - x) so far, so each basis holding element 1
-    costs r table reads.
+    in B has y in F(B - x).  A basis that also holds 2 never counts:
+    F(B - 2) cannot hold the 1 that lies in B - 2, so 2 is internally
+    active.  The basis bits are walked in ascending order, keeping the union
+    of F(B - x) so far, so each basis holding 1 but not 2 costs at most r
+    table reads.
     """
     table = _exchange_table(m)
     ground = m._ground()
     count = 0
     for b in m._masks:
-        if not b & 1:
+        if b & 3 != 1:
             continue
         reached = table[b ^ 1]
         rest = b ^ 1

@@ -101,8 +101,6 @@ def sc_sparse_paving(m: Matroid) -> ChowClass:
     independent_beta = beta(m)
     if coeff != independent_beta:
         raise BetaMismatch(coeff, independent_beta)
-    if coeff < 0:
-        raise NegativeCoefficient(hc, coeff)
     uniform_class = sc_uniform(r, n)
     terms = dict(uniform_class.terms)
     terms[hc] = coeff

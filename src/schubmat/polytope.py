@@ -10,13 +10,13 @@ flat constraints with rank < min(|A|, r) can bind, and every coordinate
 lies in [0, t]: with two or more elements no element is a loop, and a lone
 loop is held at 0 by sum(y) = 0.
 
-Subsets are bitmasks, as in the matroid core.  The flats of a connected
-matroid come from its exchange table: the hyperplanes are the sets E - F(S),
-every flat is an intersection of hyperplanes, and a binding flat lies only
-in hyperplanes of at least r elements, the only ones intersected.  Each
-flat, and each suffix of the counter's coordinate order, is ranked by its
-largest meet with a basis (`matroids._rank`), so no structure over the 2^n
-subsets is built.
+Subsets are bitmasks, as in the matroid core.  The binding flats of a
+connected matroid come from `matroids._binding_constraints`, which derives
+them beside the exchange table that owns the hyperplanes: every flat is an
+intersection of hyperplanes, and a binding flat lies only in hyperplanes of
+at least r elements, the only ones intersected.  Each flat, and each suffix
+of the counter's coordinate order, is ranked by its largest meet with a
+basis (`matroids._rank`), so no structure over the 2^n subsets is built.
 
 The counter fixes coordinates one at a time in an order read from the
 structure, not the labels: the coordinates in more binding flats first
@@ -45,7 +45,7 @@ from math import factorial, prod
 from operator import or_
 
 from .errors import DeskScaleExceeded, NonIntegralVolume, require_count, require_int
-from .matroids import Matroid, _bits, _exchange_table, _factors, _memo, _rank, classify
+from .matroids import Matroid, _binding_constraints, _bits, _factors, _memo, _rank, classify
 
 DESK_SCALE_LIMIT = 8
 
@@ -92,31 +92,6 @@ def _check_scale(m: Matroid, limit: int) -> None:
     require_int(limit, "desk-scale limit")
     if m.n > limit:
         raise DeskScaleExceeded(f"n={m.n} exceeds the desk-scale limit {limit}")
-
-
-@_memo
-def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
-    """(A, rank(A)) for the flats A (as masks, ascending) of a connected m
-    with 2 <= |A| and rank(A) < min(|A|, r): every constraint the counter
-    needs.
-
-    A set that is not closed, some e outside it keeping the rank, gives way
-    to its closure, a tighter constraint.  The hyperplanes are the distinct
-    E - F(S) of the exchange table, and every flat is the intersection of
-    the hyperplanes that hold it (E the empty intersection).  A kept flat
-    is dependent with rank < r, and a hyperplane that holds a dependent set
-    is dependent, so it has at least r elements: the kept flats are among
-    {E} closed under intersection with the hyperplanes of at least r
-    elements, and the smaller hyperplanes are never intersected.  Computed
-    once per matroid instance: every dilate shares them.
-    """
-    ground = m._ground()
-    flats = {ground}
-    for hyperplane in {ground ^ fs for fs in _exchange_table(m).values()}:
-        if hyperplane.bit_count() >= m.r:
-            flats |= {a & hyperplane for a in flats}
-    ranked = ((a, _rank(m, a)) for a in sorted(flats) if a.bit_count() >= 2)
-    return [(a, rk) for a, rk in ranked if rk < min(a.bit_count(), m.r)]
 
 
 @_memo

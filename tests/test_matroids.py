@@ -788,7 +788,7 @@ def test_bulk_intake_matches_the_rescan(case):
     """The constructor's masks, or its error, are `_rescan`'s basis-by-basis
     ones, on valid and malformed basis lists (the exchange check is left out)."""
     n, r, bases = case
-    with patch.object(matroids, "_validate", lambda m: None):
+    with patch.object(matroids, "validate_exchange", lambda m: None):
         bulk = intake_outcome(lambda: Matroid(n, r, bases)._masks)
     rescan = intake_outcome(lambda: frozenset(matroids._rescan(n, r, bases)))
     if rescan == frozenset():
@@ -1067,7 +1067,8 @@ def test_exchange_witness_does_not_depend_on_basis_order(n, r, bases, message):
 
 def test_exchange_witness_is_the_least_violation():
     """Against every (b1, b2, x) that violates the axiom, on random r-set
-    families: the least by b1, then b2, then x, sets compared as bitmasks."""
+    families: the least by b1, then b2, then x, sets compared as bitmasks,
+    from the checked constructor and from `validate_exchange` alike."""
     rng = random.Random(13)
     checked = 0
     for _ in range(600):
@@ -1081,10 +1082,14 @@ def test_exchange_witness_is_the_least_violation():
         if not violations:
             continue
         b1, b2, x = min(violations)
+        least = (frozenset(matroids._elements(b1)), frozenset(matroids._elements(b2)), x)
         with pytest.raises(ExchangeAxiomViolated) as err:
             from_bases(n, r, [tuple(b) for b in sets])
-        assert (err.value.b1, err.value.b2, err.value.x) == (
-            frozenset(matroids._elements(b1)), frozenset(matroids._elements(b2)), x)
+        assert (err.value.b1, err.value.b2, err.value.x) == least
+        masks = [matroids._subset_mask(n, b) for b in sets]
+        with pytest.raises(ExchangeAxiomViolated) as err:
+            validate_exchange(Matroid._from_masks(n, r, masks))
+        assert (err.value.b1, err.value.b2, err.value.x) == least
         checked += 1
     assert checked > 100
 
@@ -1122,13 +1127,15 @@ def test_matroid_constructor_fails_as_from_bases_does(case):
 
 def test_derived_matroids_satisfy_the_exchange_axiom(fano, vamos):
     """dual, minor, restriction and direct_sum build through the trusted
-    constructor; what they derive from a matroid is a matroid."""
+    constructor; what they derive from a matroid is a matroid.  A sum is
+    checked through its factors, with no exchange table of its own."""
     corpus = [m for _, _, _, m in family_corpus(6)] + [fano, vamos]
     for prev, m in zip(corpus[-1:] + corpus, corpus):
         contracted = min(min(b) for b in m.bases)  # an element of some basis
-        derived = [dual(m), minor(m, delete={m.n}), minor(m, contract={contracted}),
-                   direct_sum(m, prev)]
+        pair = direct_sum(m, prev)
+        derived = [dual(m), minor(m, delete={m.n}), minor(m, contract={contracted}), pair]
         derived += [restriction(m, part) for part in classify(m).components]
         for d in derived:
             validate_exchange(d)
             assert Matroid(d.n, d.r, d.bases) == d
+        assert "_exchange_table" not in pair._cache

@@ -20,8 +20,7 @@ from schubmat import (
     uniform,
 )
 from schubmat.errors import DeskScaleExceeded, InvalidDimensions, NotAnInteger, RankDeficient
-from schubmat.matroids import Matroid, _factors, _split, classify
-from schubmat.polytope import _binding_constraints
+from schubmat.matroids import Matroid, _binding_constraints, _factors, _split, classify
 from conftest import FANO_LINES, VAMOS_CIRCUIT_HYPERPLANES, family_corpus, matroid_from_nonbases
 import lattice_oracle
 from polytope_helpers import polytope_vertices
@@ -272,10 +271,12 @@ def test_a_sum_is_counted_through_its_factors():
 def test_a_sum_reads_its_loops_and_coloops_off_its_factors():
     """classify's loops and coloops, read off the one-element factors, are
     the ones the bases give; every factor is recorded as connected, as a
-    fresh copy of it splits into one part."""
+    fresh copy of it splits into one part.  Loops are split off without a
+    merge, so a sum with thousands of them is split in r(n - r) steps."""
     more = [direct_sum(LOOP, LOOP), direct_sum(COLOOP, COLOOP), direct_sum(LOOP, COLOOP),
             reduce(direct_sum, [uniform(1, 3), COLOOP, COLOOP, LOOP]),
-            direct_sum(minimal(3, 6), COLOOP), direct_sum(LOOP, uniform(2, 5))]
+            direct_sum(minimal(3, 6), COLOOP), direct_sum(LOOP, uniform(2, 5)),
+            reduce(direct_sum, [uniform(0, 3000), COLOOP, uniform(2, 4)])]
     for m in sums_corpus() + more + [LOOP, COLOOP, uniform(0, 0), uniform(2, 4)]:
         facts = classify(m)
         assert (facts.loops, facts.coloops) == (m.loops(), m.coloops()), m
