@@ -165,7 +165,7 @@ def _run_info(args, m):
 
     c = classify(m)
     # the Classification fields in order, with its tuples and sets as lists
-    info = {"n": m.n, "r": m.r, "bases": len(m.bases), **c._asdict(),
+    info = {"n": m.n, "r": m.r, "bases": len(m._masks), **c._asdict(),
             "components": [list(part) for part in c.components],
             "loops": sorted(c.loops), "coloops": sorted(c.coloops)}
     text = "\n".join(f"{key}: {value}" for key, value in info.items())

@@ -38,9 +38,13 @@ one-element factors.
 One exchange table per connected matroid maps each (r-1)-set S = B - x to
 F(S) = {e : S + e is a basis}, the complement of the hyperplane cl(S).  It
 is built in r updates per r-set of the smaller side: from the bases, or,
-when they outnumber the non-bases, from U(r, n)'s table less the non-bases,
-so a near-uniform matroid such as a sparse paving one pays for its few
-non-bases, not for its |B| * r basis exchanges.  Every consumer reads it:
+when they outnumber the non-bases, from a copy of U(r, n)'s table less the
+non-bases, which are U(r, n)'s r-sets less the bases.  U(r, n)'s r-sets
+and table are built once per (n, r) for the life of the process
+(`_uniform_exchange`), so a near-uniform matroid such as a sparse paving
+one pays for its few non-bases and one copy of the table, not for its
+|B| * r basis exchanges or an enumeration of the r-sets.  Every consumer
+reads it:
 - validation (of a connected family, or of one that is not the product
   of its factors' bases): B1 = S + x has no exchange into B2 exactly when
   B2 lies in cl(S), and only a hyperplane of more than r elements can
@@ -75,7 +79,7 @@ matroids.
 
 import re
 from collections import namedtuple
-from functools import reduce, wraps
+from functools import lru_cache, reduce, wraps
 from itertools import chain, combinations
 from math import comb, prod
 from operator import and_, or_
@@ -101,7 +105,8 @@ from .errors import (
 
 
 def _elements(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    """The elements of `mask`, ascending."""
+    return tuple(low.bit_length() for low in _bits(mask))
 
 
 def _bits(mask: int) -> list[int]:
@@ -251,6 +256,18 @@ def _element_bases(m: Matroid) -> frozenset:
     return frozenset(map(_elements, m._masks))
 
 
+@lru_cache(maxsize=None)
+def _uniform_exchange(n: int, r: int) -> tuple[frozenset, dict[int, int]]:
+    """U(r, n)'s r-sets and its exchange table {S: E - S}, for 1 <= r <= n:
+    built once per (n, r) for the life of the process.  Shared by every
+    matroid of that (n, r), so it is only read; `_exchange_table` copies
+    the table before it changes it."""
+    ground = (1 << n) - 1
+    bits = _bits(ground)
+    table = {s: ground ^ s for s in map(sum, combinations(bits, r - 1))}
+    return frozenset(map(sum, combinations(bits, r))), table
+
+
 @_memo
 def _exchange_table(m: Matroid) -> dict[int, int]:
     """F(S) = {e : S + e is a basis} for every (r-1)-set S = B - x.
@@ -259,28 +276,30 @@ def _exchange_table(m: Matroid) -> dict[int, int]:
     complement is the hyperplane cl(S).  The table is built from the smaller
     side of the r-sets, at r updates per set.  When the bases do not
     outnumber the non-bases (or r = 0), it starts empty and each basis S + x
-    puts x into F(S).  Otherwise it starts as U(r, n)'s table, F(S) = E - S
-    for every (r-1)-set S, and each non-basis S + x takes x out of F(S);
-    the S left with an empty F(S) lie in no basis, and are dropped, so the
-    keys are the independent (r-1)-sets on either side.  U(r, n) itself has
-    no non-bases, so its r-sets are not enumerated.
+    puts x into F(S).  Otherwise it starts as a copy of U(r, n)'s table,
+    F(S) = E - S for every (r-1)-set S, and each non-basis S + x, one of
+    U(r, n)'s r-sets (`_uniform_exchange`, built once per (n, r)) that is
+    not a basis, takes x out of F(S); the S left with an empty F(S) lie in
+    no basis, and are dropped, so the keys are the independent (r-1)-sets
+    on either side.  A sparse paving matroid empties no F(S), and its table
+    is not scanned again.
     """
     n, r, masks = m.n, m.r, m._masks
     if r and 2 * len(masks) > comb(n, r):
-        ground = m._ground()
-        bits = _bits(ground)
-        table = {s: ground ^ s for s in map(sum, combinations(bits, r - 1))}
-        flips = set(map(sum, combinations(bits, r))) - masks if len(masks) < comb(n, r) else ()
+        rsets, uniform_table = _uniform_exchange(n, r)
+        table, flips = uniform_table.copy(), rsets - masks
     else:
         table, flips = {}, masks
     get = table.get
+    emptied = False
     for b in flips:
         rest = b
         while rest:
             x = rest & -rest
             rest ^= x
-            table[b ^ x] = get(b ^ x, 0) ^ x
-    if flips is masks or not flips:  # no F(S) was emptied
+            fs = table[b ^ x] = get(b ^ x, 0) ^ x
+            emptied = emptied or not fs
+    if not emptied:
         return table
     return {s: fs for s, fs in table.items() if fs}
 

@@ -40,12 +40,14 @@ def test_library_imports_only_the_standard_library():
 def test_matroid_cache_and_trusted_constructor_stay_in_the_matroid_module():
     """Only matroids.py reads or writes a matroid's `_cache` (through its
     memo decorator), builds a matroid unchecked with `_from_masks`, or
-    reads the exchange table, whose format so has one owner."""
+    reads the exchange table or U(r, n)'s shared one, whose format so has
+    one owner."""
     outside = {
         f"{path.name}: {name}"
         for path in SOURCES
         if path.name != "matroids.py"
-        for name in re.findall(r"\b(_cache|_from_masks|_exchange_table)\b", path.read_text())
+        for name in re.findall(
+            r"\b(_cache|_from_masks|_exchange_table|_uniform_exchange)\b", path.read_text())
     }
     assert not outside, sorted(outside)
 

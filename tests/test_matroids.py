@@ -17,6 +17,7 @@ from schubmat import (
     classify,
     direct_sum,
     dual,
+    ehrhart_report,
     from_bases,
     from_rational_matrix,
     minimal,
@@ -592,6 +593,47 @@ def test_exchange_table_from_either_side_matches_the_oracle():
         seen.add((r > 0 and 2 * len(bases) > comb(n, r), oracle.exchange_witness(bases) is None))
     assert seen == {(side, valid) for side in (False, True) for valid in (False, True)}
     assert 2 * len(pan.bases) > comb(8, 3) and not classify(pan).is_paving
+
+
+def test_the_shared_uniform_table_is_never_changed():
+    """U(r, n)'s r-sets and table are built once per (n, r) and shared by
+    every table built from the non-bases, which copies it.  U(r, n), a sparse
+    paving matroid, a non-matroid and a non-paving panhandle (whose table
+    empties some F(S)) of one (n, r), built in either order from a cleared
+    cache, each get the oracle's table; after validation (with a witness),
+    classification, beta, the binding flats and the Ehrhart counts have
+    read them, the shared r-sets and table are still U(r, n)'s."""
+    for n, r, s in [(6, 3, 4), (7, 4, 5), (8, 3, 5)]:
+        ground = (1 << n) - 1
+        rsets = frozenset(matroids._subset_mask(n, b) for b in combinations(range(1, n + 1), r))
+        uniform_table = {
+            t: ground ^ t
+            for t in (matroids._subset_mask(n, b) for b in combinations(range(1, n + 1), r - 1))}
+        pan = panhandle(r, s, n)
+        invalid = next(bases for bases in near_valid_families(pan)
+                       if oracle.exchange_witness(bases) is not None)
+        sparse = matroid_from_nonbases(n, r, [range(1, r + 1), range(n - r + 1, n + 1)])
+        families = [sorted(uniform(r, n).bases), sorted(sparse.bases), invalid, sorted(pan.bases)]
+        assert all(2 * len(bases) > comb(n, r) for bases in families)
+        assert not classify(pan).is_paving
+        for order in (families, families[::-1]):
+            matroids._uniform_exchange.cache_clear()
+            for bases in order:
+                assert_table_matches_oracle(n, r, bases)
+                m = Matroid._from_masks(n, r, [matroids._subset_mask(n, b) for b in bases])
+                assert matroids._exchange_table(m) is not matroids._uniform_exchange(n, r)[1]
+                if oracle.exchange_witness(bases) is not None:
+                    with pytest.raises(ExchangeAxiomViolated):
+                        validate_exchange(m)
+                    continue
+                validate_exchange(m)
+                checked = from_bases(n, r, bases)
+                assert classify(m) == classify(checked)
+                assert beta(m) == oracle.beta(n, r, bases)
+                assert matroids._binding_constraints(m) == matroids._binding_constraints(checked)
+                assert ehrhart_report(m) == ehrhart_report(checked)
+            assert matroids._uniform_exchange.cache_info().misses == 1
+            assert matroids._uniform_exchange(n, r) == (rsets, uniform_table)
 
 
 @st.composite
