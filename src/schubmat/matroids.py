@@ -13,13 +13,15 @@ every family passes the exchange check; `lattice_path_matroid` reads the
 bounds off two N/E step strings.
 
 Bases are stored as int bitmasks, element e being bit e - 1.  The checked
-constructor reads a basis list in one bulk pass of C-level maps: each
-element is looked up in a table of the bits of [n] (of no more entries
-than elements given), and each run of r bits is summed into a mask.  An
-element outside the table fails the lookup (a KeyError, so no shift is
-taken of it) and a repeated element carries in the sum (a mask of fewer
-than r bits); either sends the list to a basis-by-basis rescan that raises
-the first fault.
+constructor reads a basis list in C-level maps.  A dense list, with more
+than half as many bases as r-sets, looks each basis up in U(r, n)'s index
+{sorted r-tuple: mask}.  Any other list, or a dense one with a basis the
+index misses, takes one bulk pass: each element is looked up in a table of
+the bits of [n] (of no more entries than elements given), and each run of
+r bits is summed into a mask.  An element outside the table fails the
+lookup (a KeyError, so no shift is taken of it) and a repeated element
+carries in the sum (a mask of fewer than r bits); either sends the list to
+a basis-by-basis rescan that raises the first fault.
 
 A direct sum is split before any table of the whole sum is built: the
 fundamental graph of one basis b0, which joins x in b0 and y outside it
@@ -39,12 +41,15 @@ One exchange table per connected matroid maps each (r-1)-set S = B - x to
 F(S) = {e : S + e is a basis}, the complement of the hyperplane cl(S).  It
 is built in r updates per r-set of the smaller side: from the bases, or,
 when they outnumber the non-bases, from a copy of U(r, n)'s table less the
-non-bases, which are U(r, n)'s r-sets less the bases.  U(r, n)'s r-sets
-and table are built once per (n, r) for the life of the process
-(`_uniform_exchange`), so a near-uniform matroid such as a sparse paving
-one pays for its few non-bases and one copy of the table, not for its
-|B| * r basis exchanges or an enumeration of the r-sets.  Every consumer
-reads it:
+non-bases, which are U(r, n)'s r-sets less the bases.  U(r, n) has one
+canonical instance per (n, r) for the life of the process (`_uniform`):
+its masks are the r-sets, its cache holds their index and every derived
+fact, its table included, and every other instance of U(r, n) shares its
+masks and cache.  So a near-uniform matroid such as a sparse paving one
+pays for its few non-bases and one copy of the table, not for its
+|B| * r basis exchanges or an enumeration of the r-sets, and U(r, n)
+itself is validated against facts derived once per (n, r).  Every
+consumer reads it:
 - validation (of a connected family, or of one that is not the product
   of its factors' bases): B1 = S + x has no exchange into B2 exactly when
   B2 lies in cl(S), and only a hyperplane of more than r elements can
@@ -69,9 +74,10 @@ a set is its largest meet with a basis (`_rank`, which `is_independent`
 reads), so no table over the subsets of the ground set is built.  Derived
 facts (the `bases` view, the factors of a sum, the exchange table, the
 classification, beta, and the polytope's binding flats and coordinate
-order) are computed once per instance by functions decorated with `_memo`,
-the one owner of the per-instance cache; the one other write is
-`_factors` recording each factor's own, empty, factors.  Every layer
+order) are computed once per instance, and once per (n, r) for U(r, n),
+by functions decorated with `_memo`, the one owner of the per-instance
+cache; the other writes are `_factors` recording each factor's own, empty,
+factors, and `_uniform` storing the r-set index.  Every layer
 reads a sum through its factors, so the library builds no exchange table,
 flats or coordinate order of a sum's own: those exist for connected
 matroids.
@@ -133,7 +139,9 @@ class Matroid:
 
     `bases` is a read-only view (a frozenset of sorted element tuples) of the
     bitmasks the library works on.  `_cache` holds what the `_memo`
-    functions derive from them, once per instance: the `bases` view itself,
+    functions derive from them, once per instance, and once per (n, r) for
+    U(r, n), whose instances share the canonical one's (`_uniform`): the
+    `bases` view itself,
     the classification, beta, and the factors of a disconnected matroid;
     for a connected matroid also the exchange table and the base polytope's
     binding flats and counter plan (a sum is read through its factors,
@@ -144,44 +152,44 @@ class Matroid:
 
     def __init__(self, n: int, r: int, bases):
         # the common input, every basis r elements that are exactly ints,
-        # takes one bulk pass (r = 0 takes the lengths: {0}, or none).  An
-        # element outside [n] (a KeyError from `bit`) or a repeated one (a
-        # sum of fewer than r bits) sends the list to `_rescan`, which goes
-        # basis by basis, raises the first fault (its type, then its size,
-        # then its range), and takes int subclasses.  `bit` has no more
-        # entries than elements were given, so a huge n costs no table: an
-        # element above that count also goes to `_rescan`.
+        # takes C-level passes (`_parse`); any other, or one that `_parse`
+        # finds a fault in, goes to `_rescan`, which goes basis by basis,
+        # raises the first fault (its type, then its size, then its range),
+        # and takes int subclasses
         require_dimensions(r, n)
         try:
             bases = list(map(tuple, bases))
         except TypeError as exc:
             raise MalformedBasis(f"bases must be collections of elements: {exc}") from None
-        lengths, masks = set(map(len, bases)), None
-        if lengths <= {r} and set(map(type, chain.from_iterable(bases))) <= {int}:
-            bit = {e: 1 << (e - 1) for e in range(1, min(n, r * len(bases)) + 1)}
-            elements = map(bit.__getitem__, chain.from_iterable(bases))
-            try:
-                masks = set(map(sum, zip(*[elements] * r))) if r else lengths
-            except KeyError:
-                pass
-        if masks is None or not set(map(int.bit_count, masks)) <= {r}:
+        masks = None
+        if set(map(len, bases)) <= {r} and set(map(type, chain.from_iterable(bases))) <= {int}:
+            masks = _parse(n, r, bases)
+        if masks is None:
             masks = _rescan(n, r, bases)
         if not masks:
             raise EmptyBases("a matroid needs at least one basis")
-        self._init(n, r, frozenset(masks))
+        # every mask is a checked r-subset of [n], so C(n, r) of them are U(r, n)
+        self._init(n, r, masks, len(masks) == comb(n, r))
         validate_exchange(self)
 
     @classmethod
     def _from_masks(cls, n: int, r: int, masks) -> "Matroid":
         m = cls.__new__(cls)
-        m._init(n, r, frozenset(masks))
+        masks = frozenset(masks)
+        m._init(n, r, masks, len(masks) == comb(n, r) > 0 and masks == _uniform(n, r)._masks)
         return m
 
-    def _init(self, n: int, r: int, masks: frozenset) -> None:
+    def _init(self, n: int, r: int, masks, is_uniform: bool) -> None:
+        """Set the fields; an instance of U(r, n) (`is_uniform`) shares the
+        canonical instance's masks and cache, so its derived facts are
+        computed once per (n, r)."""
         self.n = n
         self.r = r
-        self._masks = masks
-        self._cache = {}
+        if is_uniform:
+            canonical = _uniform(n, r)
+            self._masks, self._cache = canonical._masks, canonical._cache
+        else:
+            self._masks, self._cache = frozenset(masks), {}
 
     @property
     def bases(self) -> frozenset:
@@ -231,8 +239,9 @@ class Matroid:
 
 
 def _memo(fn):
-    """fn(m), computed once per matroid instance and kept in `m._cache`
-    under fn's name; the memoized functions never return None."""
+    """fn(m), computed once per matroid instance, and once per (n, r) for
+    U(r, n), whose instances share one cache, and kept in `m._cache` under
+    fn's name; the memoized functions never return None."""
     name = fn.__name__
 
     @wraps(fn)
@@ -256,16 +265,25 @@ def _element_bases(m: Matroid) -> frozenset:
     return frozenset(map(_elements, m._masks))
 
 
+_RSET_INDEX = "_rset_index"  # the key of U(r, n)'s index in its cache; no `_memo` name
+
+
 @lru_cache(maxsize=None)
-def _uniform_exchange(n: int, r: int) -> tuple[frozenset, dict[int, int]]:
-    """U(r, n)'s r-sets and its exchange table {S: E - S}, for 1 <= r <= n:
-    built once per (n, r) for the life of the process.  Shared by every
-    matroid of that (n, r), so it is only read; `_exchange_table` copies
-    the table before it changes it."""
-    ground = (1 << n) - 1
-    bits = _bits(ground)
-    table = {s: ground ^ s for s in map(sum, combinations(bits, r - 1))}
-    return frozenset(map(sum, combinations(bits, r))), table
+def _uniform(n: int, r: int) -> Matroid:
+    """The canonical U(r, n), for 0 <= r <= n: built once per (n, r) for the
+    life of the process.  Every instance of U(r, n) shares its masks and
+    its `_cache`, so U(r, n)'s exchange table, factors, classification,
+    beta, binding flats and counter plan are derived once per (n, r); they
+    are only read, and `_exchange_table` copies the table before it
+    changes it.  The cache also keeps the index {sorted r-tuple: mask} of
+    the r-sets, which the checked constructor reads a dense basis list
+    through."""
+    masks = map(sum, combinations(_bits((1 << n) - 1), r))
+    index = dict(zip(combinations(range(1, n + 1), r), masks))
+    u = Matroid.__new__(Matroid)
+    u._init(n, r, index.values(), False)
+    u._cache[_RSET_INDEX] = index
+    return u
 
 
 @_memo
@@ -276,18 +294,22 @@ def _exchange_table(m: Matroid) -> dict[int, int]:
     complement is the hyperplane cl(S).  The table is built from the smaller
     side of the r-sets, at r updates per set.  When the bases do not
     outnumber the non-bases (or r = 0), it starts empty and each basis S + x
-    puts x into F(S).  Otherwise it starts as a copy of U(r, n)'s table,
-    F(S) = E - S for every (r-1)-set S, and each non-basis S + x, one of
-    U(r, n)'s r-sets (`_uniform_exchange`, built once per (n, r)) that is
-    not a basis, takes x out of F(S); the S left with an empty F(S) lie in
-    no basis, and are dropped, so the keys are the independent (r-1)-sets
-    on either side.  A sparse paving matroid empties no F(S), and its table
-    is not scanned again.
+    puts x into F(S).  Otherwise it starts as a copy of the table of
+    U(r, n)'s canonical instance (`_uniform`), F(S) = E - S for every
+    (r-1)-set S, built once per (n, r) and shared by every instance of
+    U(r, n), and each non-basis S + x, one of the canonical instance's
+    masks that is not a basis, takes x out of F(S); the S left with an
+    empty F(S) lie in no basis, and are dropped, so the keys are the
+    independent (r-1)-sets on either side.  A sparse paving matroid empties
+    no F(S), and its table is not scanned again.
     """
     n, r, masks = m.n, m.r, m._masks
     if r and 2 * len(masks) > comb(n, r):
-        rsets, uniform_table = _uniform_exchange(n, r)
-        table, flips = uniform_table.copy(), rsets - masks
+        u = _uniform(n, r)
+        if m._cache is u._cache:  # U(r, n) itself
+            ground = m._ground()
+            return {s: ground ^ s for s in map(sum, combinations(_bits(ground), r - 1))}
+        table, flips = _exchange_table(u).copy(), u._masks - masks
     else:
         table, flips = {}, masks
     get = table.get
@@ -318,7 +340,8 @@ def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
     is dependent, so it has at least r elements: the kept flats are among
     {E} closed under intersection with the hyperplanes of at least r
     elements, and the smaller hyperplanes are never intersected.  Computed
-    once per matroid instance: every dilate shares them.
+    once per matroid instance, and once per (n, r) for U(r, n): every
+    dilate shares them.
     """
     ground = m._ground()
     flats = {ground}
@@ -376,6 +399,34 @@ def from_bases(n: int, r: int, bases) -> Matroid:
     """Build a validated matroid from an explicit basis list: the checked
     constructor `Matroid(n, r, bases)`."""
     return Matroid(n, r, bases)
+
+
+def _parse(n: int, r: int, bases: list[tuple]) -> set[int] | None:
+    """The masks of a list of r-tuples of exact ints, in C-level passes, or
+    None when some tuple is not an r-subset of [n].
+
+    A dense list (more than half as many bases as r-sets, the side on which
+    `_exchange_table` starts from U(r, n)) looks each tuple up in U(r, n)'s
+    index of sorted r-tuples.  A tuple the index misses (unsorted, or not
+    an r-subset of [n]) sends the list on to the bulk pass, which any other
+    list takes at once: each element is looked up in `bit`, and each run of
+    r bits summed (r = 0 takes the lengths: {0}, or none).  An element
+    outside [n] fails the lookup, and a repeated one gives a sum of fewer
+    than r bits.  `bit` has no more entries than elements were given, so a
+    huge n costs no table: an element above that count also fails.
+    """
+    if r and 2 * len(bases) > comb(n, r):
+        try:
+            return set(map(_uniform(n, r)._cache[_RSET_INDEX].__getitem__, bases))
+        except KeyError:
+            pass
+    bit = {e: 1 << (e - 1) for e in range(1, min(n, r * len(bases)) + 1)}
+    elements = map(bit.__getitem__, chain.from_iterable(bases))
+    try:
+        masks = set(map(sum, zip(*[elements] * r))) if r else set(map(len, bases))
+    except KeyError:
+        return None
+    return masks if set(map(int.bit_count, masks)) <= {r} else None
 
 
 def _rescan(n: int, r: int, bases: list[tuple]) -> set[int]:
@@ -681,13 +732,15 @@ def _factors(m: Matroid) -> tuple:
             c.bit_count(), (b0 & c).bit_count(), _relabel({b & c for b in m._masks}, c)))
         for c in parts)
     for _, f in factors:  # a component is connected: it is not split again
-        f._cache["_factors"] = ()
+        if "_factors" not in f._cache:  # a shared U(r, n) cache may hold it
+            f._cache["_factors"] = ()
     return factors
 
 
 @_memo
 def classify(m: Matroid) -> Classification:
-    """Components, paving and family flags; computed once per matroid instance.
+    """Components, paving and family flags; computed once per matroid
+    instance, and once per (n, r) for U(r, n).
 
     A connected matroid is read off its exchange table.  Paving: every
     (r-1)-set is independent, that is, a key of the table.  Dual paving:
@@ -734,8 +787,8 @@ def beta(m: Matroid) -> int:
     """Crapo's beta invariant, the Tutte coefficient t_10: the number of
     bases with internal activity 1 and external activity 0.
 
-    Computed once per matroid instance, by `_activity_count`; it vanishes
-    on a matroid with several components.
+    Computed once per matroid instance, and once per (n, r) for U(r, n), by
+    `_activity_count`; it vanishes on a matroid with several components.
     """
     return 0 if _factors(m) else _activity_count(m)
 

@@ -105,7 +105,7 @@ def _plan(m: Matroid) -> tuple[list[int], list[list[tuple]], list[list[tuple]]]:
     i = 0..n-1, steps[i], one (k, held, floor) per partial sum carried past
     i, and bounds[i], one (k, rank) per flat holding i with positions
     before it, k indexing the partial sums at i.  Computed once per matroid
-    instance.
+    instance, and once per (n, r) for U(r, n).
 
     No prefix rank caps y[i]: the closure F of the first i + 1 coordinates
     is either a binding flat, whose cap here reads t*rank(F) less a partial

@@ -36,6 +36,7 @@ from schubmat.errors import (
     DependentContraction,
     ElementOutOfRange,
     EmptyBases,
+    EmptyMatroid,
     ExchangeAxiomViolated,
     InvalidDimensions,
     MalformedBasis,
@@ -310,13 +311,21 @@ def test_minor_checks_each_element_as_given(which, elements):
 
 
 def test_bases_view_is_memoized():
-    """The bases view is computed once per instance and kept by _memo in
-    the one per-instance cache."""
+    """The bases view is computed once per instance, and once per (n, r)
+    for U(r, n), and kept by _memo in the instance's cache, which every
+    instance of U(r, n) shares."""
+    matroids._uniform.cache_clear()
     m = uniform(2, 4)
     assert "_element_bases" not in m._cache
     view = m.bases
     assert m.bases is view and m._cache["_element_bases"] is view
     assert view == frozenset(combinations(range(1, 5), 2))
+    assert uniform(2, 4).bases is view
+    t = minimal(2, 4)
+    assert "_element_bases" not in t._cache
+    view = t.bases
+    assert t.bases is view and t._cache["_element_bases"] is view
+    assert "_element_bases" not in minimal(2, 4)._cache
 
 
 def test_restriction_takes_any_iterable_of_elements():
@@ -596,16 +605,18 @@ def test_exchange_table_from_either_side_matches_the_oracle():
 
 
 def test_the_shared_uniform_table_is_never_changed():
-    """U(r, n)'s r-sets and table are built once per (n, r) and shared by
-    every table built from the non-bases, which copies it.  U(r, n), a sparse
-    paving matroid, a non-matroid and a non-paving panhandle (whose table
-    empties some F(S)) of one (n, r), built in either order from a cleared
-    cache, each get the oracle's table; after validation (with a witness),
-    classification, beta, the binding flats and the Ehrhart counts have
-    read them, the shared r-sets and table are still U(r, n)'s."""
+    """U(r, n)'s r-sets and table are built once per (n, r), in the cache of
+    its canonical instance, and shared by every table built from the
+    non-bases, which copies it.  U(r, n), a sparse paving matroid, a
+    non-matroid and a non-paving panhandle (whose table empties some F(S))
+    of one (n, r), built in either order from a cleared cache, each get the
+    oracle's table, and only U(r, n) itself holds the shared one; after
+    validation (with a witness), classification, beta, the binding flats
+    and the Ehrhart counts have read them, the shared r-sets, index and
+    table are still U(r, n)'s."""
     for n, r, s in [(6, 3, 4), (7, 4, 5), (8, 3, 5)]:
         ground = (1 << n) - 1
-        rsets = frozenset(matroids._subset_mask(n, b) for b in combinations(range(1, n + 1), r))
+        index = {b: matroids._subset_mask(n, b) for b in combinations(range(1, n + 1), r)}
         uniform_table = {
             t: ground ^ t
             for t in (matroids._subset_mask(n, b) for b in combinations(range(1, n + 1), r - 1))}
@@ -617,11 +628,15 @@ def test_the_shared_uniform_table_is_never_changed():
         assert all(2 * len(bases) > comb(n, r) for bases in families)
         assert not classify(pan).is_paving
         for order in (families, families[::-1]):
-            matroids._uniform_exchange.cache_clear()
+            matroids._uniform.cache_clear()
             for bases in order:
                 assert_table_matches_oracle(n, r, bases)
                 m = Matroid._from_masks(n, r, [matroids._subset_mask(n, b) for b in bases])
-                assert matroids._exchange_table(m) is not matroids._uniform_exchange(n, r)[1]
+                shared = matroids._uniform(n, r)
+                if len(bases) == comb(n, r):
+                    assert m._cache is shared._cache
+                else:
+                    assert matroids._exchange_table(m) is not matroids._exchange_table(shared)
                 if oracle.exchange_witness(bases) is not None:
                     with pytest.raises(ExchangeAxiomViolated):
                         validate_exchange(m)
@@ -632,8 +647,11 @@ def test_the_shared_uniform_table_is_never_changed():
                 assert beta(m) == oracle.beta(n, r, bases)
                 assert matroids._binding_constraints(m) == matroids._binding_constraints(checked)
                 assert ehrhart_report(m) == ehrhart_report(checked)
-            assert matroids._uniform_exchange.cache_info().misses == 1
-            assert matroids._uniform_exchange(n, r) == (rsets, uniform_table)
+            assert matroids._uniform.cache_info().misses == 1
+            shared = matroids._uniform(n, r)
+            assert shared._masks == frozenset(index.values())
+            assert shared._cache[matroids._RSET_INDEX] == index
+            assert matroids._exchange_table(shared) == uniform_table
 
 
 @st.composite
@@ -677,6 +695,9 @@ def test_matroid_layer_matches_oracle_on_relabelled_sums(family):
 
 
 def test_classification_and_beta_computed_once_per_instance(monkeypatch):
+    """Each derived fact is computed once per instance, and once per (n, r)
+    for U(r, n), whose instances share one cache."""
+    matroids._uniform.cache_clear()
     m = uniform(2, 5)
     assert classify(m) is classify(m)
     components, full_beta = [], []
@@ -693,10 +714,15 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(matroids, "_split", spy_components)
     monkeypatch.setattr(matroids, "_activity_count", spy_beta)
+    matroids._uniform.cache_clear()
     m = uniform(2, 5)
     verify_volume_relation(m)
     assert components == [m] and len(full_beta) == 1
-    # every instance gets a cache that records the name of each value stored
+    again = uniform(2, 5)
+    verify_volume_relation(again)
+    assert again._cache is m._cache and components == [m] and len(full_beta) == 1
+    # every new cache records the name of each value stored; an instance of
+    # U(r, n) keeps the one its canonical instance got
     caches = []
 
     class RecordingCache(dict):
@@ -706,26 +732,30 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
 
     real_init = Matroid._init
 
-    def recording_init(self, n, r, masks):
-        real_init(self, n, r, masks)
-        self._cache = RecordingCache()
-        self._cache.stored = []
-        caches.append(self._cache)
+    def recording_init(self, n, r, masks, is_uniform):
+        real_init(self, n, r, masks, is_uniform)
+        if type(self._cache) is dict:
+            self._cache = RecordingCache()
+            self._cache.stored = []
+            caches.append(self._cache)
 
     monkeypatch.setattr(Matroid, "_init", recording_init)
     memoized = {"_exchange_table", "classify", "beta",
                 "_binding_constraints", "_plan", "_factors"}
     # beta of a disconnected matroid is 0 from its factors, and the sum
     # reads its factors' tables, with no exchange table, flats or
-    # counter plan of its own
-    for build, expected in ((lambda: uniform(2, 5), memoized),
+    # counter plan of its own; U(r, n)'s cache also keeps its r-set index
+    for build, expected in ((lambda: uniform(2, 5), memoized | {matroids._RSET_INDEX}),
                             (lambda: direct_sum(uniform(1, 2), minimal(2, 4)),
                              {"classify", "beta", "_factors"})):
+        matroids._uniform.cache_clear()
         del caches[:]
         m = build()
         verify_volume_relation(m)
-        for cache in caches:  # no instance computes a value twice
-            assert len(cache.stored) == len(set(cache.stored)) and set(cache.stored) <= memoized
+        verify_volume_relation(build())
+        for cache in caches:  # no cache stores a value twice
+            assert len(cache.stored) == len(set(cache.stored))
+            assert set(cache.stored) <= memoized | {matroids._RSET_INDEX}
         assert set(m._cache.stored) == expected
     # a checked sum is split before its own exchange table is built
     minors = []
@@ -737,7 +767,9 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
 
 def test_sc_skips_beta_on_disconnected_matroids(monkeypatch):
     """sc takes beta of a sum from matroids.beta, which answers 0 from the
-    factors: only the connected factors have their bases counted."""
+    factors: only the connected factors have their bases counted, once per
+    (n, r) for the uniform ones."""
+    matroids._uniform.cache_clear()
     seen = []
     real_count = matroids._activity_count
 
@@ -749,6 +781,145 @@ def test_sc_skips_beta_on_disconnected_matroids(monkeypatch):
     m = direct_sum(uniform(2, 4), uniform(2, 5))
     assert sc(m).beta_value == 0
     assert seen == [uniform(2, 4), uniform(2, 5)]
+    assert sc(direct_sum(uniform(2, 5), uniform(2, 4))).beta_value == 0
+    assert seen == [uniform(2, 4), uniform(2, 5)]
+
+
+def test_every_instance_of_a_uniform_matroid_shares_one_cache(monkeypatch):
+    """U(r, n) built by `uniform`, from shuffled, list-typed or duplicated
+    bases, as a dual, or as the factor of a sum holds the canonical
+    instance's masks and cache, so beta is counted once per (n, r)."""
+    matroids._uniform.cache_clear()
+    counted = []
+    real_count = matroids._activity_count
+
+    def spy(mat):
+        counted.append((mat.n, mat.r))
+        return real_count(mat)
+
+    monkeypatch.setattr(matroids, "_activity_count", spy)
+    rng = random.Random(30)
+    for r, n in [(2, 4), (3, 6), (1, 3), (2, 5), (3, 5)]:
+        u = uniform(r, n)
+        every = list(combinations(range(1, n + 1), r))
+        perm = rng.sample(range(1, n + 1), n)
+        summed = from_bases(n + 2, r + 1, [  # U(1, 2) + U(r, n) on a shuffled ground set
+            tuple(sorted(perm[e - 1] for e in b) + [n + j]) for b in every for j in (1, 2)])
+        instances = [
+            u,
+            from_bases(n, r, rng.sample(every, len(every))),
+            from_bases(n, r, [list(b) for b in every]),
+            from_bases(n, r, every + every[:2]),
+            Matroid(n, r, reversed(every)),
+            dual(uniform(n - r, n)),
+            *(f for _, f in matroids._factors(summed) if f.n == n),
+            *(f for c, f in matroids._factors(direct_sum(u, minimal(2, 4))) if c == (1 << n) - 1),
+        ]
+        assert len(instances) == 8
+        assert all(m._cache is u._cache and m._masks is u._masks for m in instances)
+        assert {beta(m) for m in instances} == {comb(n - 2, r - 1)}
+    assert counted == [(4, 2), (6, 3), (3, 1), (5, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("n, r", [(4, 2), (5, 2), (6, 3), (3, 1)])
+def test_as_many_masks_as_r_sets_that_are_not_the_r_sets_keep_their_own_cache(n, r):
+    """A trusted family of C(n, r) masks, one with r + 1 bits or one with a
+    bit above n in place of an r-set, is not U(r, n): it gets a cache of
+    its own, its table reads its r-set members alone, and the shared cache
+    is left as it was."""
+    matroids._uniform.cache_clear()
+    u = uniform(r, n)
+    shared = dict(u._cache)
+    rsets = sorted(u._masks)
+    for odd in (rsets[0] | 1 << r, (1 << (r - 1)) - 1 | 1 << n):
+        masks = rsets[:-1] + [odd]
+        m = Matroid._from_masks(n, r, masks)
+        assert m._cache is not u._cache and m._cache == {} and m._masks == frozenset(masks)
+        assert m != u
+        assert matroids._exchange_table(m) == matroids._exchange_table(
+            Matroid._from_masks(n, r, rsets[:-1]))
+        assert "_exchange_table" in m._cache
+    assert u._cache.keys() == shared.keys() and all(u._cache[k] is v for k, v in shared.items())
+
+
+def test_a_non_uniform_matroid_keeps_out_of_the_shared_cache():
+    """A matroid of U(r, n)'s (n, r) that is not U(r, n) reads only the
+    r-set index (a dense checked build) and the exchange table (which it
+    copies) from the shared cache, and writes nothing to it."""
+    log = []
+
+    class Recording(dict):
+        def get(self, name, default=None):
+            log.append(("read", name))
+            return super().get(name, default)
+
+        def __getitem__(self, name):
+            log.append(("read", name))
+            return super().__getitem__(name)
+
+        def __setitem__(self, name, value):
+            log.append(("write", name))
+            super().__setitem__(name, value)
+
+    try:
+        for n, r in [(6, 3), (7, 3), (8, 4)]:
+            matroids._uniform.cache_clear()
+            canonical = matroids._uniform(n, r)
+            canonical._cache = Recording(canonical._cache)  # every later instance adopts it
+            u = uniform(r, n)
+            assert u._cache is canonical._cache
+            matroids._exchange_table(u)
+            facts = dict(u._cache)
+            del log[:]
+            sparse = matroid_from_nonbases(n, r, [range(1, r + 1), range(n - r + 1, n + 1)])
+            sparse_masks = Matroid._from_masks(n, r, sparse._masks)
+            others = [sparse, sparse_masks, minimal(r, n), panhandle(r, n - 2, n)]
+            for m in others:
+                validate_exchange(m)
+                classify(m), beta(m), m.bases, matroids._binding_constraints(m), ehrhart_report(m)
+                assert m._cache is not u._cache
+            assert beta(sparse) == comb(n - 2, r - 1) - 2
+            assert set(log) == {("read", matroids._RSET_INDEX), ("read", "_exchange_table")}
+            assert u._cache.keys() == facts.keys()
+            assert all(u._cache[k] is v for k, v in facts.items())
+    finally:  # no later test adopts a recording cache
+        matroids._uniform.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "r, n, kappa, beta_value, table, method",
+    [
+        (0, 0, 0, 0, [], None),
+        (0, 1, 1, 0, [], ["Degenerate-Point"]),
+        (1, 1, 1, 1, [(0, 1)], ["Degenerate-Point"]),
+        (0, 3, 3, 0, [], ["Degenerate-Point"] * 3),
+        (3, 3, 3, 0, [(3, 4), (5, 2), (6, 1)], ["Degenerate-Point"] * 3),
+        (2, 2, 2, 0, [(1, 2), (2, 1)], ["Degenerate-Point"] * 2),
+    ],
+)
+def test_uniform_matroids_at_the_edges_share_one_cache(r, n, kappa, beta_value, table, method):
+    """r = 0, r = n and n = 0: every instance of U(r, n) shares the
+    canonical cache and reads the classification, beta, table, factors and
+    class of a fresh build."""
+    matroids._uniform.cache_clear()
+    instances = [uniform(r, n), from_bases(n, r, [tuple(range(1, r + 1))]), dual(uniform(n - r, n))]
+    for m in instances:
+        assert m._cache is instances[0]._cache
+        c = classify(m)
+        assert (c.kappa, c.loops, c.coloops, c.is_uniform) == (
+            kappa, frozenset(range(1, n + 1)) if r == 0 else frozenset(),
+            frozenset(range(1, n + 1)) if r == n and n else frozenset(), True)
+        assert beta(m) == beta_value
+        assert sorted(matroids._exchange_table(m).items()) == table
+        assert [(c, f.n, f.r) for c, f in matroids._factors(m)] == (
+            [(1 << i, 1, int(r > 0)) for i in range(n)] if n > 1 else [])
+        if method is None:
+            with pytest.raises(EmptyMatroid):
+                sc(m)
+        else:
+            assert sc(m).to_json_dict() == {
+                "r": r, "n": n, "terms": [{"partition": [], "coeff": "1"}], "method": method,
+                "kappa": kappa, "k": None, "beta": str(beta_value)}
 
 
 @pytest.mark.parametrize(
@@ -1036,12 +1207,23 @@ def outcome(build, n, r, bases):
         (3, 2, [(1, 2), (4, 1)], ("ElementOutOfRange", "basis (1, 4) not inside [3]")),
         (3, 2, [], ("EmptyBases", "a matroid needs at least one basis")),
         (3, 0, [(1,)], ("WrongBasisSize", "basis (1,) is not a set of 0 elements")),
+        # dense lists, more bases than non-bases: read through U(r, n)'s index
+        (4, 2, [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3), (2, 4)],
+         ("WrongBasisSize", "basis (2, 2) is not a set of 2 elements")),
+        (4, 2, [(1, 2), (1, 3), (0, 1), (1, 4), (2, 3)], ("ElementOutOfRange", "basis (0, 1) not inside [4]")),
+        (4, 2, [(1, 2), (1, 3), (1, 4), (2, 5), (2, 3)], ("ElementOutOfRange", "basis (2, 5) not inside [4]")),
+        (4, 2, [(1, 2), (1, 3), (True, 4), (2, 3), (2, 4)],
+         ("NotAnInteger", "basis element True is not an int")),
+        (4, 2, [(1, 2), (2, 1), (1, 3), (1, 4), (5, 2)], ("ElementOutOfRange", "basis (2, 5) not inside [4]")),
+        (3, 3, [(1, 2, 4)], ("ElementOutOfRange", "basis (1, 2, 4) not inside [3]")),
+        (3, 3, [(1, 2, 2)], ("WrongBasisSize", "basis (1, 2, 2) is not a set of 3 elements")),
     ],
     ids=["size-then-bool", "size-then-zero", "size-then-n+1", "bool-then-size",
          "zero-then-size", "n+1-then-bool", "size-before-range", "type-before-size",
          "repeat-in-range", "repeat-then-n+1", "n+1-then-repeat", "repeat-out-of-range",
          "repeat-rank-3", "zero-only", "n+1-only", "empty-list",
-         "r=0-nonempty-basis"],
+         "r=0-nonempty-basis", "dense-repeat", "dense-zero", "dense-n+1", "dense-bool",
+         "dense-unsorted-then-n+1", "dense-r=n-n+1", "dense-r=n-repeat"],
 )
 def test_from_bases_raises_the_first_fault_of_the_basis_list(n, r, bases, expected):
     assert outcome(from_bases, n, r, bases) == expected
@@ -1050,6 +1232,8 @@ def test_from_bases_raises_the_first_fault_of_the_basis_list(n, r, bases, expect
 
 def test_from_bases_accepts_what_a_per_basis_parse_accepts():
     u23 = Matroid(3, 2, [(1, 2), (1, 3), (2, 3)])
+    u24 = Matroid._from_masks(4, 2, [0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100])
+    sp24 = Matroid._from_masks(4, 2, [0b0011, 0b0101, 0b1001, 0b0110, 0b1010])
     cases = [  # (n, r, a function returning fresh bases, expected matroid)
         (3, 2, lambda: [(1, 2), (2, 1), (1, 2), (1, 3), (2, 3)], u23),  # duplicate bases
         (3, 0, lambda: [()], Matroid(3, 0, [()])),
@@ -1060,6 +1244,13 @@ def test_from_bases_accepts_what_a_per_basis_parse_accepts():
         (3, 2, lambda: [[1, 2], iter((1, 3)), (e for e in (3, 2))], u23),  # lists, iterators
         (3, 2, lambda: (b for b in [(1, 2), (1, 3), (2, 3)]), u23),  # a generator of bases
         (3, 2, lambda: [{1, 2}, frozenset({1, 3}), (2, 3)], u23),
+        # dense lists, more bases than non-bases: read through U(r, n)'s index
+        (4, 2, lambda: [(1, 2), (1, 3), (4, 1), (2, 3), (2, 4), (3, 4)], u24),  # unsorted
+        (4, 2, lambda: [(1, 2), (1, 3), (Label(1), 4), (2, 3), (2, 4), (3, 4)], u24),  # int subclass
+        (4, 2, lambda: [*combinations(range(1, 5), 2), (1, 2), (3, 4)], u24),  # duplicate bases
+        (4, 2, lambda: [list(b) for b in combinations(range(1, 5), 2)], u24),
+        (4, 2, lambda: [(2, 1), (1, 3), (1, 4), (2, 3), (2, 4)], sp24),  # unsorted
+        (3, 3, lambda: [(3, 1, 2)], Matroid(3, 3, [(1, 2, 3)])),
     ]
     for n, r, bases, expected in cases:
         assert outcome(from_bases, n, r, bases()) == ("ok", expected)
@@ -1086,6 +1277,47 @@ def faulty_basis_lists(draw):
 @given(faulty_basis_lists())
 def test_from_bases_matches_per_basis_parse_on_faulty_lists(case):
     n, r, bases = case
+    assert outcome(from_bases, n, r, bases) == outcome(per_basis_from_bases, n, r, bases)
+
+
+FAULTS = ["reversed", "repeat", "zero", "n+1", "True", "int subclass", "float", "long", "short"]
+
+
+@st.composite
+def dense_basis_lists(draw):
+    """More than half of the r-sets of [n], n <= 6, as sorted tuples in any
+    order, with at most one entry corrupted: reversed, a repeated element,
+    element 0 or n + 1, True, an int subclass, a float, or one element too
+    many or too few."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, n))
+    every = list(combinations(range(1, n + 1), r))
+    bases = draw(st.permutations(every))[:draw(st.integers(len(every) // 2 + 1, len(every)))]
+    fault = draw(st.one_of(st.none(), st.sampled_from(FAULTS)))
+    if fault is not None:
+        i, j = draw(st.integers(0, len(bases) - 1)), draw(st.integers(0, r - 1))
+        b = list(bases[i])
+        if fault == "reversed":
+            b.reverse()
+        elif fault == "long":
+            b.append(draw(st.integers(1, n)))
+        elif fault == "short":
+            del b[j]
+        else:
+            b[j] = {"repeat": b[j - 1], "zero": 0, "n+1": n + 1, "True": True,
+                    "int subclass": Label(b[j]), "float": float(b[j])}[fault]
+        bases[i] = tuple(b)
+    return n, r, bases
+
+
+@settings(max_examples=400, deadline=None)
+@given(dense_basis_lists())
+def test_from_bases_matches_per_basis_parse_on_dense_lists(case):
+    """A dense list is read through U(r, n)'s index; any entry the index
+    misses falls back to the bulk pass and the rescan, which give the
+    per-basis outcome."""
+    n, r, bases = case
+    assert 2 * len(bases) > comb(n, r)
     assert outcome(from_bases, n, r, bases) == outcome(per_basis_from_bases, n, r, bases)
 
 
