@@ -36,7 +36,8 @@ each projection is a matroid, so `validate_exchange`, which the checked
 constructor calls, checks the factors alone, and the sum's
 classification is read off theirs.  Each factor is recorded as connected,
 so it is never split again, and the sum's loops and coloops are its
-one-element factors.
+one-element factors.  A factor whose projections are every r_c-set of its
+part is U(r_c, |c|), and is taken as its canonical instance (below).
 One exchange table per connected matroid maps each (r-1)-set S = B - x to
 F(S) = {e : S + e is a basis}, the complement of the hyperplane cl(S).  It
 is built in r updates per r-set of the smaller side: from the bases, or,
@@ -722,19 +723,28 @@ def _factors(m: Matroid) -> tuple:
     when there is at most one part, so that a connected matroid does not
     hold itself.  For a matroid these are its components, and m their sum;
     each factor is so recorded as connected, with no factors of its own.
+
+    A projection of C(|c|, r_c) masks of r_c bits each is every r_c-set of
+    the part c, so that factor is U(r_c, |c|)'s canonical instance
+    (`_uniform`), taken as it is: it needs no relabelling and no mask
+    comparison.  Any other factor is a new instance of its own.
     """
     parts = _split(m)
     if len(parts) < 2:
         return ()
     b0 = next(iter(m._masks))
-    factors = tuple(
-        (c, Matroid._from_masks(
-            c.bit_count(), (b0 & c).bit_count(), _relabel({b & c for b in m._masks}, c)))
-        for c in parts)
+    factors = []
+    for c in parts:
+        n, r = c.bit_count(), (b0 & c).bit_count()
+        projection = {b & c for b in m._masks}
+        if len(projection) == comb(n, r) and set(map(int.bit_count, projection)) == {r}:
+            factors.append((c, _uniform(n, r)))
+        else:
+            factors.append((c, Matroid._from_masks(n, r, _relabel(projection, c))))
     for _, f in factors:  # a component is connected: it is not split again
         if "_factors" not in f._cache:  # a shared U(r, n) cache may hold it
             f._cache["_factors"] = ()
-    return factors
+    return tuple(factors)
 
 
 @_memo

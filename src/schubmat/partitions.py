@@ -13,9 +13,9 @@ partitions the library built and check nothing.
 Three facts are cached for the life of the process, each once, here:
 conjugates (_conjugates) and complements (_complements), dicts that keep
 each pair of an involution both ways, and standard-tableau counts
-(_syt_count, keyed by the shape alone); the public functions here and the
-chow kernel read them.  partitions_in_rectangle is not cached: its one
-library caller, orbit.sc_uniform, is.
+(_syt_count, keyed by the shape alone); the public functions here, the
+chow kernel and orbit.sc_uniform read them.  partitions_in_rectangle is
+not cached: its one library caller, orbit.sc_uniform, is.
 """
 
 from functools import lru_cache
@@ -167,9 +167,9 @@ def _hook_lengths(lam: Partition) -> list[int]:
     ]
 
 
-def _over_hooks(lam: Partition, numerator: int) -> int:
-    """numerator / prod(hook lengths of lam), which must be an integer."""
-    hooks = prod(_hook_lengths(lam))
+def _over_hooks(lam: Partition, numerator: int, hooks: int) -> int:
+    """numerator / hooks, the product of lam's hook lengths, which must be
+    an integer."""
     value, rest = divmod(numerator, hooks)
     if rest:
         from fractions import Fraction  # imported on use, not with the package
@@ -190,7 +190,7 @@ def _syt_count(lam: Partition) -> int:
     Cached for the life of the process under the shape alone, so the
     degrees of classes in different ambients share the counts of their
     common complements."""
-    return _over_hooks(lam, factorial(size(lam)))
+    return _over_hooks(lam, factorial(size(lam)), prod(_hook_lengths(lam)))
 
 
 def schur_at_ones(lam: Partition, k: int) -> int:
@@ -202,9 +202,16 @@ def schur_at_ones(lam: Partition, k: int) -> int:
     """
     lam = normalize(lam)
     require_count(k, "number of variables")
-    if lam and len(lam) > k:
+    return _schur_at_ones(lam, k, prod(_hook_lengths(lam)))
+
+
+def _schur_at_ones(lam: Partition, k: int, hooks: int) -> int:
+    """schur_at_ones of a partition the library built and a non-negative
+    int k, given hooks, the product of lam's hook lengths, which a caller
+    taking several k computes once: nothing is checked."""
+    if len(lam) > k:
         return 0
-    return _over_hooks(lam, prod(k + j - i for i, part in enumerate(lam) for j in range(part)))
+    return _over_hooks(lam, prod(k + j - i for i, part in enumerate(lam) for j in range(part)), hooks)
 
 
 def partitions_in_rectangle(rect: Rectangle, weight: int | None = None) -> tuple[Partition, ...]:

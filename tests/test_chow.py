@@ -11,6 +11,7 @@ from schubmat import (
     Ambient,
     ChowClass,
     chow,
+    classify,
     partitions,
     direct_sum,
     lr_coefficient,
@@ -777,9 +778,13 @@ def assert_validated_form(c: ChowClass):
 
 
 def test_classes_built_by_the_library_are_in_validated_form(monkeypatch, fano, vamos):
-    """product, fold and sc_sparse_paving build their classes without
-    re-validating the terms; every class they return on the fold and product
-    corpus of this file and on sc of the family corpus is in validated form."""
+    """product, fold, sc_sparse_paving and sc_uniform build their classes
+    without re-validating the terms; every class they return on the fold and
+    product corpus of this file, on the sparse paving and uniform members of
+    the family corpus, and every class sc returns on it, is in validated
+    form.  sc reads its classes from the formula table's cached builder, so
+    the spied sc_sparse_paving and the uncached sc_uniform are called
+    directly."""
     seen = {"product": 0, "fold": 0, "sc_sparse_paving": 0}
     spied = {"product": chow, "fold": chow, "sc_sparse_paving": orbit}
 
@@ -822,6 +827,10 @@ def test_classes_built_by_the_library_are_in_validated_form(monkeypatch, fano, v
     matroids += [fano, vamos, matroid_from_nonbases(6, 3, [{1, 2, 3}, {1, 4, 5}])]
     for m in matroids:
         assert_validated_form(sc(m).chow_class)
+        if classify(m).is_sparse_paving:
+            orbit.sc_sparse_paving(m)
     for m1, m2 in zip(matroids[::3], matroids[1::3]):
         assert_validated_form(sc(direct_sum(m1, m2)).chow_class)
+    for r, n in {(m.r, m.n) for m in matroids if 1 <= m.r < m.n}:
+        assert_validated_form(orbit.sc_uniform.__wrapped__(r, n))
     assert min(seen.values()) > 0, seen

@@ -28,7 +28,7 @@ from polytope_helpers import WrongAffineDimension
 
 
 def negative_klyachko(patch):
-    patch(orbit, "schur_at_ones", lambda lam, k: -1 if k == 2 else 0)
+    patch(orbit, "_schur_at_ones", lambda lam, k, hooks: -1 if k == 2 else 0)
     orbit.sc_uniform.__wrapped__(2, 5)  # bypass the cache: no patched value is kept
 
 
@@ -39,7 +39,8 @@ def wrong_beta(patch):
 
 def inhomogeneous_class(patch):
     patch(orbit, "sc_direct_sum", lambda parts: ChowClass(Ambient(2, 5), {(1,): 1}))
-    sc(uniform(2, 5))
+    profile, _ = orbit._component_profile(uniform(2, 5))
+    orbit._profile_class.__wrapped__((profile,))  # bypass the cache, as sc's first call would
 
 
 def wrong_affine_dimension(patch):

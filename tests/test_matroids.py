@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -840,6 +841,47 @@ def test_as_many_masks_as_r_sets_that_are_not_the_r_sets_keep_their_own_cache(n,
             Matroid._from_masks(n, r, rsets[:-1]))
         assert "_exchange_table" in m._cache
     assert u._cache.keys() == shared.keys() and all(u._cache[k] is v for k, v in shared.items())
+
+
+def test_a_sums_uniform_factor_is_the_canonical_instance():
+    """A part whose projections are every r_c-set of the part is taken as
+    U(r_c, |c|)'s canonical instance itself.  Any other part (minimal,
+    sparse paving, panhandle, a loop beside a basis that misses it, or
+    C(|c|, r_c) projections that are not all r_c-sets) is an instance of
+    its own, holding its projections relabelled, and a family that is not
+    the product of its factors raises the witness of its own table."""
+    matroids._uniform.cache_clear()
+    rng = random.Random(31)
+    perm = rng.sample(range(1, 12), 11)
+    shuffled = from_bases(11, 5, [tuple(perm[e - 1] for e in b)
+                                  for b in direct_sum(uniform(2, 5), uniform(3, 6)).bases])
+    sums = [direct_sum(uniform(2, 4), uniform(2, 5)), direct_sum(minimal(2, 5), uniform(1, 3)),
+            direct_sum(matroid_from_nonbases(7, 3, [{1, 2, 3}, {4, 5, 6}]), uniform(1, 2)),
+            direct_sum(panhandle(2, 3, 6), uniform(2, 4)), shuffled,
+            direct_sum(direct_sum(uniform(0, 1), uniform(1, 1)), uniform(2, 4)),
+            Matroid._from_masks(6, 2, [3, 6, 9, 12, 34, 36]),
+            Matroid._from_masks(5, 2, [3, 5, 6, 12, 17, 24])]
+    kinds = set()
+    for m in sums:
+        factors = matroids._factors(m)
+        assert len(factors) >= 2
+        for part, f in factors:
+            elements = matroids._elements(part)
+            position = {e: i for i, e in enumerate(elements, 1)}
+            projections = {tuple(position[e] for e in b if e in position) for b in m.bases}
+            canonical = matroids._uniform(f.n, f.r)
+            if projections == set(combinations(range(1, f.n + 1), f.r)):
+                assert f is canonical, (m, part)
+                kinds.add("uniform")
+            else:
+                assert f is not canonical and f._cache is not canonical._cache, (m, part)
+                assert f.bases == projections, (m, part)
+                kinds.add(len(projections) == comb(f.n, f.r))
+    assert kinds == {"uniform", True, False}
+    for n, masks, witness in [(6, [3, 6, 9, 12, 34, 36], "x=2 between bases [1, 2] and [3, 6]"),
+                              (5, [3, 5, 6, 12, 17, 24], "x=1 between bases [1, 2] and [4, 5]")]:
+        with pytest.raises(ExchangeAxiomViolated, match=re.escape(witness)):
+            from_bases(n, 2, [matroids._elements(b) for b in masks])
 
 
 def test_a_non_uniform_matroid_keeps_out_of_the_shared_cache():

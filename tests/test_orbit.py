@@ -1,6 +1,8 @@
 """Orbit-class engine: Klyachko, minimal lemma, sparse paving, direct sums."""
 
+import json
 import random
+from functools import reduce
 from itertools import combinations
 from math import comb
 
@@ -21,9 +23,11 @@ from schubmat import (
     sc_sparse_paving,
     sc_uniform,
     uniform,
+    sigma,
     verify_volume_relation,
 )
 from schubmat.errors import (
+    BetaMismatch,
     EmptyMatroid,
     InvalidDimensions,
     NotAnInteger,
@@ -31,10 +35,11 @@ from schubmat.errors import (
     NotSparsePaving,
     UnsupportedMatroid,
 )
-from schubmat import cli, orbit
+from schubmat import cli, matroids, orbit
 from schubmat.orbit import METHOD_MINIMAL, METHOD_POINT, METHOD_SPARSE_PAVING
 from schubmat.partitions import conjugate, hook_complement
 from conftest import family_corpus, matroid_from_nonbases
+from test_polytope import sums_corpus
 
 
 def test_sc_uniform_examples():
@@ -257,3 +262,143 @@ def test_duality_conjugates_coefficients(fano, vamos):
         primal, codual = sc(m).chow_class, sc(dual(m)).chow_class
         assert codual.ambient == Ambient(m.n - m.r, m.n)
         assert codual.terms == {conjugate(lam): c for lam, c in primal.terms.items()}, m
+
+
+# sc reads each class from a cache keyed by its components' profiles
+
+
+def uncached_class(m):
+    """The fold of m's component formulas through the public formulas, not
+    through sc's cache; None when a component has no formula."""
+    parts = []
+    for _, f in matroids._factors(m) or [(None, m)]:
+        if f.n == 1:
+            parts.append(sigma(Ambient(f.r, 1), ()))
+        elif classify(f).is_sparse_paving:
+            parts.append(sc_sparse_paving(f))
+        elif classify(f).is_minimal:
+            parts.append(sc_minimal(f.r, f.n))
+        else:
+            return None
+    return sc_direct_sum(parts)
+
+
+def profile(f):
+    """What a connected f's class depends on, read without the engine."""
+    if f.n == 1:
+        return ("point", f.r)
+    if classify(f).is_sparse_paving:
+        return ("sparse paving", f.r, f.n, classify(f).nonbasis_count)
+    return ("minimal", f.r, f.n)
+
+
+def flipped(m):
+    """The sum of m's factors in the reverse order."""
+    return reduce(direct_sum, [f for _, f in matroids._factors(m)][::-1])
+
+
+def relabelled(m, seed):
+    perm = random.Random(seed).sample(range(1, m.n + 1), m.n)
+    return from_bases(m.n, m.r, [tuple(perm[e - 1] for e in b) for b in m.bases])
+
+
+def profile_corpus(fano, vamos):
+    sums = sums_corpus()
+    return [m for *_, m in family_corpus(9)] + [fano, vamos] + sums + [flipped(m) for m in sums]
+
+
+def test_the_profile_cache_changes_no_class(fano, vamos):
+    """Cold and warm, sc gives the uncached fold of the component formulas,
+    and a sum's class does not depend on the order of its factors."""
+    orbit._profile_class.cache_clear()
+    for m in profile_corpus(fano, vamos):
+        expected = uncached_class(m)
+        if expected is None:
+            with pytest.raises(UnsupportedMatroid):
+                sc(m)
+            continue
+        assert sc(m).chow_class == expected == sc(m).chow_class, m
+    for m in sums_corpus():
+        assert sc(flipped(m)).chow_class == sc(m).chow_class, m
+
+
+def test_one_fold_per_distinct_profile_sequence(monkeypatch, fano):
+    """Instances with the same component profiles in ground-set order read
+    one class: the fold runs once per distinct sequence."""
+    orbit._profile_class.cache_clear()
+    folds = []
+    real_fold = orbit.sc_direct_sum
+    monkeypatch.setattr(orbit, "sc_direct_sum", lambda parts: folds.append(parts) or real_fold(parts))
+    loop, coloop = uniform(0, 1), uniform(1, 1)
+    corpus = [uniform(2, 5), relabelled(uniform(2, 5), 1), fano, relabelled(fano, 2),
+              relabelled(fano, 3), minimal(2, 5), minimal(2, 5), loop, coloop,
+              matroid_from_nonbases(4, 2, [{3, 4}]), minimal(2, 4),
+              direct_sum(uniform(2, 4), uniform(2, 5)), direct_sum(uniform(2, 5), uniform(2, 4)),
+              relabelled(direct_sum(uniform(2, 4), uniform(2, 5)), 4),
+              direct_sum(uniform(2, 4), loop), direct_sum(loop, uniform(2, 4)),
+              direct_sum(minimal(2, 4), coloop)]
+    sequences = set()
+    for m in corpus + corpus[::-1]:
+        sc(m)
+        sequences.add(tuple(map(profile, [f for _, f in matroids._factors(m)] or [m])))
+    assert len(folds) == len(sequences) == orbit._profile_class.cache_info().currsize == 11
+
+
+def test_a_cached_profile_still_checks_each_instance(monkeypatch, fano):
+    """A new instance of a cached sparse paving profile has its beta counted
+    from its own bases, and every instance is checked against beta on every
+    call, before the cache is read."""
+    sc(fano)
+    counted = []
+    real_count = matroids._activity_count
+    monkeypatch.setattr(matroids, "_activity_count", lambda m: counted.append(m) or real_count(m))
+    second = relabelled(fano, 5)
+    assert sc(second).chow_class is sc(fano).chow_class
+    assert len(counted) == 1 and counted[0] is second
+    monkeypatch.setattr(orbit, "beta", lambda m: 999)
+    for m in (fano, second, relabelled(fano, 6)):
+        with pytest.raises(BetaMismatch):
+            sc(m)
+    with pytest.raises(NotSparsePaving):
+        sc_sparse_paving(minimal(2, 5))
+
+
+def test_no_cached_class_is_changed_by_its_callers(fano, vamos, tmp_path, capsys):
+    """ChowClass.terms is a dict that every caller of a cached class shares:
+    the corpus and the CLI verbs run in process leave each class as built,
+    and a class printed before and after the verbs reads the same."""
+    orbit._profile_class.cache_clear()
+    corpus = profile_corpus(fano, vamos)
+    built = {}
+    for m in corpus:
+        try:
+            c = sc(m).chow_class
+        except UnsupportedMatroid:
+            continue
+        built[id(c)] = (c, c.ambient, dict(c.terms))
+    assert len(built) == orbit._profile_class.cache_info().currsize
+    uniform_classes = [(sc_uniform(r, n), dict(sc_uniform(r, n).terms))
+                       for n in range(2, 10) for r in range(1, n)]
+    sp = tmp_path / "sp.json"
+    sp.write_text(json.dumps(matroid_from_nonbases(6, 3, [{1, 2, 3}, {4, 5, 6}]).to_json_dict()))
+    classes = (["class", "--uniform", "2,5", "--uniform", "3,6"],
+               ["class", "--uniform", "3,6", "--uniform", "2,5", "--format", "json"],
+               ["class", "--minimal", "3,6", "--uniform", "2,4"],
+               ["class", "--matroid", str(sp), "--uniform", "1,3"])
+    verifies = (["verify", "--uniform", "2,4", "--uniform", "1,3"],
+                ["verify", "--matroid", str(sp)], ["verify", "--minimal", "3,6"])
+    printed = []
+    for argvs in (classes, verifies, classes):
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[2]
+    for m in corpus:
+        try:
+            sc(m)
+        except UnsupportedMatroid:
+            continue
+    for c, ambient, terms in built.values():
+        assert c.ambient == ambient and c.terms == terms
+    for c, terms in uniform_classes:
+        assert c.terms == terms
