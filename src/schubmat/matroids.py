@@ -7,10 +7,11 @@ connectivity), the beta invariant, paving classification, and direct sums.
 The uniform, minimal, panhandle and Schubert matroids are lattice path
 matroids (Bonin and de Mier, "Lattice path matroids: structural
 properties", Eur. J. Combin. 27, 2006): their bases are the r-sets
-b_1 < ... < b_r with p_i <= b_i <= q_i.  Each family gives its bounds to
-one enumeration, `_path_matroid`, which builds through `from_bases`, so
-every family passes the exchange check; `lattice_path_matroid` reads the
-bounds off two N/E step strings.
+b_1 < ... < b_r with p_i <= b_i <= q_i.  Each family but U(r, n) gives its
+bounds to one enumeration, `_path_matroid`, which builds through
+`from_bases`; `uniform` checks U(r, n)'s canonical instance (below) with
+`validate_exchange`; so every family passes the exchange check.
+`lattice_path_matroid` reads the bounds off two N/E step strings.
 
 Bases are stored as int bitmasks, element e being bit e - 1.  The checked
 constructor reads a basis list in C-level maps.  A dense list, with more
@@ -36,21 +37,23 @@ each projection is a matroid, so `validate_exchange`, which the checked
 constructor calls, checks the factors alone, and the sum's
 classification is read off theirs.  Each factor is recorded as connected,
 so it is never split again, and the sum's loops and coloops are its
-one-element factors.  A factor whose projections are every r_c-set of its
-part is U(r_c, |c|), and is taken as its canonical instance (below).
+one-element factors.
+
+U(r, n) is one shared, immutable object per (n, r) for the life of the
+process, `_uniform`, whose masks are the r-sets: `uniform`, `_from_masks`
+and a sum's uniform factor give that object, and the checked constructor,
+given every r-set, a new one holding its masks and cache.  So each fact
+derived from U(r, n) is derived once per (n, r).
+
 One exchange table per connected matroid maps each (r-1)-set S = B - x to
 F(S) = {e : S + e is a basis}, the complement of the hyperplane cl(S).  It
 is built in r updates per r-set of the smaller side: from the bases, or,
 when they outnumber the non-bases, from a copy of U(r, n)'s table less the
-non-bases, which are U(r, n)'s r-sets less the bases.  U(r, n) has one
-canonical instance per (n, r) for the life of the process (`_uniform`):
-its masks are the r-sets, its cache holds their index and every derived
-fact, its table included, and every other instance of U(r, n) shares its
-masks and cache.  So a near-uniform matroid such as a sparse paving one
-pays for its few non-bases and one copy of the table, not for its
-|B| * r basis exchanges or an enumeration of the r-sets, and U(r, n)
-itself is validated against facts derived once per (n, r).  Every
-consumer reads it:
+non-bases, which are U(r, n)'s r-sets less the bases.  So a near-uniform
+matroid such as a sparse paving one pays for its few non-bases and one
+copy of the table, not for its |B| * r basis exchanges or an enumeration
+of the r-sets.  Its distinct values, the F-sets, are derived once beside
+it (`_f_sets`).  Every consumer reads the one or the other:
 - validation (of a connected family, or of one that is not the product
   of its factors' bases): B1 = S + x has no exchange into B2 exactly when
   B2 lies in cl(S), and only a hyperplane of more than r elements can
@@ -66,22 +69,21 @@ consumer reads it:
   external activity 0).
 - flats: every flat is an intersection of hyperplanes, so
   `_binding_constraints` derives the polytope's binding flats from the
-  table's hyperplanes of at least r elements, each flat ranked by
+  hyperplanes of at least r elements, each flat ranked by
   `_rank`; the volume oracle reads the flats, not the table, so no other
   module knows the table's format.
 Circuits are the fundamental circuits of the bases, from the one routine
 `_fundamental_circuits` that the split of a sum reads too, and the rank of
 a set is its largest meet with a basis (`_rank`, which `is_independent`
 reads), so no table over the subsets of the ground set is built.  Derived
-facts (the `bases` view, the factors of a sum, the exchange table, the
-classification, beta, and the polytope's binding flats and coordinate
-order) are computed once per instance, and once per (n, r) for U(r, n),
-by functions decorated with `_memo`, the one owner of the per-instance
-cache; the other writes are `_factors` recording each factor's own, empty,
-factors, and `_uniform` storing the r-set index.  Every layer
-reads a sum through its factors, so the library builds no exchange table,
-flats or coordinate order of a sum's own: those exist for connected
-matroids.
+facts (the `bases` view, the factors of a sum, the exchange table and its
+F-sets, the classification, beta, and the polytope's binding flats and
+coordinate order) are computed once per instance by functions decorated
+with `_memo`, the one owner of the per-instance cache; the other writes
+are `_factors` recording each factor's own, empty, factors, and `_uniform`
+storing the r-set index.  Every layer reads a sum through its factors, so
+the library builds no exchange table, flats or coordinate order of a sum's
+own: those exist for connected matroids.
 """
 
 import re
@@ -137,16 +139,16 @@ class Matroid:
     `Matroid._from_masks(n, r, masks)` trusts its bitmasks and checks
     nothing; it builds what is derived from a valid matroid (`dual`,
     `minor`, `direct_sum`), and tests use it for deliberate non-matroids.
+    Either, given U(r, n)'s r-sets, shares its canonical instance's masks
+    and cache (see the module docstring).
 
     `bases` is a read-only view (a frozenset of sorted element tuples) of the
     bitmasks the library works on.  `_cache` holds what the `_memo`
-    functions derive from them, once per instance, and once per (n, r) for
-    U(r, n), whose instances share the canonical one's (`_uniform`): the
-    `bases` view itself,
-    the classification, beta, and the factors of a disconnected matroid;
-    for a connected matroid also the exchange table and the base polytope's
-    binding flats and counter plan (a sum is read through its factors,
-    which hold their own).
+    functions derive from them: the `bases` view itself, the
+    classification, beta, and the factors of a disconnected matroid; for a
+    connected matroid also the exchange table, its F-sets and the base
+    polytope's binding flats and counter plan (a sum is read through its
+    factors, which hold their own).
     """
 
     __slots__ = ("n", "r", "_masks", "_cache")
@@ -169,28 +171,20 @@ class Matroid:
             masks = _rescan(n, r, bases)
         if not masks:
             raise EmptyBases("a matroid needs at least one basis")
-        # every mask is a checked r-subset of [n], so C(n, r) of them are U(r, n)
-        self._init(n, r, masks, len(masks) == comb(n, r))
+        # the fields of the trusted instance of these masks; C(n, r) checked
+        # r-subsets of [n] are U(r, n)'s r-sets, with no mask comparison
+        trusted = _uniform(n, r) if len(masks) == comb(n, r) else Matroid._from_masks(n, r, masks)
+        self.n, self.r, self._masks, self._cache = n, r, trusted._masks, trusted._cache
         validate_exchange(self)
 
     @classmethod
     def _from_masks(cls, n: int, r: int, masks) -> "Matroid":
-        m = cls.__new__(cls)
         masks = frozenset(masks)
-        m._init(n, r, masks, len(masks) == comb(n, r) > 0 and masks == _uniform(n, r)._masks)
+        if len(masks) == comb(n, r) > 0 and masks == _uniform(n, r)._masks:
+            return _uniform(n, r)
+        m = cls.__new__(cls)
+        m.n, m.r, m._masks, m._cache = n, r, masks, {}
         return m
-
-    def _init(self, n: int, r: int, masks, is_uniform: bool) -> None:
-        """Set the fields; an instance of U(r, n) (`is_uniform`) shares the
-        canonical instance's masks and cache, so its derived facts are
-        computed once per (n, r)."""
-        self.n = n
-        self.r = r
-        if is_uniform:
-            canonical = _uniform(n, r)
-            self._masks, self._cache = canonical._masks, canonical._cache
-        else:
-            self._masks, self._cache = frozenset(masks), {}
 
     @property
     def bases(self) -> frozenset:
@@ -240,9 +234,8 @@ class Matroid:
 
 
 def _memo(fn):
-    """fn(m), computed once per matroid instance, and once per (n, r) for
-    U(r, n), whose instances share one cache, and kept in `m._cache` under
-    fn's name; the memoized functions never return None."""
+    """fn(m), computed once per cache, and kept in `m._cache` under fn's
+    name; the memoized functions never return None."""
     name = fn.__name__
 
     @wraps(fn)
@@ -271,19 +264,16 @@ _RSET_INDEX = "_rset_index"  # the key of U(r, n)'s index in its cache; no `_mem
 
 @lru_cache(maxsize=None)
 def _uniform(n: int, r: int) -> Matroid:
-    """The canonical U(r, n), for 0 <= r <= n: built once per (n, r) for the
-    life of the process.  Every instance of U(r, n) shares its masks and
-    its `_cache`, so U(r, n)'s exchange table, factors, classification,
-    beta, binding flats and counter plan are derived once per (n, r); they
-    are only read, and `_exchange_table` copies the table before it
-    changes it.  The cache also keeps the index {sorted r-tuple: mask} of
-    the r-sets, which the checked constructor reads a dense basis list
-    through."""
+    """The canonical U(r, n), for 0 <= r <= n: the one place its masks, the
+    r-sets, are built, once per (n, r) for the life of the process.  What
+    is derived from it is only read; `_exchange_table` copies its table
+    before it changes it.  The cache also keeps the index {sorted r-tuple:
+    mask} of the r-sets, which the checked constructor reads a dense basis
+    list through."""
     masks = map(sum, combinations(_bits((1 << n) - 1), r))
     index = dict(zip(combinations(range(1, n + 1), r), masks))
     u = Matroid.__new__(Matroid)
-    u._init(n, r, index.values(), False)
-    u._cache[_RSET_INDEX] = index
+    u.n, u.r, u._masks, u._cache = n, r, frozenset(index.values()), {_RSET_INDEX: index}
     return u
 
 
@@ -297,8 +287,7 @@ def _exchange_table(m: Matroid) -> dict[int, int]:
     outnumber the non-bases (or r = 0), it starts empty and each basis S + x
     puts x into F(S).  Otherwise it starts as a copy of the table of
     U(r, n)'s canonical instance (`_uniform`), F(S) = E - S for every
-    (r-1)-set S, built once per (n, r) and shared by every instance of
-    U(r, n), and each non-basis S + x, one of the canonical instance's
+    (r-1)-set S, and each non-basis S + x, one of the canonical instance's
     masks that is not a basis, takes x out of F(S); the S left with an
     empty F(S) lie in no basis, and are dropped, so the keys are the
     independent (r-1)-sets on either side.  A sparse paving matroid empties
@@ -307,7 +296,7 @@ def _exchange_table(m: Matroid) -> dict[int, int]:
     n, r, masks = m.n, m.r, m._masks
     if r and 2 * len(masks) > comb(n, r):
         u = _uniform(n, r)
-        if m._cache is u._cache:  # U(r, n) itself
+        if m._masks is u._masks:  # U(r, n) itself
             ground = m._ground()
             return {s: ground ^ s for s in map(sum, combinations(_bits(ground), r - 1))}
         table, flips = _exchange_table(u).copy(), u._masks - masks
@@ -328,6 +317,13 @@ def _exchange_table(m: Matroid) -> dict[int, int]:
 
 
 @_memo
+def _f_sets(m: Matroid) -> frozenset[int]:
+    """The distinct F-sets of the exchange table: the complements of the
+    hyperplanes of a connected m."""
+    return frozenset(_exchange_table(m).values())
+
+
+@_memo
 def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
     """(A, rank(A)) for the flats A (as masks, ascending) of a connected m
     with 2 <= |A| and rank(A) < min(|A|, r): every constraint the base
@@ -341,14 +337,13 @@ def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
     is dependent, so it has at least r elements: the kept flats are among
     {E} closed under intersection with the hyperplanes of at least r
     elements, and the smaller hyperplanes are never intersected.  Computed
-    once per matroid instance, and once per (n, r) for U(r, n): every
-    dilate shares them.
+    once per matroid: every dilate shares them.
     """
     ground = m._ground()
     flats = {ground}
-    for hyperplane in {ground ^ fs for fs in _exchange_table(m).values()}:
-        if hyperplane.bit_count() >= m.r:
-            flats |= {a & hyperplane for a in flats}
+    for fs in _f_sets(m):  # the hyperplane E - F
+        if m.n - fs.bit_count() >= m.r:
+            flats |= {a & ~fs for a in flats}
     ranked = ((a, _rank(m, a)) for a in sorted(flats) if a.bit_count() >= 2)
     return [(a, rk) for a, rk in ranked if rk < min(a.bit_count(), m.r)]
 
@@ -384,15 +379,13 @@ def validate_exchange(m: Matroid) -> None:
         except ExchangeAxiomViolated:
             pass
     n, r, bases = m.n, m.r, m._masks
-    table = _exchange_table(m)
-    f_sets = set(table.values())
+    f_sets = _f_sets(m)
     if min(map(int.bit_count, f_sets), default=n) >= n - r or not any(
             n - fs.bit_count() > r and any(not b & fs for b in bases) for fs in f_sets):
         return
     least = {fs: min((b for b in bases if not b & fs), default=None) for fs in f_sets}
-    b1, b2, x = min(
-        (s | x, least[fs], x) for s, fs in table.items() if least[fs] is not None for x in _bits(fs)
-    )
+    b1, b2, x = min((s | x, least[fs], x) for s, fs in _exchange_table(m).items()
+                    if least[fs] is not None for x in _bits(fs))
     raise ExchangeAxiomViolated(frozenset(_elements(b1)), frozenset(_elements(b2)), x.bit_length())
 
 
@@ -501,9 +494,13 @@ def schubert_matroid(n: int, indices) -> Matroid:
 
 
 def uniform(r: int, n: int) -> Matroid:
-    """U_{r,n} = SM_{ {n-r+1, ..., n} }, for 0 <= r <= n."""
+    """U_{r,n} = SM_{ {n-r+1, ..., n} }, for 0 <= r <= n: the shared,
+    immutable canonical instance (`_uniform`), checked by
+    `validate_exchange` like every family."""
     require_dimensions(r, n)
-    return _path_matroid(n, [*range(1, r + 1)], [*range(n - r + 1, n + 1)])
+    u = _uniform(n, r)
+    validate_exchange(u)
+    return u
 
 
 def minimal(r: int, n: int) -> Matroid:
@@ -727,7 +724,11 @@ def _factors(m: Matroid) -> tuple:
     A projection of C(|c|, r_c) masks of r_c bits each is every r_c-set of
     the part c, so that factor is U(r_c, |c|)'s canonical instance
     (`_uniform`), taken as it is: it needs no relabelling and no mask
-    comparison.  Any other factor is a new instance of its own.
+    comparison.  Any other factor is a new instance of its own.  Recording
+    () on the shared U(r_c, |c|) is right, and writes the value it may
+    already hold: every part of `_split` is one element, or holds an
+    element of b0 and one outside it, so 0 < r_c < |c| or |c| = 1, and
+    U(r_c, |c|) is connected.
     """
     parts = _split(m)
     if len(parts) < 2:
@@ -742,15 +743,13 @@ def _factors(m: Matroid) -> tuple:
         else:
             factors.append((c, Matroid._from_masks(n, r, _relabel(projection, c))))
     for _, f in factors:  # a component is connected: it is not split again
-        if "_factors" not in f._cache:  # a shared U(r, n) cache may hold it
-            f._cache["_factors"] = ()
+        f._cache["_factors"] = ()
     return tuple(factors)
 
 
 @_memo
 def classify(m: Matroid) -> Classification:
-    """Components, paving and family flags; computed once per matroid
-    instance, and once per (n, r) for U(r, n).
+    """Components, paving and family flags; computed once per matroid.
 
     A connected matroid is read off its exchange table.  Paving: every
     (r-1)-set is independent, that is, a key of the table.  Dual paving:
@@ -772,10 +771,9 @@ def classify(m: Matroid) -> Classification:
         dual_paving = all(  # read only when every factor is paving
             f.n - f.r + c.is_uniform - (not c.is_sparse_paving) >= n - r for f, c in flags if f.r)
     else:
-        table = _exchange_table(m)
         components = (_elements(m._ground()),) if n else ()
-        is_paving = r == 0 or len(table) == comb(n, r - 1)
-        dual_paving = min(map(int.bit_count, table.values()), default=n) >= n - r
+        is_paving = r == 0 or len(_exchange_table(m)) == comb(n, r - 1)
+        dual_paving = min(map(int.bit_count, _f_sets(m)), default=n) >= n - r
     own = factors or [(m._ground(), m)]  # a connected m is its own one factor
     kappa = len(components)
     nonbasis_count = comb(n, r) - len(bases)
@@ -797,8 +795,8 @@ def beta(m: Matroid) -> int:
     """Crapo's beta invariant, the Tutte coefficient t_10: the number of
     bases with internal activity 1 and external activity 0.
 
-    Computed once per matroid instance, and once per (n, r) for U(r, n), by
-    `_activity_count`; it vanishes on a matroid with several components.
+    Computed once per matroid by `_activity_count`; it vanishes on a
+    matroid with several components.
     """
     return 0 if _factors(m) else _activity_count(m)
 

@@ -15,15 +15,16 @@ A connected component that no entry takes raises UnsupportedMatroid.  A
 direct sum folds its components' classes on the complement side, in the
 joint ambient (chow.sc_direct_sum).
 
-So a class depends only on its components' profiles in ground-set order.
-`_profile_class` builds the class of each distinct sequence once for the
-life of the process: it folds the formulas' classes and checks that the
-class is homogeneous, every term of size r(n-r) - (n - kappa).  The checks
-that read the matroid run on every call, before that cache is read: a
-sparse paving component is connected (NotConnected) and sparse paving
-(NotSparsePaving), and C(n-2, r-1) - k equals its beta from the activity
-count (BetaMismatch).  A cached class is shared by every caller, who only
-reads it.
+So a class depends only on its components' profiles, in any order: the
+fold gives one class for every order of the parts.  `_profile_class`
+builds the class of each distinct multiset of profiles once for the life
+of the process, keyed by the profiles sorted: it folds the formulas'
+classes and checks that the class is homogeneous, every term of size
+r(n-r) - (n - kappa).  The checks that read the matroid run on every
+call, before that cache is read: a sparse paving component is connected
+(NotConnected) and sparse paving (NotSparsePaving), and C(n-2, r-1) - k
+equals its beta from the activity count (BetaMismatch).  A cached class
+is shared by every caller, who only reads it.
 
 The engine does not import the volume oracle: verify_volume_relation, which
 checks its classes against the polytope volume, lives in polytope.
@@ -32,6 +33,7 @@ checks its classes against the polytope volume, lives in polytope.
 from collections import namedtuple
 from functools import lru_cache
 from math import comb, prod
+from operator import itemgetter
 
 from .chow import Ambient, ChowClass, sc_direct_sum, sigma
 from .errors import (
@@ -167,9 +169,10 @@ def _component_profile(comp: Matroid) -> tuple[tuple, str]:
 @lru_cache(maxsize=None)
 def _profile_class(profiles: tuple) -> ChowClass:
     """The class of the sum of components with these (formula, profile)
-    pairs, in ground-set order: their formulas' classes folded left to
-    right, checked homogeneous.  Built once per sequence for the life of
-    the process; the class is shared and only read."""
+    pairs, sorted by profile (each formula's profiles have a length of
+    their own, so the order is canonical): their formulas' classes folded
+    left to right, checked homogeneous.  Built once per multiset for the
+    life of the process; the class is shared and only read."""
     parts = [formula(*profile) for formula, profile in profiles]
     r = sum(part.ambient.r for part in parts)
     n = sum(part.ambient.n for part in parts)
@@ -191,7 +194,7 @@ def sc(m: Matroid) -> ScResult:
     profiles, methods = zip(*map(_component_profile, comps))
     return ScResult(
         matroid_summary=summary,
-        chow_class=_profile_class(profiles),
+        chow_class=_profile_class(tuple(sorted(profiles, key=itemgetter(1)))),
         methods=methods,
         k_used=summary.nonbasis_count if methods == (METHOD_SPARSE_PAVING,) else None,
         beta_value=beta(m),

@@ -27,7 +27,9 @@ its flats to reach its bound is raised to a common floor.  Every bound it
 reads (the target, the suffix ranks, the flat bounds and the floors) is
 linear in t, so one plan (`_plan`), derived at t = 1 after the desk-scale
 check, once per connected matroid, serves every dilate scaled by t; a sum
-derives none of its own.
+derives none of its own.  The counter nests one call per coordinate, so a
+factor too large for the interpreter's recursion limit raises
+DeskScaleExceeded, as a ground set above the desk-scale limit does.
 
 The Ehrhart polynomial comes from the counts at t = 0..dim + 1 through
 their forward differences at 0: the last must be 0 for the fit, and the
@@ -104,8 +106,7 @@ def _plan(m: Matroid) -> tuple[list[int], list[list[tuple]], list[list[tuple]]]:
     the rank of the coordinates from position i on, for i = 0..n; and for
     i = 0..n-1, steps[i], one (k, held, floor) per partial sum carried past
     i, and bounds[i], one (k, rank) per flat holding i with positions
-    before it, k indexing the partial sums at i.  Computed once per matroid
-    instance, and once per (n, r) for U(r, n).
+    before it, k indexing the partial sums at i.  Computed once per matroid.
 
     No prefix rank caps y[i]: the closure F of the first i + 1 coordinates
     is either a binding flat, whose cap here reads t*rank(F) less a partial
@@ -192,7 +193,10 @@ def _count(m: Matroid, t: int) -> int:
             )
         return result
 
-    return count_from(0, 0, ())
+    try:
+        return count_from(0, 0, ())
+    except RecursionError:  # one nested call per coordinate
+        raise DeskScaleExceeded(f"n={n} is past the interpreter's recursion limit") from None
 
 
 def _interpolate(diffs: list[int]) -> tuple:

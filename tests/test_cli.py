@@ -77,6 +77,12 @@ def test_verify_desk_scale_exit_1(capsys):
     assert code == 1 and err.splitlines()[0] == "DeskScaleExceeded"
 
 
+def test_volume_past_the_recursion_limit_exit_1(capsys):
+    code, out, err = run(capsys, "volume", "--uniform", "1,1001", "--limit-n", "1001")
+    assert code == 1 and out == "" and err.splitlines()[0] == "DeskScaleExceeded"
+    assert "Traceback" not in err
+
+
 def test_info_and_circuits(capsys):
     code, out, _ = run(capsys, "info", "--panhandle", "2,3,5", "--format", "json")
     assert code == 0

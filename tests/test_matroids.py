@@ -721,31 +721,36 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
     assert components == [m] and len(full_beta) == 1
     again = uniform(2, 5)
     verify_volume_relation(again)
-    assert again._cache is m._cache and components == [m] and len(full_beta) == 1
-    # every new cache records the name of each value stored; an instance of
-    # U(r, n) keeps the one its canonical instance got
+    assert again is m and components == [m] and len(full_beta) == 1
+    # every cache given to a matroid, by any route, records each (name,
+    # value) stored; an instance of U(r, n) keeps the one its canonical
+    # instance got
     caches = []
 
     class RecordingCache(dict):
         def __setitem__(self, name, value):
-            self.stored.append(name)
+            self.stored.append((name, value))
             super().__setitem__(name, value)
 
-    real_init = Matroid._init
+    slot = Matroid.__dict__["_cache"]
 
-    def recording_init(self, n, r, masks, is_uniform):
-        real_init(self, n, r, masks, is_uniform)
-        if type(self._cache) is dict:
-            self._cache = RecordingCache()
-            self._cache.stored = []
-            caches.append(self._cache)
+    class RecordingSlot:
+        def __get__(self, mat, owner=None):
+            return self if mat is None else slot.__get__(mat, owner)
 
-    monkeypatch.setattr(Matroid, "_init", recording_init)
-    memoized = {"_exchange_table", "classify", "beta",
+        def __set__(self, mat, cache):
+            if type(cache) is dict:
+                cache = RecordingCache(cache)
+                cache.stored = []
+                caches.append(cache)
+            slot.__set__(mat, cache)
+
+    monkeypatch.setattr(Matroid, "_cache", RecordingSlot())
+    memoized = {"_exchange_table", "_f_sets", "classify", "beta",
                 "_binding_constraints", "_plan", "_factors"}
     # beta of a disconnected matroid is 0 from its factors, and the sum
-    # reads its factors' tables, with no exchange table, flats or
-    # counter plan of its own; U(r, n)'s cache also keeps its r-set index
+    # reads its factors' tables, with no exchange table, F-sets, flats or
+    # counter plan of its own; U(r, n)'s cache also holds its r-set index
     for build, expected in ((lambda: uniform(2, 5), memoized | {matroids._RSET_INDEX}),
                             (lambda: direct_sum(uniform(1, 2), minimal(2, 4)),
                              {"classify", "beta", "_factors"})):
@@ -754,10 +759,15 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
         m = build()
         verify_volume_relation(m)
         verify_volume_relation(build())
-        for cache in caches:  # no cache stores a value twice
-            assert len(cache.stored) == len(set(cache.stored))
-            assert set(cache.stored) <= memoized | {matroids._RSET_INDEX}
-        assert set(m._cache.stored) == expected
+        for cache in caches:
+            names = [name for name, _ in cache.stored]
+            assert set(names) <= memoized
+            # no value is stored twice but a factor's (), which `_factors`
+            # records on a factor that may already hold it
+            again = [(name, value) for i, (name, value) in enumerate(cache.stored)
+                     if name in names[:i]]
+            assert all(value == () and name == "_factors" for name, value in again)
+        assert set(m._cache) == expected
     # a checked sum is split before its own exchange table is built
     minors = []
     monkeypatch.setattr(matroids, "minor", lambda *args, **kw: minors.append(args))
@@ -820,6 +830,86 @@ def test_every_instance_of_a_uniform_matroid_shares_one_cache(monkeypatch):
         assert all(m._cache is u._cache and m._masks is u._masks for m in instances)
         assert {beta(m) for m in instances} == {comb(n - 2, r - 1)}
     assert counted == [(4, 2), (6, 3), (3, 1), (5, 2), (5, 3)]
+
+
+def test_every_route_to_a_uniform_matroid_holds_the_canonical_masks_and_cache():
+    """For every (n, r) with n <= 7, r = 0, r = n and n = 0 among them:
+    `uniform`, `dual` and `_from_masks` give U(r, n)'s canonical instance
+    itself; the checked constructor on every r-set (shuffled, list-typed,
+    with duplicates, or reversed) gives a new object holding its masks and
+    cache; and every factor of a relabelled sum of U(r, n) and U(1, 2)
+    holds the canonical masks and cache of its own (n, r): it is U(r, n)
+    itself when U(r, n) is connected, and otherwise one of its loops or
+    coloops."""
+    matroids._uniform.cache_clear()
+    rng = random.Random(32)
+    for n in range(8):
+        for r in range(n + 1):
+            u = uniform(r, n)
+            assert u is matroids._uniform(n, r)
+            every = list(combinations(range(1, n + 1), r))
+            checked = [from_bases(n, r, rng.sample(every, len(every))),
+                       from_bases(n, r, [list(b) for b in every]),
+                       from_bases(n, r, every + every[:2]),
+                       Matroid(n, r, reversed(every))]
+            for m in checked:
+                assert m is not u and m._masks is u._masks and m._cache is u._cache
+            assert dual(uniform(n - r, n)) is u
+            assert Matroid._from_masks(n, r, list(u._masks)) is u
+            perm = rng.sample(range(1, n + 3), n + 2)
+            summed = from_bases(n + 2, r + 1, [
+                tuple(sorted(perm[e - 1] for e in b)) for b in direct_sum(u, uniform(1, 2)).bases])
+            factors = [f for _, f in matroids._factors(summed)] or [summed]  # n = 0: U(1, 2)
+            for f in factors:
+                canonical = matroids._uniform(f.n, f.r)
+                assert f._masks is canonical._masks and f._cache is canonical._cache, (n, r)
+            assert any(f is u for f in factors) == (n == 1 or 0 < r < n), (n, r)
+
+
+def test_uniform_builds_no_basis_list(monkeypatch):
+    """`uniform` takes the canonical instance: it neither enumerates the
+    r-sets as a lattice path matroid nor parses them."""
+    called = []
+    for name in ("_path_matroid", "_parse"):
+        real = getattr(matroids, name)
+        monkeypatch.setattr(matroids, name,
+                            lambda *args, real=real, name=name: called.append(name) or real(*args))
+    matroids._uniform.cache_clear()
+    for n in range(9):
+        for r in range(n + 1):
+            assert uniform(r, n) is matroids._uniform(n, r)
+    assert called == []
+    minimal(2, 4)  # the spies sit on the path of every other family
+    assert called == ["_path_matroid", "_parse"]
+
+
+def test_the_f_sets_are_derived_once_per_uniform_matroid():
+    """`_f_sets`, the distinct F-sets that validation, classification and
+    the binding flats read, is computed once per (n, r) across `uniform`
+    and three checked builds of U(r, n), each validated and classified."""
+    writes = []
+
+    class Recording(dict):
+        def __setitem__(self, name, value):
+            writes.append(name)
+            super().__setitem__(name, value)
+
+    try:
+        for n, r in [(5, 2), (6, 3), (7, 4)]:
+            matroids._uniform.cache_clear()
+            canonical = matroids._uniform(n, r)
+            canonical._cache = Recording(canonical._cache)  # every later instance adopts it
+            del writes[:]
+            every = list(combinations(range(1, n + 1), r))
+            for m in (uniform(r, n), from_bases(n, r, every), from_bases(n, r, every[::-1]),
+                      from_bases(n, r, [list(b) for b in every])):
+                assert classify(m).is_sparse_paving and matroids._binding_constraints(m) == []
+            assert writes.count("_f_sets") == 1
+            assert matroids._f_sets(canonical) == {
+                matroids._subset_mask(n, set(range(1, n + 1)) - set(s))
+                for s in combinations(range(1, n + 1), r - 1)}
+    finally:  # no later test adopts a recording cache
+        matroids._uniform.cache_clear()
 
 
 @pytest.mark.parametrize("n, r", [(4, 2), (5, 2), (6, 3), (3, 1)])

@@ -193,6 +193,17 @@ def test_desk_scale_limit():
     assert lattice_points(uniform(1, 9), 1, limit=9) == 9
 
 
+def test_a_counter_deeper_than_the_recursion_limit_raises_a_named_error():
+    """The counter nests one call per coordinate of a connected factor, so
+    past the interpreter's recursion limit it raises DeskScaleExceeded, not
+    RecursionError; within the limit it counts."""
+    with pytest.raises(DeskScaleExceeded, match="recursion limit"):
+        lattice_points(uniform(1, 1001), 1, limit=1001)
+    with pytest.raises(DeskScaleExceeded, match="recursion limit"):
+        lattice_points(direct_sum(uniform(1, 1001), uniform(1, 2)), 1, limit=1003)
+    assert lattice_points(uniform(1, 300), 1, limit=300) == 300
+
+
 @pytest.mark.parametrize(
     "t, error",
     [(True, NotAnInteger), (2.0, NotAnInteger), ("1", NotAnInteger), (-1, InvalidDimensions)],
