@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from functools import partial, reduce
+from math import comb
 
 from .errors import SchubmatError, WrongShape, require_int, require_type
 
@@ -165,7 +166,7 @@ def _run_info(args, m):
 
     c = classify(m)
     # the Classification fields in order, with its tuples and sets as lists
-    info = {"n": m.n, "r": m.r, "bases": len(m._masks), **c._asdict(),
+    info = {"n": m.n, "r": m.r, "bases": comb(m.n, m.r) - c.nonbasis_count, **c._asdict(),
             "components": [list(part) for part in c.components],
             "loops": sorted(c.loops), "coloops": sorted(c.coloops)}
     text = "\n".join(f"{key}: {value}" for key, value in info.items())

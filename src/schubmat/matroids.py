@@ -15,14 +15,15 @@ bounds to one enumeration, `_path_matroid`, which builds through
 
 Bases are stored as int bitmasks, element e being bit e - 1.  The checked
 constructor reads a basis list in C-level maps.  A dense list, with more
-than half as many bases as r-sets, looks each basis up in U(r, n)'s index
-{sorted r-tuple: mask}.  Any other list, or a dense one with a basis the
-index misses, takes one bulk pass: each element is looked up in a table of
-the bits of [n] (of no more entries than elements given), and each run of
-r bits is summed into a mask.  An element outside the table fails the
-lookup (a KeyError, so no shift is taken of it) and a repeated element
-carries in the sum (a mask of fewer than r bits); either sends the list to
-a basis-by-basis rescan that raises the first fault.
+than half as many bases as r-sets, looks each basis up in the index
+{sorted r-tuple: mask} of the r-sets (`_rset_index`).  Any other list, or
+a dense one with a basis the index misses, takes one bulk pass: each
+element is looked up in a table of the bits of [n] (of no more entries
+than elements given), and each run of r bits is summed into a mask.  An
+element outside the table fails the lookup (a KeyError, so no shift is
+taken of it) and a repeated element carries in the sum (a mask of fewer
+than r bits); either sends the list to a basis-by-basis rescan that
+raises the first fault.
 
 A direct sum is split before any table of the whole sum is built: the
 fundamental graph of one basis b0, which joins x in b0 and y outside it
@@ -35,15 +36,17 @@ r(n - r) as well.  With several parts, a basis family is a matroid
 exactly when it is the product of its projections onto the parts and
 each projection is a matroid, so `validate_exchange`, which the checked
 constructor calls, checks the factors alone, and the sum's
-classification is read off theirs.  Each factor is recorded as connected,
-so it is never split again, and the sum's loops and coloops are its
-one-element factors.
+classification is read off theirs.  Each factor, a component, splits
+into one part, so it has no factors of its own, and the sum's loops and
+coloops are its one-element factors.
 
 U(r, n) is one shared, immutable object per (n, r) for the life of the
-process, `_uniform`, whose masks are the r-sets: `uniform`, `_from_masks`
-and a sum's uniform factor give that object, and the checked constructor,
-given every r-set, a new one holding its masks and cache.  So each fact
-derived from U(r, n) is derived once per (n, r).
+process, `_uniform`, whose masks are the values of the r-set index:
+`_from_masks` gives that object for U(r, n)'s masks, and so do `uniform`
+and a sum's uniform factor; the checked constructor, which builds through
+`_from_masks`, gives a new object holding its masks and cache.  So each
+fact derived from U(r, n), its exchange check included, is derived once
+per (n, r).
 
 One exchange table per connected matroid maps each (r-1)-set S = B - x to
 F(S) = {e : S + e is a basis}, the complement of the hyperplane cl(S).  It
@@ -76,12 +79,11 @@ Circuits are the fundamental circuits of the bases, from the one routine
 `_fundamental_circuits` that the split of a sum reads too, and the rank of
 a set is its largest meet with a basis (`_rank`, which `is_independent`
 reads), so no table over the subsets of the ground set is built.  Derived
-facts (the `bases` view, the factors of a sum, the exchange table and its
-F-sets, the classification, beta, and the polytope's binding flats and
-coordinate order) are computed once per instance by functions decorated
-with `_memo`, the one owner of the per-instance cache; the other writes
-are `_factors` recording each factor's own, empty, factors, and `_uniform`
-storing the r-set index.  Every layer reads a sum through its factors, so
+facts (the exchange check, the `bases` view, the factors of a sum, the
+exchange table and its F-sets, the classification, beta, and the
+polytope's binding flats and coordinate order) are computed once per cache
+by functions decorated with `_memo`, the only writer of the per-instance
+cache.  Every layer reads a sum through its factors, so
 the library builds no exchange table, flats or coordinate order of a sum's
 own: those exist for connected matroids.
 """
@@ -139,16 +141,17 @@ class Matroid:
     `Matroid._from_masks(n, r, masks)` trusts its bitmasks and checks
     nothing; it builds what is derived from a valid matroid (`dual`,
     `minor`, `direct_sum`), and tests use it for deliberate non-matroids.
-    Either, given U(r, n)'s r-sets, shares its canonical instance's masks
+    The checked constructor takes the fields of `_from_masks`' instance, so
+    either, given U(r, n)'s r-sets, shares its canonical instance's masks
     and cache (see the module docstring).
 
     `bases` is a read-only view (a frozenset of sorted element tuples) of the
     bitmasks the library works on.  `_cache` holds what the `_memo`
-    functions derive from them: the `bases` view itself, the
-    classification, beta, and the factors of a disconnected matroid; for a
-    connected matroid also the exchange table, its F-sets and the base
-    polytope's binding flats and counter plan (a sum is read through its
-    factors, which hold their own).
+    functions derive from them: the passed exchange check, the `bases` view
+    itself, the classification, beta, and the factors of a disconnected
+    matroid; for a connected matroid also the exchange table, its F-sets and
+    the base polytope's binding flats and counter plan (a sum is read
+    through its factors, which hold their own).
     """
 
     __slots__ = ("n", "r", "_masks", "_cache")
@@ -171,9 +174,8 @@ class Matroid:
             masks = _rescan(n, r, bases)
         if not masks:
             raise EmptyBases("a matroid needs at least one basis")
-        # the fields of the trusted instance of these masks; C(n, r) checked
-        # r-subsets of [n] are U(r, n)'s r-sets, with no mask comparison
-        trusted = _uniform(n, r) if len(masks) == comb(n, r) else Matroid._from_masks(n, r, masks)
+        # the fields of the trusted instance of these masks
+        trusted = Matroid._from_masks(n, r, masks)
         self.n, self.r, self._masks, self._cache = n, r, trusted._masks, trusted._cache
         validate_exchange(self)
 
@@ -235,7 +237,8 @@ class Matroid:
 
 def _memo(fn):
     """fn(m), computed once per cache, and kept in `m._cache` under fn's
-    name; the memoized functions never return None."""
+    name; a call that raises keeps nothing, and the memoized functions
+    never return None."""
     name = fn.__name__
 
     @wraps(fn)
@@ -259,21 +262,24 @@ def _element_bases(m: Matroid) -> frozenset:
     return frozenset(map(_elements, m._masks))
 
 
-_RSET_INDEX = "_rset_index"  # the key of U(r, n)'s index in its cache; no `_memo` name
+@lru_cache(maxsize=None)
+def _rset_index(n: int, r: int) -> dict[tuple[int, ...], int]:
+    """{sorted r-tuple: mask} of the r-subsets of [n]: the one place the
+    r-sets are built, once per (n, r) for the life of the process.  Its
+    values are U(r, n)'s masks, and the checked constructor reads a dense
+    basis list through it."""
+    masks = map(sum, combinations(_bits((1 << n) - 1), r))
+    return dict(zip(combinations(range(1, n + 1), r), masks))
 
 
 @lru_cache(maxsize=None)
 def _uniform(n: int, r: int) -> Matroid:
-    """The canonical U(r, n), for 0 <= r <= n: the one place its masks, the
-    r-sets, are built, once per (n, r) for the life of the process.  What
-    is derived from it is only read; `_exchange_table` copies its table
-    before it changes it.  The cache also keeps the index {sorted r-tuple:
-    mask} of the r-sets, which the checked constructor reads a dense basis
-    list through."""
-    masks = map(sum, combinations(_bits((1 << n) - 1), r))
-    index = dict(zip(combinations(range(1, n + 1), r), masks))
+    """The canonical U(r, n), for 0 <= r <= n, one per (n, r) for the life
+    of the process, its masks the values of `_rset_index(n, r)`.  What is
+    derived from it is only read; `_exchange_table` copies its table before
+    it changes it."""
     u = Matroid.__new__(Matroid)
-    u.n, u.r, u._masks, u._cache = n, r, frozenset(index.values()), {_RSET_INDEX: index}
+    u.n, u.r, u._masks, u._cache = n, r, frozenset(_rset_index(n, r).values()), {}
     return u
 
 
@@ -348,8 +354,12 @@ def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
     return [(a, rk) for a, rk in ranked if rk < min(a.bit_count(), m.r)]
 
 
-def validate_exchange(m: Matroid) -> None:
-    """Exhaustively check the basis-exchange axiom; raise with a witness on failure.
+@_memo
+def validate_exchange(m: Matroid) -> bool:
+    """Exhaustively check the basis-exchange axiom: True, kept once per
+    cache, or raise with a witness, which keeps nothing, so a failing
+    family raises again on every call.  Every instance of U(r, n), a sum's
+    uniform factor among them, shares one check.
 
     A family that `_factors` splits, and that is the product of its
     projections (their basis counts multiply to |B|), is a matroid exactly
@@ -373,16 +383,14 @@ def validate_exchange(m: Matroid) -> None:
     factors = _factors(m)
     if factors and prod(len(f._masks) for _, f in factors) == len(m._masks):
         try:
-            for _, f in factors:
-                validate_exchange(f)
-            return
+            return all(validate_exchange(f) for _, f in factors)
         except ExchangeAxiomViolated:
             pass
     n, r, bases = m.n, m.r, m._masks
     f_sets = _f_sets(m)
     if min(map(int.bit_count, f_sets), default=n) >= n - r or not any(
             n - fs.bit_count() > r and any(not b & fs for b in bases) for fs in f_sets):
-        return
+        return True
     least = {fs: min((b for b in bases if not b & fs), default=None) for fs in f_sets}
     b1, b2, x = min((s | x, least[fs], x) for s, fs in _exchange_table(m).items()
                     if least[fs] is not None for x in _bits(fs))
@@ -400,18 +408,18 @@ def _parse(n: int, r: int, bases: list[tuple]) -> set[int] | None:
     None when some tuple is not an r-subset of [n].
 
     A dense list (more than half as many bases as r-sets, the side on which
-    `_exchange_table` starts from U(r, n)) looks each tuple up in U(r, n)'s
-    index of sorted r-tuples.  A tuple the index misses (unsorted, or not
-    an r-subset of [n]) sends the list on to the bulk pass, which any other
-    list takes at once: each element is looked up in `bit`, and each run of
-    r bits summed (r = 0 takes the lengths: {0}, or none).  An element
-    outside [n] fails the lookup, and a repeated one gives a sum of fewer
-    than r bits.  `bit` has no more entries than elements were given, so a
+    `_exchange_table` starts from U(r, n)) looks each tuple up in the index
+    of sorted r-tuples, `_rset_index`.  A tuple the index misses (unsorted,
+    or not an r-subset of [n]) sends the list on to the bulk pass, which any
+    other list takes at once: each element is looked up in `bit`, and each
+    run of r bits summed (r = 0 takes the lengths: {0}, or none).  An
+    element outside [n] fails the lookup, and a repeated one gives a sum of
+    fewer than r bits.  `bit` has no more entries than elements were given, so a
     huge n costs no table: an element above that count also fails.
     """
     if r and 2 * len(bases) > comb(n, r):
         try:
-            return set(map(_uniform(n, r)._cache[_RSET_INDEX].__getitem__, bases))
+            return set(map(_rset_index(n, r).__getitem__, bases))
         except KeyError:
             pass
     bit = {e: 1 << (e - 1) for e in range(1, min(n, r * len(bases)) + 1)}
@@ -496,7 +504,7 @@ def schubert_matroid(n: int, indices) -> Matroid:
 def uniform(r: int, n: int) -> Matroid:
     """U_{r,n} = SM_{ {n-r+1, ..., n} }, for 0 <= r <= n: the shared,
     immutable canonical instance (`_uniform`), checked by
-    `validate_exchange` like every family."""
+    `validate_exchange` like every family, once per (n, r)."""
     require_dimensions(r, n)
     u = _uniform(n, r)
     validate_exchange(u)
@@ -719,16 +727,12 @@ def _factors(m: Matroid) -> tuple:
     projections of the bases onto the part, relabelled to [|part|]; empty
     when there is at most one part, so that a connected matroid does not
     hold itself.  For a matroid these are its components, and m their sum;
-    each factor is so recorded as connected, with no factors of its own.
+    each factor, connected, derives its own () from one `_split`.
 
     A projection of C(|c|, r_c) masks of r_c bits each is every r_c-set of
     the part c, so that factor is U(r_c, |c|)'s canonical instance
     (`_uniform`), taken as it is: it needs no relabelling and no mask
-    comparison.  Any other factor is a new instance of its own.  Recording
-    () on the shared U(r_c, |c|) is right, and writes the value it may
-    already hold: every part of `_split` is one element, or holds an
-    element of b0 and one outside it, so 0 < r_c < |c| or |c| = 1, and
-    U(r_c, |c|) is connected.
+    comparison.  Any other factor is a new instance of its own.
     """
     parts = _split(m)
     if len(parts) < 2:
@@ -742,8 +746,6 @@ def _factors(m: Matroid) -> tuple:
             factors.append((c, _uniform(n, r)))
         else:
             factors.append((c, Matroid._from_masks(n, r, _relabel(projection, c))))
-    for _, f in factors:  # a component is connected: it is not split again
-        f._cache["_factors"] = ()
     return tuple(factors)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +218,48 @@ def test_module_entry_point_exit_status(argv, code, stream, last_line):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, (proc.stdout, proc.stderr)
     assert getattr(proc, stream).splitlines()[-1] == last_line
+
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+
+
+def workflow_step_script(name: str) -> list[str]:
+    """The lines of the `run: |` block of the workflow step called name,
+    with the block's indentation removed."""
+    lines = WORKFLOW.read_text().splitlines()
+    start = lines.index(f"      - name: {name}")
+    assert lines[start + 1].strip() == "run: |"
+    block = []
+    for line in lines[start + 2:]:
+        if line.strip() and not line.startswith(" " * 10):
+            break
+        block.append(line[10:])
+    return block
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="the CI step's script is a bash script")
+def test_the_installed_command_step_passes(tmp_path):
+    """The script of CI's `Installed schubmat command` step, run under
+    `bash -e` in a temporary directory with a `schubmat` shim first on PATH
+    (a script, since a shell function is not found by `timeout`) in place of
+    the installed command: `pip install .` and the `cd` into the runner's
+    temporary directory are left out."""
+    script = workflow_step_script("Installed schubmat command")
+    skipped = {"pip install .", 'cd "$RUNNER_TEMP"'}
+    assert skipped <= set(script)
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "schubmat"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m schubmat.cli "$@"\n')
+    shim.chmod(0o755)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PATH": os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    body = "\n".join(line for line in script if line not in skipped)
+    proc = subprocess.run(["bash", "-e", "-c", body], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, (proc.stdout[-2000:], proc.stderr[-2000:])
 
 
 @pytest.mark.parametrize(

@@ -39,15 +39,16 @@ def test_library_imports_only_the_standard_library():
 
 def test_matroid_cache_and_trusted_constructor_stay_in_the_matroid_module():
     """Only matroids.py reads or writes a matroid's `_cache` (through its
-    memo decorator), builds a matroid unchecked with `_from_masks`, or
-    reads the exchange table or U(r, n)'s shared one, whose format so has
-    one owner."""
+    memo decorator) or its `_masks`, builds a matroid unchecked with
+    `_from_masks`, or reads the exchange table, U(r, n)'s shared instance
+    or the r-set index, whose formats so have one owner."""
     outside = {
         f"{path.name}: {name}"
         for path in SOURCES
         if path.name != "matroids.py"
         for name in re.findall(
-            r"\b(_cache|_from_masks|_exchange_table|_uniform)\b", path.read_text())
+            r"\b(_cache|_masks|_from_masks|_exchange_table|_uniform|_rset_index)\b",
+            path.read_text())
     }
     assert not outside, sorted(outside)
 

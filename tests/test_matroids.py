@@ -1,12 +1,14 @@
 """Matroid construction, structure queries, beta invariant, classification."""
 
+import ast
 import json
 import random
 import re
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, prod
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -613,8 +615,8 @@ def test_the_shared_uniform_table_is_never_changed():
     of one (n, r), built in either order from a cleared cache, each get the
     oracle's table, and only U(r, n) itself holds the shared one; after
     validation (with a witness), classification, beta, the binding flats
-    and the Ehrhart counts have read them, the shared r-sets, index and
-    table are still U(r, n)'s."""
+    and the Ehrhart counts have read them, the shared r-sets, the r-set
+    index (`_rset_index`, built once) and the table are still U(r, n)'s."""
     for n, r, s in [(6, 3, 4), (7, 4, 5), (8, 3, 5)]:
         ground = (1 << n) - 1
         index = {b: matroids._subset_mask(n, b) for b in combinations(range(1, n + 1), r)}
@@ -630,6 +632,7 @@ def test_the_shared_uniform_table_is_never_changed():
         assert not classify(pan).is_paving
         for order in (families, families[::-1]):
             matroids._uniform.cache_clear()
+            matroids._rset_index.cache_clear()
             for bases in order:
                 assert_table_matches_oracle(n, r, bases)
                 m = Matroid._from_masks(n, r, [matroids._subset_mask(n, b) for b in bases])
@@ -649,9 +652,10 @@ def test_the_shared_uniform_table_is_never_changed():
                 assert matroids._binding_constraints(m) == matroids._binding_constraints(checked)
                 assert ehrhart_report(m) == ehrhart_report(checked)
             assert matroids._uniform.cache_info().misses == 1
+            assert matroids._rset_index.cache_info().misses == 1
             shared = matroids._uniform(n, r)
             assert shared._masks == frozenset(index.values())
-            assert shared._cache[matroids._RSET_INDEX] == index
+            assert matroids._rset_index(n, r) == index
             assert matroids._exchange_table(shared) == uniform_table
 
 
@@ -746,12 +750,13 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
             slot.__set__(mat, cache)
 
     monkeypatch.setattr(Matroid, "_cache", RecordingSlot())
-    memoized = {"_exchange_table", "_f_sets", "classify", "beta",
+    memoized = {"validate_exchange", "_exchange_table", "_f_sets", "classify", "beta",
                 "_binding_constraints", "_plan", "_factors"}
     # beta of a disconnected matroid is 0 from its factors, and the sum
     # reads its factors' tables, with no exchange table, F-sets, flats or
-    # counter plan of its own; U(r, n)'s cache also holds its r-set index
-    for build, expected in ((lambda: uniform(2, 5), memoized | {matroids._RSET_INDEX}),
+    # counter plan of its own; the trusted sum is not checked, and U(r, n)'s
+    # cache holds nothing but memoized facts
+    for build, expected in ((lambda: uniform(2, 5), memoized),
                             (lambda: direct_sum(uniform(1, 2), minimal(2, 4)),
                              {"classify", "beta", "_factors"})):
         matroids._uniform.cache_clear()
@@ -762,11 +767,7 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
         for cache in caches:
             names = [name for name, _ in cache.stored]
             assert set(names) <= memoized
-            # no value is stored twice but a factor's (), which `_factors`
-            # records on a factor that may already hold it
-            again = [(name, value) for i, (name, value) in enumerate(cache.stored)
-                     if name in names[:i]]
-            assert all(value == () and name == "_factors" for name, value in again)
+            assert len(names) == len(set(names))  # no value is stored twice
         assert set(m._cache) == expected
     # a checked sum is split before its own exchange table is built
     minors = []
@@ -976,8 +977,9 @@ def test_a_sums_uniform_factor_is_the_canonical_instance():
 
 def test_a_non_uniform_matroid_keeps_out_of_the_shared_cache():
     """A matroid of U(r, n)'s (n, r) that is not U(r, n) reads only the
-    r-set index (a dense checked build) and the exchange table (which it
-    copies) from the shared cache, and writes nothing to it."""
+    exchange table (which it copies) from the shared cache, and writes
+    nothing to it; a dense checked build reads the r-set index, which the
+    cache does not hold."""
     log = []
 
     class Recording(dict):
@@ -1003,7 +1005,9 @@ def test_a_non_uniform_matroid_keeps_out_of_the_shared_cache():
             matroids._exchange_table(u)
             facts = dict(u._cache)
             del log[:]
+            looked_up = matroids._rset_index.cache_info().hits
             sparse = matroid_from_nonbases(n, r, [range(1, r + 1), range(n - r + 1, n + 1)])
+            assert matroids._rset_index.cache_info().hits == looked_up + 1
             sparse_masks = Matroid._from_masks(n, r, sparse._masks)
             others = [sparse, sparse_masks, minimal(r, n), panhandle(r, n - 2, n)]
             for m in others:
@@ -1011,11 +1015,111 @@ def test_a_non_uniform_matroid_keeps_out_of_the_shared_cache():
                 classify(m), beta(m), m.bases, matroids._binding_constraints(m), ehrhart_report(m)
                 assert m._cache is not u._cache
             assert beta(sparse) == comb(n - 2, r - 1) - 2
-            assert set(log) == {("read", matroids._RSET_INDEX), ("read", "_exchange_table")}
+            assert set(log) == {("read", "_exchange_table")}
             assert u._cache.keys() == facts.keys()
             assert all(u._cache[k] is v for k, v in facts.items())
     finally:  # no later test adopts a recording cache
         matroids._uniform.cache_clear()
+
+
+def test_the_exchange_check_runs_once_per_uniform_cache(monkeypatch):
+    """`validate_exchange` is a memoized fact.  Its body, which reads
+    `_factors` first, runs once for U(r, n) across `uniform` called twice, a
+    checked shuffled list of every r-set and a checked relabelled sum with
+    U(r, n) as a factor, all of which share the canonical cache."""
+    checked = []
+    real_factors = matroids._factors
+
+    def spy(m):
+        checked.append(m)
+        return real_factors(m)
+
+    monkeypatch.setattr(matroids, "_factors", spy)
+    rng = random.Random(33)
+    for n, r in [(4, 2), (5, 2), (6, 3), (7, 4)]:
+        matroids._uniform.cache_clear()
+        canonical = matroids._uniform(n, r)
+        every = list(combinations(range(1, n + 1), r))
+        rng.shuffle(every)
+        whole = direct_sum(minimal(2, 4), canonical)
+        perm = rng.sample(range(1, whole.n + 1), whole.n)
+        relabelled = [tuple(perm[e - 1] for e in b) for b in whole.bases]
+        del checked[:]
+        built = [uniform(r, n), uniform(r, n), from_bases(n, r, every)]
+        summed = from_bases(whole.n, whole.r, relabelled)
+        assert built[0] is built[1] is canonical
+        assert all(m._cache is canonical._cache for m in built)
+        assert canonical in [f for _, f in real_factors(summed)]
+        assert [m for m in checked if m._cache is canonical._cache] == [canonical]
+        assert canonical._cache["validate_exchange"] is True
+
+
+@pytest.mark.parametrize("build, product", [
+    (lambda: Matroid._from_masks(6, 2, [3, 6, 9, 12, 34, 36]), False),
+    (lambda: Matroid._from_masks(5, 2, [3, 5, 6, 12, 17, 24]), False),
+    (lambda: Matroid._from_masks(4, 2, [3, 12]), False),
+    # the product of its factors, one failing beside U(1, 2): checked whole
+    (lambda: direct_sum(Matroid._from_masks(4, 2, [3, 5, 9, 10]), uniform(1, 2)), True),
+], ids=["two-triangles", "pentagon", "two-pairs", "sum-with-a-failing-factor"])
+def test_a_failing_family_raises_the_same_witness_every_time(build, product):
+    """A failed check keeps nothing: a second call, and a second checked
+    build of the same bases, raise the first one's witness."""
+    m = build()
+    factors = matroids._factors(m)
+    assert (bool(factors) and prod(len(f._masks) for _, f in factors) == len(m._masks)) == product
+    with pytest.raises(ExchangeAxiomViolated) as first:
+        validate_exchange(m)
+    assert "validate_exchange" not in m._cache
+    for _, f in factors:
+        assert f._cache.get("validate_exchange", True) is True
+    with pytest.raises(ExchangeAxiomViolated) as second:
+        validate_exchange(m)
+    assert str(second.value) == str(first.value)
+    bases = sorted(m.bases)
+    for _ in range(2):
+        with pytest.raises(ExchangeAxiomViolated) as again:
+            from_bases(m.n, m.r, bases)
+        assert str(again.value) == str(first.value)
+
+
+MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def cache_stores(tree):
+    """(enclosing module-level function or method, line) of every store
+    into a `_cache`: an item assigned or deleted, or a mutating method
+    called."""
+    tops = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    tops += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, ast.FunctionDef)]
+    for top in tops:
+        for node in ast.walk(top):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
+                for part in ast.walk(target):
+                    if (isinstance(part, ast.Subscript) and isinstance(part.value, ast.Attribute)
+                            and part.value.attr == "_cache"):
+                        yield top.name, node.lineno
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "_cache"):
+                yield top.name, node.lineno
+
+
+def test_only_memo_stores_into_a_matroid_cache():
+    """In matroids.py the one store into a `_cache` is `_memo`'s; the
+    constructors only set a new cache to {} or to a trusted instance's."""
+    tree = ast.parse(Path(matroids.__file__).read_text())
+    stores = list(cache_stores(tree))
+    assert [name for name, _ in stores] == ["_memo"]
+    # the scan sees a store by any of these routes
+    for line in ("m._cache[name] = 1", "m._cache['k'] += 1", "del m._cache['k']",
+                 "a = m._cache[k] = 1", "m._cache.update(k=1)", "m._cache.setdefault('k', 1)"):
+        assert [name for name, _ in cache_stores(ast.parse(f"def f(m):\n    {line}\n"))] == ["f"]
 
 
 @pytest.mark.parametrize(

@@ -281,9 +281,10 @@ def test_a_sum_is_counted_through_its_factors():
 
 def test_a_sum_reads_its_loops_and_coloops_off_its_factors():
     """classify's loops and coloops, read off the one-element factors, are
-    the ones the bases give; every factor is recorded as connected, as a
-    fresh copy of it splits into one part.  Loops are split off without a
-    merge, so a sum with thousands of them is split in r(n - r) steps."""
+    the ones the bases give; every factor, which `classify` has read, holds
+    no factors of its own, as a fresh copy of it splits into one part.
+    Loops are split off without a merge, so a sum with thousands of them is
+    split in r(n - r) steps."""
     more = [direct_sum(LOOP, LOOP), direct_sum(COLOOP, COLOOP), direct_sum(LOOP, COLOOP),
             reduce(direct_sum, [uniform(1, 3), COLOOP, COLOOP, LOOP]),
             direct_sum(minimal(3, 6), COLOOP), direct_sum(LOOP, uniform(2, 5)),
