@@ -55,15 +55,18 @@ when they outnumber the non-bases, from a copy of U(r, n)'s table less the
 non-bases, which are U(r, n)'s r-sets less the bases.  So a near-uniform
 matroid such as a sparse paving one pays for its few non-bases and one
 copy of the table, not for its |B| * r basis exchanges or an enumeration
-of the r-sets.  Its distinct values, the F-sets, are derived once beside
-it (`_f_sets`).  Every consumer reads the one or the other:
+of the r-sets.  Of its values, the hyperplanes E - F(S) of at least r
+elements, the dependent ones, are derived once beside it
+(`_dependent_hyperplanes`, the one place the values are picked by size):
+none for U(r, n), and the non-bases for a connected sparse paving matroid.
+Every consumer reads the one or the other:
 - validation (of a connected family, or of one that is not the product
   of its factors' bases): B1 = S + x has no exchange into B2 exactly when
-  B2 lies in cl(S), and only a hyperplane of more than r elements can
-  hold a basis;
+  B2 lies in cl(S), and only a dependent hyperplane of more than r
+  elements can hold a basis, so a family without one passes at once;
 - paving: every (r-1)-set is a key; dual paving: every hyperplane has at
-  most r elements, so every cocircuit at least n - r, which is also
-  validation's quick exit: one scan of the F-sets;
+  most r elements, so every cocircuit at least n - r: every dependent
+  hyperplane has exactly r;
 - beta: F(B - x) is the fundamental cocircuit of x in B, and x lies in
   the fundamental circuit of B + y exactly when y is in F(B - x).  With
   1 < ... < n, beta counts the bases B that hold 1 in which every other
@@ -72,20 +75,20 @@ it (`_f_sets`).  Every consumer reads the one or the other:
   external activity 0).
 - flats: every flat is an intersection of hyperplanes, so
   `_binding_constraints` derives the polytope's binding flats from the
-  hyperplanes of at least r elements, each flat ranked by
-  `_rank`; the volume oracle reads the flats, not the table, so no other
-  module knows the table's format.
+  dependent hyperplanes, each flat ranked by `_rank`; the volume oracle
+  reads the flats, not the table, so no other module knows the table's
+  format.
 Circuits are the fundamental circuits of the bases, from the one routine
 `_fundamental_circuits` that the split of a sum reads too, and the rank of
 a set is its largest meet with a basis (`_rank`, which `is_independent`
 reads), so no table over the subsets of the ground set is built.  Derived
 facts (the exchange check, the `bases` view, the factors of a sum, the
-exchange table and its F-sets, the classification, beta, and the
-polytope's binding flats and coordinate order) are computed once per cache
-by functions decorated with `_memo`, the only writer of the per-instance
-cache.  Every layer reads a sum through its factors, so
-the library builds no exchange table, flats or coordinate order of a sum's
-own: those exist for connected matroids.
+exchange table and its dependent hyperplanes, the classification, beta,
+and the polytope's binding flats and coordinate order) are computed once
+per cache by functions decorated with `_memo`, the only writer of the
+per-instance cache.  Every layer reads a sum through its factors, so the
+library builds no exchange table, flats or coordinate order of a sum's own:
+those exist for connected matroids.
 """
 
 import re
@@ -149,9 +152,9 @@ class Matroid:
     bitmasks the library works on.  `_cache` holds what the `_memo`
     functions derive from them: the passed exchange check, the `bases` view
     itself, the classification, beta, and the factors of a disconnected
-    matroid; for a connected matroid also the exchange table, its F-sets and
-    the base polytope's binding flats and counter plan (a sum is read
-    through its factors, which hold their own).
+    matroid; for a connected matroid also the exchange table, its dependent
+    hyperplanes and the base polytope's binding flats and counter plan (a
+    sum is read through its factors, which hold their own).
     """
 
     __slots__ = ("n", "r", "_masks", "_cache")
@@ -323,10 +326,14 @@ def _exchange_table(m: Matroid) -> dict[int, int]:
 
 
 @_memo
-def _f_sets(m: Matroid) -> frozenset[int]:
-    """The distinct F-sets of the exchange table: the complements of the
-    hyperplanes of a connected m."""
-    return frozenset(_exchange_table(m).values())
+def _dependent_hyperplanes(m: Matroid) -> frozenset[int]:
+    """The distinct hyperplanes E - F(S) of the exchange table with at least
+    r elements: the dependent ones, since a hyperplane has rank r - 1.  The
+    one place the table's values are picked by size; validation, dual
+    paving and the binding flats read these alone.  U(r, n) has none, and a
+    connected sparse paving matroid has exactly its non-bases."""
+    ground, most = m._ground(), m.n - m.r
+    return frozenset(ground ^ fs for fs in _exchange_table(m).values() if fs.bit_count() <= most)
 
 
 @_memo
@@ -336,20 +343,16 @@ def _binding_constraints(m: Matroid) -> list[tuple[int, int]]:
     polytope's lattice-point counter needs.
 
     A set that is not closed, some e outside it keeping the rank, gives way
-    to its closure, a tighter constraint.  The hyperplanes are the distinct
-    E - F(S) of the exchange table, and every flat is the intersection of
+    to its closure, a tighter constraint.  Every flat is the intersection of
     the hyperplanes that hold it (E the empty intersection).  A kept flat
     is dependent with rank < r, and a hyperplane that holds a dependent set
-    is dependent, so it has at least r elements: the kept flats are among
-    {E} closed under intersection with the hyperplanes of at least r
-    elements, and the smaller hyperplanes are never intersected.  Computed
+    is dependent: the kept flats are among {E} closed under intersection
+    with the dependent hyperplanes (`_dependent_hyperplanes`).  Computed
     once per matroid: every dilate shares them.
     """
-    ground = m._ground()
-    flats = {ground}
-    for fs in _f_sets(m):  # the hyperplane E - F
-        if m.n - fs.bit_count() >= m.r:
-            flats |= {a & ~fs for a in flats}
+    flats = {m._ground()}
+    for h in _dependent_hyperplanes(m):
+        flats |= {a & h for a in flats}
     ranked = ((a, _rank(m, a)) for a in sorted(flats) if a.bit_count() >= 2)
     return [(a, rk) for a, rk in ranked if rk < min(a.bit_count(), m.r)]
 
@@ -371,14 +374,14 @@ def validate_exchange(m: Matroid) -> bool:
     B1 = S + x exchanges against B2 exactly when some y of B2 makes S + y a
     basis, so it fails exactly when B2 lies inside cl(S) = E - F(S).  A
     hyperplane of at most r elements holds no basis: cl(S) = S + z has z
-    outside F(S).  So a dual-paving family, every F(S) of at least n - r
-    elements, passes on one scan of the F-sets, and otherwise only each
-    larger hyperplane needs one scan of the bases.
+    outside F(S).  So each dependent hyperplane (`_dependent_hyperplanes`)
+    of more than r elements needs one scan of the bases, and a dual-paving
+    family, which has none, passes at once.
 
     The witness is the least violation: the smallest B1 = S + x, then the
     smallest B2, then the smallest x, comparing sets as bitmasks.  It so
-    depends on the family alone, not on the order its bases came in; it is
-    searched for only once some violation is found.
+    depends on the family alone, not on the order its bases came in; the
+    least basis inside a hyperplane is sought only once one is found there.
     """
     factors = _factors(m)
     if factors and prod(len(f._masks) for _, f in factors) == len(m._masks):
@@ -386,14 +389,13 @@ def validate_exchange(m: Matroid) -> bool:
             return all(validate_exchange(f) for _, f in factors)
         except ExchangeAxiomViolated:
             pass
-    n, r, bases = m.n, m.r, m._masks
-    f_sets = _f_sets(m)
-    if min(map(int.bit_count, f_sets), default=n) >= n - r or not any(
-            n - fs.bit_count() > r and any(not b & fs for b in bases) for fs in f_sets):
+    r, bases, ground = m.r, m._masks, m._ground()
+    least = {h: min(b for b in bases if b | h == h) for h in _dependent_hyperplanes(m)
+             if h.bit_count() > r and any(b | h == h for b in bases)}
+    if not least:
         return True
-    least = {fs: min((b for b in bases if not b & fs), default=None) for fs in f_sets}
-    b1, b2, x = min((s | x, least[fs], x) for s, fs in _exchange_table(m).items()
-                    if least[fs] is not None for x in _bits(fs))
+    b1, b2, x = min((s | x, least[ground ^ fs], x) for s, fs in _exchange_table(m).items()
+                    if ground ^ fs in least for x in _bits(fs))
     raise ExchangeAxiomViolated(frozenset(_elements(b1)), frozenset(_elements(b2)), x.bit_length())
 
 
@@ -755,13 +757,14 @@ def classify(m: Matroid) -> Classification:
 
     A connected matroid is read off its exchange table.  Paving: every
     (r-1)-set is independent, that is, a key of the table.  Dual paving:
-    every hyperplane E - F(S) has at most r elements, so every cocircuit at
-    least n - r.  A sum is read off its factors: it is paving when every
-    circuit has at least r elements, and a factor's smallest circuit has
-    r_i + 1 elements if it is uniform, r_i if it is paving and fewer
-    otherwise (a coloop has none); cocircuits likewise, with n - r.  The
-    loops and coloops are the one-element factors of rank 0 and 1, so no
-    basis is read: a connected matroid on two or more elements has neither.
+    every hyperplane has at most r elements, so every cocircuit at least
+    n - r; that is, every dependent hyperplane has exactly r.  A sum is
+    read off its factors: it is paving when every circuit has at least r
+    elements, and a factor's smallest circuit has r_i + 1 elements if it is
+    uniform, r_i if it is paving and fewer otherwise (a coloop has none);
+    cocircuits likewise, with n - r.  The loops and coloops are the
+    one-element factors of rank 0 and 1, so no basis is read: a connected
+    matroid on two or more elements has neither.
     """
     n, r, bases = m.n, m.r, m._masks
     factors = _factors(m)
@@ -775,7 +778,7 @@ def classify(m: Matroid) -> Classification:
     else:
         components = (_elements(m._ground()),) if n else ()
         is_paving = r == 0 or len(_exchange_table(m)) == comb(n, r - 1)
-        dual_paving = min(map(int.bit_count, _f_sets(m)), default=n) >= n - r
+        dual_paving = all(h.bit_count() == r for h in _dependent_hyperplanes(m))
     own = factors or [(m._ground(), m)]  # a connected m is its own one factor
     kappa = len(components)
     nonbasis_count = comb(n, r) - len(bases)

@@ -607,6 +607,51 @@ def test_exchange_table_from_either_side_matches_the_oracle():
     assert 2 * len(pan.bases) > comb(8, 3) and not classify(pan).is_paving
 
 
+def test_the_dependent_hyperplanes_are_the_oracles(fano, non_pappus, vamos):
+    """For every connected family, valid or not, the dependent hyperplanes
+    are the oracle's hyperplanes of at least r elements: on
+    `family_corpus(8)`, Fano, Vamos, non-Pappus, the rank-3 paving matroid
+    on [6] with the 4-point line {1, 2, 3, 4}, families one basis away from
+    a corpus matroid, and seeded random families.  A connected sparse
+    paving matroid's are its non-bases, `nonbasis_count` of them, and
+    U(r, n)'s are none."""
+    rng = random.Random(34)
+    corpus = [m for _, _, _, m in family_corpus(8)] + [fano, non_pappus, vamos]
+    line = [b for b in combinations(range(1, 7), 3) if not set(b) <= {1, 2, 3, 4}]
+    families = [(m.n, m.r, sorted(m.bases)) for m in corpus] + [(6, 3, line)]
+    families += [(m.n, m.r, bases) for _, _, _, m in family_corpus(5)
+                 for bases in near_valid_families(m)]
+    for n, r in [(5, 2), (6, 3), (7, 3), (7, 4), (8, 3)]:
+        every = list(combinations(range(1, n + 1), r))
+        families += [(n, r, rng.sample(every, rng.randint(1, len(every)))) for _ in range(30)]
+        for _ in range(30):  # a stable set of the Johnson graph: a sparse paving matroid
+            nonbases = []
+            for s in rng.sample(every, rng.randint(1, 8)):
+                if all(len(set(s) & set(t)) < r - 1 for t in nonbases):
+                    nonbases.append(s)
+            families.append((n, r, [b for b in every if b not in nonbases]))
+    seen = set()
+    for n, r, bases in families:
+        m = Matroid._from_masks(n, r, [matroids._subset_mask(n, b) for b in bases])
+        if matroids._factors(m):
+            continue
+        assert {frozenset(matroids._elements(h)) for h in matroids._dependent_hyperplanes(m)} == {
+            h for h in oracle.hyperplanes(n, r, bases).values() if len(h) >= r}
+        valid = oracle.exchange_witness(bases) is None
+        seen.add(valid)
+        if valid and oracle.is_sparse_paving(n, r, bases):
+            nonbases = matroids._uniform(n, r)._masks - m._masks
+            assert matroids._dependent_hyperplanes(m) == nonbases
+            assert len(nonbases) == classify(m).nonbasis_count
+    assert seen == {False, True}
+    for n in range(9):
+        for r in range(n + 1):
+            assert matroids._dependent_hyperplanes(uniform(r, n)) == frozenset()
+    m = from_bases(6, 3, line)
+    assert matroids._dependent_hyperplanes(m) == {0b1111}
+    assert classify(m).is_paving and not classify(m).is_sparse_paving
+
+
 def test_the_shared_uniform_table_is_never_changed():
     """U(r, n)'s r-sets and table are built once per (n, r), in the cache of
     its canonical instance, and shared by every table built from the
@@ -750,12 +795,12 @@ def test_classification_and_beta_computed_once_per_instance(monkeypatch):
             slot.__set__(mat, cache)
 
     monkeypatch.setattr(Matroid, "_cache", RecordingSlot())
-    memoized = {"validate_exchange", "_exchange_table", "_f_sets", "classify", "beta",
-                "_binding_constraints", "_plan", "_factors"}
+    memoized = {"validate_exchange", "_exchange_table", "_dependent_hyperplanes", "classify",
+                "beta", "_binding_constraints", "_plan", "_factors"}
     # beta of a disconnected matroid is 0 from its factors, and the sum
-    # reads its factors' tables, with no exchange table, F-sets, flats or
-    # counter plan of its own; the trusted sum is not checked, and U(r, n)'s
-    # cache holds nothing but memoized facts
+    # reads its factors' tables, with no exchange table, dependent
+    # hyperplanes, flats or counter plan of its own; the trusted sum is not
+    # checked, and U(r, n)'s cache holds nothing but memoized facts
     for build, expected in ((lambda: uniform(2, 5), memoized),
                             (lambda: direct_sum(uniform(1, 2), minimal(2, 4)),
                              {"classify", "beta", "_factors"})):
@@ -884,10 +929,11 @@ def test_uniform_builds_no_basis_list(monkeypatch):
     assert called == ["_path_matroid", "_parse"]
 
 
-def test_the_f_sets_are_derived_once_per_uniform_matroid():
-    """`_f_sets`, the distinct F-sets that validation, classification and
-    the binding flats read, is computed once per (n, r) across `uniform`
-    and three checked builds of U(r, n), each validated and classified."""
+def test_the_dependent_hyperplanes_are_derived_once_per_uniform_matroid():
+    """`_dependent_hyperplanes`, the hyperplanes of at least r elements that
+    validation, classification and the binding flats read, is computed once
+    per (n, r) across `uniform` and three checked builds of U(r, n), each
+    validated and classified, and U(r, n) has none."""
     writes = []
 
     class Recording(dict):
@@ -905,10 +951,8 @@ def test_the_f_sets_are_derived_once_per_uniform_matroid():
             for m in (uniform(r, n), from_bases(n, r, every), from_bases(n, r, every[::-1]),
                       from_bases(n, r, [list(b) for b in every])):
                 assert classify(m).is_sparse_paving and matroids._binding_constraints(m) == []
-            assert writes.count("_f_sets") == 1
-            assert matroids._f_sets(canonical) == {
-                matroids._subset_mask(n, set(range(1, n + 1)) - set(s))
-                for s in combinations(range(1, n + 1), r - 1)}
+            assert writes.count("_dependent_hyperplanes") == 1
+            assert canonical._cache["_dependent_hyperplanes"] == frozenset()
     finally:  # no later test adopts a recording cache
         matroids._uniform.cache_clear()
 
