@@ -10,6 +10,12 @@ with every lam inside the r x (n-r) rectangle.  Cycles that would leave
 the rectangle are truncated away (the quotient-ring convention).  Every
 partition from outside the library goes through partitions.normalize.
 
+Every public function checks the types of its arguments on entry, before
+any cache is read: a class that is not a ChowClass, a direct sum's parts
+that are not a list of them, or a term map that is not a dict raises
+WrongShape.  fold, which sc_direct_sum runs on checked parts, checks
+nothing.
+
 LR terms are computed per pair of cycles (mu, nu): the LR tableaux of
 content nu on mu are generated directly, one horizontal strip per label
 under the lattice-word condition, so only the non-zero coefficients
@@ -27,7 +33,8 @@ process and holds the terms of both the caller's (mu, nu, rectangle) and
 the orientation searched, which a pair, the swapped pair and the conjugate
 pair in the transposed rectangle share (c^lam_{mu,nu} = c^lam_{nu,mu} =
 c^lam'_{mu',nu'}): a warm pair costs one lookup, and the folds of M and M*
-share searches.
+share searches.  A key's terms are kept as one immutable pair of tuples,
+(shapes, coefficients), which its readers zip, with no tuple per term.
 
 A direct sum folds on the complement side, as in the paper's direct-sum
 formula: the class of M1 + M2 has coefficient sum a_mu b_nu
@@ -43,13 +50,15 @@ minus lam, which the hook-length formula counts on the complement of lam.
 Complements, conjugates and tableau counts of library-built partitions
 come from the caches in partitions.  The count is keyed by the shape, so
 folds into different ambients share the counts of their common
-complements; complements are stored both ways, so the complement of a
-fold's output is already stored when its degree asks for it.
+complements.  Complements are stored per rectangle, and a function reads
+a rectangle's store once per call; they are stored both ways, so the
+complement of a fold's output is already stored when its degree asks for
+it.
 """
 
 import re
 from collections.abc import Iterable
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import (
     AmbientMismatch, DoesNotFit, EmptyMatroid, require_count, require_dimensions, require_int,
@@ -116,18 +125,20 @@ class ChowClass(_ReadOnly):
 
     terms maps partitions to non-zero int coefficients; the zero class
     has an empty term map (ChowClass(ambient)).  An ambient that is not an
-    Ambient raises WrongShape.  A partition part or a coefficient that is
-    not an int (a bool is not one) raises NotAnInteger: the kernel's caches
-    are keyed by partitions, and (1.0,) == (1,) would share an entry.  Keys
-    that normalize to one partition, such as (1,) and (1, 0), are summed,
-    as from_json_dict sums repeated terms, and a sum of 0 is dropped.  The
-    class is compared by value and, like its term map, is not hashable.
+    Ambient, or terms that are not a dict, raise WrongShape.  A partition
+    part or a coefficient that is not an int (a bool is not one) raises
+    NotAnInteger: the kernel's caches are keyed by partitions, and
+    (1.0,) == (1,) would share an entry.  Keys that normalize to one
+    partition, such as (1,) and (1, 0), are summed, as from_json_dict sums
+    repeated terms, and a sum of 0 is dropped.  The class is compared by
+    value and, like its term map, is not hashable.
     """
 
     __slots__ = ("ambient", "terms")
 
     def __init__(self, ambient: Ambient, terms: dict[Partition, int] | None = None):
         require_type(ambient, Ambient, "ambient")
+        require_type({} if terms is None else terms, dict, "terms")
         sums = {}
         for lam, c in (terms or {}).items():
             lam = normalize(lam)
@@ -236,7 +247,8 @@ def pieri(c: ChowClass, b: int) -> ChowClass:
     """Multiply by the one-row cycle sigma_(b); b is a non-negative int.
     Pieri's rule is the LR rule with a one-row content, so this is the LR
     product with sigma_(b), and a row that does not fit the rectangle (any
-    row when r = 0) gives the zero class."""
+    row when r = 0) gives the zero class.  c is a ChowClass."""
+    require_type(c, ChowClass, "a class")
     require_count(b, "Pieri degree")
     if b == 0:
         return c
@@ -248,9 +260,10 @@ def pieri(c: ChowClass, b: int) -> ChowClass:
 @lru_cache(maxsize=None)
 def _lr_terms(
     mu: Partition, nu: Partition, rect: tuple[int, int]
-) -> tuple[tuple[Partition, int], ...]:
-    """The pairs (lam, c^lam_{mu,nu}) with c > 0 and lam inside rect; mu
-    and nu fit in rect.  The one LR cache, for the life of the process.
+) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The pair of tuples (shapes, coefficients): each lam inside rect with
+    c^lam_{mu,nu} > 0, and its c at the same index; mu and nu fit in rect.
+    The one LR cache, for the life of the process.
 
     The key is (mu, nu, rect) as the caller gives it: product passes its
     ambient's rectangle, fold the pair of complements in a fixed order and
@@ -259,18 +272,17 @@ def _lr_terms(
     A cold key that is its own orientation (_search_orientation) runs the
     strip search; any other reads the terms of its orientation from this
     cache, so (nu, mu) and (mu', nu') in the transposed rectangle share the
-    search of (mu, nu), and the terms of a search run on the conjugates are
-    conjugated back, once per key.  The orientation of an orientation is
-    itself, so that recursion is one level deep.  The result is shared by
-    every caller, so it is an immutable tuple.
+    search of (mu, nu), and the shapes of a search run on the conjugates
+    are conjugated back, once per key; the coefficients tuple is shared.
+    The orientation of an orientation is itself, so that recursion is one
+    level deep.  The result is shared by every caller, so it is the pair of
+    immutable tuples, which callers read through zip.
     """
     outer, content, box, transposed = _search_orientation(mu, nu, rect)
     if (outer, content, box) == (mu, nu, rect):
         return _strip_search(mu, nu, rect)
     found = _lr_terms(outer, content, box)
-    if transposed:
-        return tuple((_conjugates[lam], c) for lam, c in found)
-    return found
+    return (tuple([_conjugates[lam] for lam in found[0]]), found[1]) if transposed else found
 
 
 def _search_orientation(mu: Partition, nu: Partition, rect: tuple[int, int]):
@@ -309,11 +321,12 @@ def _search_orientation(mu: Partition, nu: Partition, rect: tuple[int, int]):
 
 def _strip_search(
     mu: Partition, nu: Partition, rect: tuple[int, int]
-) -> tuple[tuple[Partition, int], ...]:
-    """The pairs (lam, c^lam_{mu,nu}) for the lam inside rect with c > 0;
-    mu fits in rect.  Not cached itself: _lr_terms keeps its result under
-    the orientation _search_orientation picks, and shares it, so it is an
-    immutable tuple.
+) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The pair of tuples (shapes, coefficients) of the lam inside rect
+    with c^lam_{mu,nu} > 0; mu fits in rect.  Not cached itself: _lr_terms
+    keeps its result under the orientation _search_orientation picks, and
+    shares it, so it is the pair of immutable tuples, taken from the dict
+    the search fills.
 
     Grows mu by the content nu, one horizontal strip per label, keeping the
     reverse reading word (rows top to bottom, each row right to left) a
@@ -331,10 +344,10 @@ def _strip_search(
     is finished in the frame that places its last cells: the last label
     records the tableau and any other starts the next label from there, so
     no call is made for a label with no cells left.  An empty content gives
-    ((mu, 1),).
+    ((mu,), (1,)).
     """
     if not nu:
-        return ((mu, 1),)
+        return (mu,), (1,)
     rows, cols = rect
     shape = list(padded(mu, rows))
     last, labels = rows - 1, len(nu)
@@ -382,30 +395,34 @@ def _strip_search(
 
     # label 1 has no lattice bound: give it one no count can reach
     fill(1, 0, nu[0], cols, 0, sum(nu), 0)
-    return tuple(terms.items())
+    return tuple(terms), tuple(terms.values())
 
 
 def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
     """The Littlewood-Richardson coefficient c^lam_{mu,nu}, read off the
-    terms of (mu, nu) in lam's bounding rectangle, which holds mu and nu
-    when lam contains both (else the coefficient is 0).  Each partition goes
-    through normalize before anything is cached."""
+    pair of tuples (shapes, coefficients) of (mu, nu) in lam's bounding
+    rectangle, which holds mu and nu when lam contains both (else the
+    coefficient is 0).  Each partition goes through normalize before
+    anything is cached."""
     mu, nu, lam = normalize(mu), normalize(nu), normalize(lam)
     if size(mu) + size(nu) != size(lam) or not (contains(lam, mu) and contains(lam, nu)):
         return 0
     rect = (len(lam), lam[0] if lam else 0)
-    return dict(_lr_terms(mu, nu, rect)).get(lam, 0)
+    return dict(zip(*_lr_terms(mu, nu, rect))).get(lam, 0)
 
 
 def product(a: ChowClass, b: ChowClass) -> ChowClass:
-    """Bilinear product via Littlewood-Richardson coefficients, truncated to the rectangle."""
+    """Bilinear product of the ChowClasses a and b via Littlewood-Richardson
+    coefficients, truncated to the rectangle."""
+    require_type(a, ChowClass, "a class")
+    require_type(b, ChowClass, "a class")
     if a.ambient != b.ambient:
         raise AmbientMismatch(f"{a.ambient} vs {b.ambient}")
     rect = a.ambient.rect
     terms: dict[Partition, int] = {}
     for mu, ca in a.terms.items():
         for nu, cb in b.terms.items():
-            for lam, c in _lr_terms(mu, nu, rect):
+            for lam, c in zip(*_lr_terms(mu, nu, rect)):
                 terms[lam] = terms.get(lam, 0) + ca * cb * c
     return ChowClass._trusted(a.ambient, terms.items())
 
@@ -420,33 +437,38 @@ def fold(a: ChowClass, b: ChowClass) -> ChowClass:
     kappa after the sums are complete.  The LR terms of a pair
     are taken in its bounding rectangle, which holds every kappa, so nothing
     is truncated; the pair goes to _lr_terms in a fixed order, so its cache
-    key does not depend on the ambients.
+    key does not depend on the ambients.  That rectangle is as tall and as
+    wide as the two complements together, so each complement's length and
+    first part are taken once per term, not once per pair.  Nothing is
+    checked: a and b are ChowClasses.
     """
     target = Ambient(a.ambient.r + b.ambient.r, a.ambient.n + b.ambient.n)
-    rect, rect_a, rect_b = target.rect, a.ambient.rect, b.ambient.rect
-    rights = [(_complements[nu, rect_b], cb) for nu, cb in b.terms.items()]
+    complements_a, complements_b = _complements[a.ambient.rect], _complements[b.ambient.rect]
+    rights = [(right, len(right), right[0] if right else 0, cb)
+              for right, cb in zip(map(complements_b.__getitem__, b.terms), b.terms.values())]
     sums: dict[Partition, int] = {}
     for mu, ca in a.terms.items():
-        left = _complements[mu, rect_a]
-        for right, cb in rights:
+        left = complements_a[mu]
+        rows, cols = len(left), left[0] if left else 0
+        for right, right_rows, right_cols, cb in rights:
             x, y = (left, right) if left >= right else (right, left)
-            # x >= y, so y is empty when x is: the box is x[0] + y[0] wide
-            box = (len(x) + len(y), x[0] + (y[0] if y else 0) if x else 0)
             coeff = ca * cb
-            for kappa, c in _lr_terms(x, y, box):
+            for kappa, c in zip(*_lr_terms(x, y, (rows + right_rows, cols + right_cols))):
                 sums[kappa] = sums.get(kappa, 0) + coeff * c
-    return ChowClass._trusted(target, ((_complements[kappa, rect], v) for kappa, v in sums.items()))
+    complements = _complements[target.rect]
+    return ChowClass._trusted(target, ((complements[kappa], v) for kappa, v in sums.items()))
 
 
 def sc_direct_sum(parts: list[ChowClass]) -> ChowClass:
     """Fold the classes of direct summands, left to right, into the joint
-    ambient (fold: the paper's direct-sum formula on the complement side)."""
+    ambient (fold: the paper's direct-sum formula on the complement side).
+    parts is a list of ChowClasses, each checked before the first fold."""
+    require_type(parts, list, "the parts of a direct sum")
+    for part in parts:
+        require_type(part, ChowClass, "a direct-sum part")
     if not parts:
         raise EmptyMatroid("a direct sum needs at least one part")
-    acc = parts[0]
-    for nxt in parts[1:]:
-        acc = fold(acc, nxt)
-    return acc
+    return reduce(fold, parts)
 
 
 def sigma1_power_degree(c: ChowClass, s: int) -> int:
@@ -455,12 +477,14 @@ def sigma1_power_degree(c: ChowClass, s: int) -> int:
     sigma_lam * sigma_(1)^s has degree the number of standard fillings of
     the rectangle minus lam, which are counted by the hook-length formula on
     its complement; only terms with |lam| + s = r(n-r) reach the rectangle.
+    c is a ChowClass.
     """
+    require_type(c, ChowClass, "a class")
     require_count(s, "sigma_1 power")
     rect = c.ambient.rect
-    weight = rect[0] * rect[1] - s
+    complements, weight = _complements[rect], rect[0] * rect[1] - s
     return sum(
-        coeff * _syt_count(_complements[lam, rect])
+        coeff * _syt_count(complements[lam])
         for lam, coeff in c.terms.items()
         if sum(lam) == weight
     )

@@ -89,9 +89,9 @@ def sc_uniform(r: int, n: int) -> ChowClass:
     require_dimensions(r, n, 1)
     ambient = Ambient(r, n)
     rect = ambient.rect
-    terms = {}
+    complements, terms = _complements[rect], {}
     for lam in partitions_in_rectangle(rect, (r - 1) * (n - r - 1)):
-        comp = _complements[lam, rect]
+        comp = complements[lam]
         hooks = prod(_hook_lengths(comp))
         d = sum(
             (-1) ** i * comb(n, i) * _schur_at_ones(comp, r - i, hooks)

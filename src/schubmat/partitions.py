@@ -6,22 +6,26 @@ A rectangle is the pair ``(rows, cols)``.
 
 normalize is the one gate a partition from outside the library goes
 through: every public function that takes a partition calls it first.
-_rectangle is the one gate for a rectangle: each side is a non-negative
-int.  The helpers and stores whose names start with an underscore take
+_rectangle is the one gate for a rectangle: a pair of non-negative ints.
+The helpers and stores whose names start with an underscore take
 partitions the library built and check nothing.
 
 Three facts are cached for the life of the process, each once, here:
 conjugates (_conjugates) and complements (_complements), dicts that keep
 each pair of an involution both ways, and standard-tableau counts
-(_syt_count, keyed by the shape alone); the public functions here, the
-chow kernel and orbit.sc_uniform read them.  partitions_in_rectangle is
+(_syt_count, keyed by the shape alone).  _complements is keyed by the
+rectangle, then by the partition: a caller fetches a rectangle's store
+once and reads each complement from it by the partition alone, so no
+(partition, rectangle) key is built.  The public functions here, the chow
+kernel and orbit.sc_uniform read these caches.  partitions_in_rectangle is
 not cached: its one library caller, orbit.sc_uniform, is.
 """
 
 from functools import lru_cache
 from math import factorial, prod
 
-from .errors import DoesNotFit, NonIntegralCount, require_count, require_dimensions, require_int
+from .errors import DoesNotFit, NonIntegralCount, WrongShape
+from .errors import require_count, require_dimensions, require_int
 
 Partition = tuple[int, ...]
 Rectangle = tuple[int, int]
@@ -51,9 +55,13 @@ def size(lam: Partition) -> int:
 
 
 def _rectangle(rect) -> Rectangle:
-    """The one gate for a rectangle from outside the library: each side is
-    an int, else NotAnInteger, and not negative, else InvalidDimensions."""
-    rows, cols = rect
+    """The one gate for a rectangle from outside the library: it unpacks
+    into two sides, else WrongShape naming it; each side is an int, else
+    NotAnInteger, and not negative, else InvalidDimensions."""
+    try:
+        rows, cols = rect
+    except (TypeError, ValueError):
+        raise WrongShape(f"a rectangle must be a pair (rows, cols), not {rect!r}") from None
     require_count(rows, "rectangle rows")
     require_count(cols, "rectangle columns")
     return rows, cols
@@ -104,26 +112,38 @@ _conjugates = _ConjugateStore()
 
 
 class _ComplementStore(dict):
-    """Complements of partitions the library built, keyed by (lam, rect):
-    nothing is checked, and lam must fit in rect.  Complementing is an
-    involution on the partitions in a rectangle, so a miss stores the pair
-    both ways: the complement of a fold's output, which the fold computed
-    from the other side, is already here when sigma1_power_degree asks for
-    it.  A hit is one dict lookup, with no Python call."""
+    """The complements in one rectangle of partitions the library built,
+    keyed by the partition: nothing is checked, and a key must fit in the
+    rectangle.  Complementing is an involution on the partitions in a
+    rectangle, so a miss stores the pair both ways: the complement of a
+    fold's output, which the fold computed from the other side, is already
+    here when sigma1_power_degree asks for it.  A hit is one dict lookup,
+    with no Python call and no key tuple built."""
 
-    __slots__ = ()
+    __slots__ = ("rows", "cols")
 
-    def __missing__(self, key: tuple[Partition, Rectangle]) -> Partition:
-        lam, rect = key
-        rows, cols = rect
+    def __init__(self, rect: Rectangle):
+        self.rows, self.cols = rect
+
+    def __missing__(self, lam: Partition) -> Partition:
         # the rows of lam from the bottom, the empty ones first; a full row
         # leaves nothing, and full rows are the top ones, so no zero is kept
-        comp = self[key] = tuple([cols - p for p in padded(lam, rows)[::-1] if p < cols])
-        self[comp, rect] = lam
+        comp = self[lam] = tuple([self.cols - p for p in padded(lam, self.rows)[::-1] if p < self.cols])
+        self[comp] = lam
         return comp
 
 
-_complements = _ComplementStore()
+class _ComplementStores(dict):
+    """One _ComplementStore per rectangle the library built, made on the
+    first read of its rectangle."""
+
+    __slots__ = ()
+
+    def __missing__(self, rect: Rectangle) -> _ComplementStore:
+        return self.setdefault(rect, _ComplementStore(rect))
+
+
+_complements = _ComplementStores()
 
 
 def complement_in_rectangle(lam: Partition, rect: Rectangle) -> Partition:
@@ -134,7 +154,7 @@ def complement_in_rectangle(lam: Partition, rect: Rectangle) -> Partition:
     rect = rows, cols = _rectangle(rect)
     if not fits(lam, rect):
         raise DoesNotFit(f"{lam} does not fit in {rows}x{cols}")
-    return _complements[lam, rect]
+    return _complements[rect][lam]
 
 
 def hook(r: int, n: int) -> Partition:
@@ -146,9 +166,11 @@ def hook(r: int, n: int) -> Partition:
 
 def hook_complement(r: int, n: int) -> Partition:
     """Complement of the hook in the r x (n-r) rectangle: an (r-1) x (n-r-1)
-    rectangle.  hook checks (r, n), and the hook fits the rectangle, so the
-    store is read without a second check."""
-    return _complements[hook(r, n), (r, n - r)]
+    rectangle.  hook checks (r, n) before the rectangle's store is read,
+    and the hook fits the rectangle, so the store is read without a second
+    check."""
+    lam = hook(r, n)
+    return _complements[r, n - r][lam]
 
 
 def hook_lengths(lam: Partition) -> list[int]:

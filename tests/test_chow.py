@@ -27,7 +27,9 @@ from schubmat import (
     sigma1_power_degree,
     syt_count,
 )
-from schubmat.errors import AmbientMismatch, DoesNotFit, InvalidDimensions, NotAnInteger
+from schubmat.errors import (
+    AmbientMismatch, DoesNotFit, InvalidDimensions, NotAnInteger, WrongShape,
+)
 from schubmat.partitions import (
     _syt_count,
     complement_in_rectangle,
@@ -99,6 +101,33 @@ def test_degree_arguments_are_checked(call, error):
         call()
 
 
+WRONG_TYPE_CASES = {
+    "sum-of-an-int": (lambda c: sc_direct_sum([1]), "a direct-sum part must be a ChowClass, not int"),
+    "sum-with-an-int": (lambda c: sc_direct_sum([c, 1]),
+                        "a direct-sum part must be a ChowClass, not int"),
+    "sum-of-a-class": (lambda c: sc_direct_sum(c),
+                       "the parts of a direct sum must be a list, not ChowClass"),
+    "product-with-a-dict": (lambda c: product(c, {}), "a class must be a ChowClass, not dict"),
+    "product-of-a-dict": (lambda c: product({}, c), "a class must be a ChowClass, not dict"),
+    "pieri": (lambda c: pieri(1, 1), "a class must be a ChowClass, not int"),
+    "pieri-degree-0": (lambda c: pieri(1, 0), "a class must be a ChowClass, not int"),
+    "degree": (lambda c: sigma1_power_degree(1, 1), "a class must be a ChowClass, not int"),
+    "terms-a-list": (lambda c: ChowClass(Ambient(2, 4), [((1,), 1)]),
+                     "terms must be a dict, not list"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPE_CASES.values(), ids=WRONG_TYPE_CASES)
+def test_public_functions_name_a_wrong_type(call, message):
+    """Each public function of the kernel checks its arguments' types once,
+    before any fold, product or cache read: a wrong type raises WrongShape,
+    not an AttributeError or TypeError from inside, and no value is
+    returned for it."""
+    with pytest.raises(WrongShape) as raised:
+        call(sigma(G24, (1,)))
+    assert str(raised.value) == message
+
+
 def test_lr_coefficient_examples():
     assert lr_coefficient((1,), (1,), (2,)) == 1
     assert lr_coefficient((2, 1), (), (2, 1)) == 1
@@ -168,6 +197,18 @@ def test_lr_against_jacobi_trudi_random_sample():
     assert nonzero >= 30
 
 
+def lr_terms_map(terms):
+    """The dict {lam: c} of a value _lr_terms keeps, which is a pair of
+    tuples (shapes, coefficients) of one length, with no shape twice."""
+    assert type(terms) is tuple and len(terms) == 2
+    shapes, coefficients = terms
+    assert type(shapes) is tuple and type(coefficients) is tuple
+    assert len(shapes) == len(coefficients)
+    found = dict(zip(shapes, coefficients))
+    assert len(found) == len(shapes)
+    return found
+
+
 def record_strip_searches(patch):
     """Wrap chow._strip_search, which is not cached itself, and return the
     list each search appends its (outer, content, rectangle) to.  patch is
@@ -198,9 +239,8 @@ def test_lr_terms_match_oracle_on_every_pair(monkeypatch, rect):
     shapes = partitions_in_rectangle(rect)
     for mu in shapes:
         for nu in shapes:
-            terms = chow._lr_terms.__wrapped__(mu, nu, rect)
-            assert len(dict(terms)) == len(terms)
-            assert dict(terms) == lr_oracle.product_terms({mu: 1}, {nu: 1}, *rect), (mu, nu)
+            terms = lr_terms_map(chow._lr_terms.__wrapped__(mu, nu, rect))
+            assert terms == lr_oracle.product_terms({mu: 1}, {nu: 1}, *rect), (mu, nu)
     boxes = {box for _, _, box in searched}
     assert rect in boxes and rect[::-1] in boxes
 
@@ -222,11 +262,10 @@ def test_conjugate_pair_reads_the_search_of_the_pair(pair):
     chow._lr_terms.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         searched = record_strip_searches(patch)
-        terms = dict(chow._lr_terms(mu, nu, rect))
-        transposed = chow._lr_terms(conjugate(mu), conjugate(nu), rect[::-1])
+        terms = lr_terms_map(chow._lr_terms(mu, nu, rect))
+        transposed = lr_terms_map(chow._lr_terms(conjugate(mu), conjugate(nu), rect[::-1]))
     assert terms == lr_oracle.product_terms({mu: 1}, {nu: 1}, *rect), (mu, nu, rect)
-    assert dict(transposed) == {conjugate(lam): c for lam, c in terms.items()}
-    assert len(dict(transposed)) == len(transposed)
+    assert transposed == {conjugate(lam): c for lam, c in terms.items()}
     assert len(searched) == 1
 
 
@@ -623,6 +662,10 @@ def test_folds_of_different_ambients_share_lr_searches(monkeypatch):
     sc_direct_sum([u, second])
     assert len(searched) == 21
     assert chow._lr_terms.cache_info().currsize == 33
+    # each searched key's cached value is one pair of tuples, read as a hit
+    for key in searched:
+        assert lr_terms_map(chow._lr_terms(*key))
+    assert chow._lr_terms.cache_info().currsize == 33
 
 
 def test_folds_of_dual_ambients_share_strip_searches(monkeypatch):
@@ -646,18 +689,24 @@ def test_folds_of_dual_ambients_share_strip_searches(monkeypatch):
     assert folded_dual.terms == {conjugate(lam): v for lam, v in folded.terms.items()}
 
 
+def stored_complements():
+    """The (rectangle, partition) pairs held by the complement stores, one
+    store per rectangle."""
+    return {(rect, lam) for rect, store in partitions._complements.items() for lam in store}
+
+
 def test_fold_degree_computes_no_complement():
-    """fold stores each output's complement both ways, so the degree of the
-    fold's output finds every complement it keys its counts by already
-    stored."""
+    """fold stores each output's complement both ways, in the store of the
+    joint rectangle, so the degree of the fold's output finds every
+    complement it keys its counts by already stored."""
     rng = random.Random(3)
     for left, right in TALL_FOLDS + [((3, 7), (2, 8))]:
         partitions._complements.clear()
         folded = sc_direct_sum([full_support_class(*left, rng), full_support_class(*right, rng)])
-        stored = len(partitions._complements)
+        stored = stored_complements()
         rows, cols = folded.ambient.rect
         assert sigma1_power_degree(folded, rows * cols - size(next(iter(folded.terms)))) > 0
-        assert len(partitions._complements) == stored, (left, right)
+        assert stored_complements() == stored, (left, right)
 
 
 def test_folds_of_different_ambients_share_degree_counts():

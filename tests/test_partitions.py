@@ -16,7 +16,8 @@ from schubmat import (
     sigma,
     syt_count,
 )
-from schubmat.errors import DoesNotFit, InvalidDimensions, NotAnInteger
+from schubmat import partitions
+from schubmat.errors import DoesNotFit, InvalidDimensions, NotAnInteger, WrongShape
 from schubmat.partitions import (
     conjugate,
     hook_complement,
@@ -97,6 +98,22 @@ def test_complement_involution_exhaustive():
             assert sum(lam) + sum(comp) == rows * cols
 
 
+def test_each_rectangle_store_keeps_a_pair_both_ways():
+    """_complements holds one store per rectangle, keyed by the partition
+    alone.  A miss keeps the pair both ways, so, from an empty cache, the
+    complement of lam's complement is the very object lam: no second
+    complement is computed.  Every partition of every rectangle up to
+    4 x 4."""
+    for rect in iproduct(range(5), range(5)):
+        for lam in partitions_in_rectangle(rect):
+            partitions._complements.clear()
+            store = partitions._complements[rect]
+            assert store[store[lam]] is lam
+            assert partitions._complements[rect] is store
+            assert list(partitions._complements) == [rect], rect
+            assert len(store) == (1 if store[lam] == lam else 2)
+
+
 def test_complement_checks_what_it_is_given():
     """The unchecked complement is read through the checks: a shape that is
     not weakly decreasing or has a negative part still raises, even where
@@ -171,20 +188,25 @@ RECTANGLE_CASES = [
     ((2, "3"), NotAnInteger),
     ((-1, 2), InvalidDimensions),
     ((2, -1), InvalidDimensions),
+    ((2,), WrongShape),
+    (5, WrongShape),
 ]
 
 
 @pytest.mark.parametrize("rect, error", RECTANGLE_CASES, ids=[repr(r) for r, _ in RECTANGLE_CASES])
 def test_rectangle_sides_go_through_the_gate(rect, error):
-    """Each side of a rectangle is an int (a bool is not one), else
-    NotAnInteger, and not negative, else InvalidDimensions, before anything
-    is generated or the complement store is read."""
+    """A rectangle unpacks into two sides, else WrongShape naming it; each
+    side is an int (a bool is not one), else NotAnInteger, and not
+    negative, else InvalidDimensions, before anything is generated or the
+    complement store is read."""
     with pytest.raises(error):
         partitions_in_rectangle(rect)
     with pytest.raises(error):
         partitions_in_rectangle(rect, 1)
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         complement_in_rectangle((), rect)
+    if error is WrongShape:
+        assert str(raised.value) == f"a rectangle must be a pair (rows, cols), not {rect!r}"
 
 
 def test_complement_checks_the_rectangle_when_the_store_holds_the_pair():
